@@ -19,20 +19,18 @@ from . import __version__
 from .algebra import Field
 from .arrangement import Arrangement
 from .corpus import corpus_facts, corpus_matroid, corpus_names
-from .certificates import certificate_from_json
+from .certificates import ChainCertificate, certificate_from_json
 from .divisional import divisional_flag
 from .errors import InvalidInput, ModextError, TooLarge
 from .gaingraph import GainGraph, frame_matroid, lift_matroid, \
     realize_frame_arrangement, realize_lift_arrangement
 from .generators import named_input
 from .joins import brylawski_identity_check, find_modular_joins, me_certify
-from .lattice import charpoly, enumerate_flats
-from .matroid import DEFAULT_MAX_ATOMS, Matroid, atom_tuple, load_matroid
-from .lattice import DEFAULT_MAX_FLATS
-from .modularity import is_round, modular_flats, supersolvable_chain
+from .lattice import DEFAULT_MAX_FLATS, enumerate_flats
+from .matroid import DEFAULT_MAX_ATOMS, Matroid, atom_tuple, load_matroid, mask_of
+from .modularity import (is_modular_flat, is_round, modular_coatoms_in_context,
+                         modular_flats, supersolvable_chain)
 from .verify import verify_certificate
-
-THREADS_ENV = "MODEXT_THREADS"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -219,23 +217,17 @@ def run_corpus(args) -> tuple:
         if "all_flats_modular" in facts:
             checked["all_flats_modular"] = len(modular_flats(m, lattice=lat)) == len(lat)
         if "modular_coatoms" in facts:
-            from .modularity import violating_flat_in_context
             checked["modular_coatoms"] = sum(
-                1 for z in lat.coatoms()
-                if violating_flat_in_context(lat, z, lat.top) is None)
+                1 for _ in modular_coatoms_in_context(lat, lat.top))
         if "nonmodular_flat" in facts:
-            from .modularity import is_modular_flat
-            from .matroid import mask_of
             witness = is_modular_flat(m, mask_of(facts["nonmodular_flat"]),
                                       lattice=lat)
             checked["nonmodular_flat"] = (facts["nonmodular_flat"]
                                           if not witness else None)
         if "chain" in facts:
-            from .matroid import mask_of
-            from .modularity import violating_flat_in_context
             flats = [mask_of(f) for f in facts["chain"]]
-            ok = all(f in lat for f in flats) and all(
-                violating_flat_in_context(lat, f, lat.top) is None for f in flats)
+            chain = ChainCertificate((lat.bottom, *flats, lat.top))
+            ok = verify_certificate(m, chain, lattice=lat).ok
             checked["chain"] = facts["chain"] if ok else None
         if "join_over" in facts:
             cert = me_certify(m, lattice=lat)
@@ -246,20 +238,6 @@ def run_corpus(args) -> tuple:
         all_ok = all_ok and ok
         members[name] = {"ok": ok, "facts": facts, "checked": checked}
     return {"ok": all_ok, "members": members}, 0 if all_ok else 4
-
-
-def _check_threads_env():
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidInput(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise InvalidInput(f"{THREADS_ENV} must be positive, got {value}")
-    # Execution is sequential either way; the variable is accepted so that
-    # batch harnesses can set it without breaking determinism.
 
 
 def emit(report: dict, output: str | None):
@@ -276,7 +254,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        _check_threads_env()
         if args.command == "corpus":
             result, code = run_corpus(args)
             input_desc = "corpus"

@@ -11,9 +11,9 @@ vertex order; the extended lift matroid prepends an extra atom `inf`.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .algebra import Field
 from .arrangement import Arrangement
@@ -309,6 +309,23 @@ class GainGraph:
     def atom_labels(self) -> tuple:
         return tuple(self.atom_label(i) for i in range(self.num_atoms))
 
+    @cached_property
+    def _adjacency(self) -> tuple:
+        """Per vertex, its (bit, atom, far end, gain read outward) entries in
+        ascending atom order, a loop's with gain None; and per vertex, the
+        mask of the atoms touching it."""
+        adj = [[] for _ in range(self.n)]
+        touch = [0] * self.n
+        inv = self.group.inv
+        for i, e in enumerate(self.edges):
+            for v, w, h in ((e.u, e.v, e.gain), (e.v, e.u, inv(e.gain))):
+                adj[v].append((1 << i, i, w, h))
+                touch[v] |= 1 << i
+        for i, w in enumerate(self.loops, len(self.edges)):
+            adj[w].append((1 << i, i, w, None))
+            touch[w] |= 1 << i
+        return tuple(map(tuple, adj)), tuple(touch)
+
     def incident(self, v: int):
         """Indices of edges touching vertex v."""
         return [i for i, e in enumerate(self.edges) if v in (e.u, e.v)]
@@ -402,6 +419,42 @@ class BalanceReport:
         }
 
 
+def _components(g: GainGraph, atoms: int):
+    """Breadth-first walk over the components an atom subset touches.
+
+    Roots are taken in ascending vertex order and each vertex's atoms in
+    ascending atom order.  Per component yields (vertices in visiting
+    order, potentials, tree map vertex -> atom that reached it, atom mask,
+    inconsistent mask); the potential and tree dicts are shared by the
+    whole walk, so they also hold earlier components.  A potential is the
+    gain of the tree path from the root, so every tree edge is consistent
+    by construction: the inconsistent mask holds exactly the chords
+    {u,v}_h with pot(u)*h != pot(v), plus every loop of the component.
+    """
+    adj, touch = g._adjacency
+    table = g.group.table
+    pot, tree = {}, {}
+    for root in range(g.n):
+        if root in pot or not touch[root] & atoms:
+            continue
+        order = [root]
+        pot[root] = 0
+        comp = bad = 0
+        for u in order:  # `order` grows while it is read: a BFS queue
+            row = table[pot[u]]
+            comp |= touch[u]
+            for bit, i, w, h in adj[u]:
+                if not atoms & bit:
+                    continue
+                if w not in pot:
+                    pot[w] = row[h]
+                    tree[w] = i
+                    order.append(w)
+                elif h is None or row[h] != pot[w]:
+                    bad |= bit
+        yield order, pot, tree, comp & atoms, bad
+
+
 def analyze_balance(g: GainGraph, atoms: int | None = None) -> BalanceReport:
     """Connected components of an atom subset with balance verdicts.
 
@@ -412,55 +465,18 @@ def analyze_balance(g: GainGraph, atoms: int | None = None) -> BalanceReport:
     """
     if atoms is None:
         atoms = (1 << g.num_atoms) - 1
-    group = g.group
     ne = len(g.edges)
-    edge_idx = [i for i in iter_atoms(atoms) if i < ne]
-    loop_idx = [i for i in iter_atoms(atoms) if i >= ne]
-    adj = {}
-    for i in edge_idx:
-        e = g.edges[i]
-        adj.setdefault(e.u, []).append(i)
-        adj.setdefault(e.v, []).append(i)
-    for i in loop_idx:
-        adj.setdefault(g.loops[i - ne], [])
-    seen = set()
-    tree_edges = {}  # vertex -> atom of the edge that first reached it
     components = []
-    for root in sorted(adj):
-        if root in seen:
-            continue
-        pot = {root: 0}
-        order = [root]
-        seen.add(root)
-        queue = deque([root])
-        comp_atoms = 0
+    for order, pot, tree, comp, bad in _components(g, atoms):
         witnesses = []
-        while queue:
-            u = queue.popleft()
-            for i in adj[u]:
-                e = g.edges[i]
-                comp_atoms |= 1 << i
-                w = e.other(u)
-                if w not in pot:
-                    pot[w] = group.op(pot[u], e.gain_from(u, group))
-                    tree_edges[w] = i
-                    seen.add(w)
-                    order.append(w)
-                    queue.append(w)
-        # chord consistency over the settled component
-        for i in edge_idx:
-            e = g.edges[i]
-            if e.u in pot and tree_edges.get(e.u) != i and tree_edges.get(e.v) != i:
-                if group.op(pot[e.u], e.gain) != pot[e.v]:
-                    cycle = (1 << i) | _tree_path_atoms(g, tree_edges, e.u, e.v)
-                    witnesses.append(cycle)
-        for i in loop_idx:
-            if g.loops[i - ne] in pot:
-                comp_atoms |= 1 << i
-                witnesses.append(1 << i)
+        for i in iter_atoms(bad):
+            cycle = 1 << i
+            if i < ne:
+                cycle |= _tree_path_atoms(g, tree, *g.edges[i].endpoints())
+            witnesses.append(cycle)
         components.append(ComponentReport(
             vertices=tuple(order),
-            atoms=comp_atoms,
+            atoms=comp,
             balanced=not witnesses,
             potentials=tuple((v, pot[v]) for v in order),
             unbalanced_witnesses=tuple(witnesses),
@@ -500,11 +516,12 @@ def _tree_path_atoms(g: GainGraph, tree_edges: dict, u: int, v: int) -> int:
 
 
 def frame_matroid(g: GainGraph) -> Matroid:
-    """The frame matroid: per component, rank = |V| - 1 + [unbalanced].
+    """The frame matroid: rank = sum over components of |V| - 1 + [unbalanced].
 
-    A component is unbalanced when it holds a loop or an edge inconsistent
-    with spanning-tree potentials.  Repeated identical edges would be
-    parallel atoms, so they raise NotSimpleFrame.
+    A component is unbalanced when it holds a loop or an unbalanced cycle
+    (Zaslavsky, "Biased graphs II: the three matroids", JCTB 1991).
+    Repeated identical edges would be parallel atoms, so they raise
+    NotSimpleFrame.
     """
     seen = {}
     for i, e in enumerate(g.edges):
@@ -513,49 +530,9 @@ def frame_matroid(g: GainGraph) -> Matroid:
             raise NotSimpleFrame([seen[key], i], f"repeated edge {g.atom_label(i)}")
         seen[key] = i
 
-    ne = len(g.edges)
-    group = g.group
-
-    def rank_fn(mask, _g=g, _ne=ne, _group=group):
-        rank = 0
-        adj = {}
-        loop_vs = set()
-        for i in iter_atoms(mask):
-            if i < _ne:
-                e = _g.edges[i]
-                adj.setdefault(e.u, []).append(e)
-                adj.setdefault(e.v, []).append(e)
-            else:
-                w = _g.loops[i - _ne]
-                adj.setdefault(w, [])
-                loop_vs.add(w)
-        seen_v = set()
-        for root in adj:
-            if root in seen_v:
-                continue
-            pot = {root: 0}
-            seen_v.add(root)
-            queue = [root]
-            unbalanced = root in loop_vs
-            comp_edges = []
-            while queue:
-                u = queue.pop()
-                for e in adj[u]:
-                    comp_edges.append((u, e))
-                    w = e.other(u)
-                    if w not in pot:
-                        pot[w] = _group.op(pot[u], e.gain_from(u, _group))
-                        seen_v.add(w)
-                        queue.append(w)
-                        if w in loop_vs:
-                            unbalanced = True
-            if not unbalanced:
-                for u, e in comp_edges:
-                    if _group.op(pot[e.u], e.gain) != pot[e.v]:
-                        unbalanced = True
-                        break
-            rank += len(pot) - 1 + (1 if unbalanced else 0)
-        return rank
+    def rank_fn(mask):
+        return sum(len(order) - 1 + (1 if bad else 0)
+                   for order, _, _, _, bad in _components(g, mask))
 
     return Matroid(g.num_atoms, rank_fn, labels=g.atom_labels() or None,
                    backend="frame")
@@ -564,64 +541,23 @@ def frame_matroid(g: GainGraph) -> Matroid:
 def lift_matroid(g: GainGraph) -> Matroid:
     """The extended lift matroid on {inf} followed by the edges.
 
-    A subset is independent when no cycle in it is balanced and it holds at
-    most one of {inf, an unbalanced cycle}; rank is computed by greedy
-    growth over that independence oracle.  Loops are rejected.
+    For an edge set S with c(S) components on |V(S)| vertices,
+    rank = |V(S)| - c(S) + [inf in S or S holds an unbalanced cycle]
+    (Zaslavsky, "Biased graphs II: the three matroids", JCTB 1991).
+    Loops are rejected.
     """
     if g.loops:
         raise HasLoops("the extended lift matroid is defined for loopless gain graphs")
-    group = g.group
-    edges = g.edges
-    labels = ("inf",) + tuple(g.atom_label(i) for i in range(len(edges)))
-
-    def independent(mask) -> bool:
-        has_inf = bool(mask & 1)
-        adj = {}
-        for i in iter_atoms(mask & ~1):
-            e = edges[i - 1]
-            adj.setdefault(e.u, []).append((i, e))
-            adj.setdefault(e.v, []).append((i, e))
-        seen = set()
-        cyclic = 0
-        for root in adj:
-            if root in seen:
-                continue
-            pot = {root: 0}
-            seen.add(root)
-            queue = [root]
-            tree = set()
-            comp = {}
-            while queue:
-                u = queue.pop()
-                for i, e in adj[u]:
-                    comp[i] = e
-                    w = e.other(u)
-                    if w not in pot:
-                        pot[w] = group.op(pot[u], e.gain_from(u, group))
-                        seen.add(w)
-                        tree.add(i)
-                        queue.append(w)
-            extra = len(comp) - len(tree)
-            if extra > 1:
-                return False
-            if extra == 1:
-                chord = next(e for i, e in comp.items() if i not in tree)
-                if group.op(pot[chord.u], chord.gain) == pot[chord.v]:
-                    return False  # the unique cycle is balanced
-                cyclic += 1
-        return cyclic + (1 if has_inf else 0) <= 1
+    labels = ("inf",) + tuple(g.atom_label(i) for i in range(len(g.edges)))
 
     def rank_fn(mask):
-        basis = 0
-        r = 0
-        for i in iter_atoms(mask):
-            cand = basis | (1 << i)
-            if independent(cand):
-                basis = cand
-                r += 1
-        return r
+        rank, lifted = 0, mask & 1
+        for order, _, _, _, bad in _components(g, mask >> 1):
+            rank += len(order) - 1
+            lifted = lifted or bad
+        return rank + (1 if lifted else 0)
 
-    return Matroid(len(edges) + 1, rank_fn, labels=labels, backend="lift")
+    return Matroid(len(g.edges) + 1, rank_fn, labels=labels, backend="lift")
 
 
 # ---------------------------------------------------------------------------

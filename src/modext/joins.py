@@ -25,7 +25,8 @@ from .divisional import is_divisional_atom
 from .errors import IdentityViolation, InvalidInput, LiftViolation
 from .lattice import FlatLattice, charpoly, enumerate_flats
 from .matroid import Matroid, atom_tuple, lex_key
-from .modularity import round_in_context, violating_flat_in_context
+from .modularity import (modular_coatoms_in_context, round_in_context,
+                         violating_flat_in_context)
 
 
 @dataclass(frozen=True)
@@ -112,9 +113,7 @@ def me_certify(m: Matroid, lattice: FlatLattice | None = None):
             result = EmptyCertificate()
         else:
             result = None
-            for z in lat.children[ctx]:
-                if violating_flat_in_context(lat, z, ctx) is not None:
-                    continue
+            for z in modular_coatoms_in_context(lat, ctx):
                 sub = cert(z)
                 if sub is not None:
                     result = ModularCoatomCertificate(z, sub)

@@ -101,6 +101,17 @@ def violating_flat_in_context(lat: FlatLattice, z: int, ctx: int):
     return None
 
 
+def modular_coatoms_in_context(lat: FlatLattice, ctx: int):
+    """Yield the coatoms of ctx that are modular within it, lexicographically.
+
+    Lazy, so a search that stops at the first usable coatom scans no
+    further ones.
+    """
+    for z in lat.children[ctx]:
+        if violating_flat_in_context(lat, z, ctx) is None:
+            yield z
+
+
 def is_modular_flat(m: Matroid, x: int, lattice: FlatLattice | None = None) -> ModularityWitness:
     """Rank-equation modularity test against every flat."""
     lat = _lattice_for(m, lattice)
@@ -250,9 +261,7 @@ def supersolvable_chain(m: Matroid, lattice: FlatLattice | None = None):
             result = (ctx,)
         else:
             result = None
-            for z in lat.children[ctx]:
-                if violating_flat_in_context(lat, z, ctx) is not None:
-                    continue
+            for z in modular_coatoms_in_context(lat, ctx):
                 sub = chain_for(z)
                 if sub is not None:
                     result = sub + (ctx,)

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from modext import cli
 from modext.corpus import corpus_names
 
 
@@ -248,14 +249,6 @@ class TestExitCodes:
         proc = run_cli("flats", "--input", "pg-2-3", "--max-flats", "10")
         assert proc.returncode == 3
 
-    def test_threads_env_is_validated(self):
-        ok = run_cli("flats", "--input", "pg-1-2", env_extra={"MODEXT_THREADS": "4"})
-        assert ok.returncode == 0
-        bad = run_cli("flats", "--input", "pg-1-2", env_extra={"MODEXT_THREADS": "zebra"})
-        assert bad.returncode == 2
-        zero = run_cli("flats", "--input", "pg-1-2", env_extra={"MODEXT_THREADS": "0"})
-        assert zero.returncode == 2
-
 
 class TestCorpusCommand:
     def test_corpus_self_check(self):
@@ -264,3 +257,20 @@ class TestCorpusCommand:
         members = report["result"]["members"]
         assert sorted(members) == sorted(corpus_names())
         assert all(entry["ok"] for entry in members.values())
+
+    def test_unsaturated_chain_fact_fails(self, monkeypatch, capsys):
+        # ranks 1 then 3: every flat is modular, but the chain skips rank 2
+        real = cli.corpus_facts
+
+        def facts(name):
+            out = real(name)
+            if name == "bowtie-lift-9":
+                out["chain"] = [[0], [0, 1, 2, 3, 4]]
+            return out
+
+        monkeypatch.setattr(cli, "corpus_facts", facts)
+        assert cli.main(["corpus"]) == 4
+        report = json.loads(capsys.readouterr().out)
+        member = report["result"]["members"]["bowtie-lift-9"]
+        assert member["ok"] is False
+        assert member["checked"]["chain"] is None

@@ -193,6 +193,35 @@ class TestBalance:
         assert json_form["balanced"] is False
         assert json_form["components"][0]["unbalanced_witnesses"] == [[2, 3]]
 
+    def test_loopy_bowtie_report_is_pinned(self):
+        # vertex, potential and witness order are part of the JSON output
+        g = bowtie(loops=True)
+        assert analyze_balance(g).to_json() == {
+            "balanced": False,
+            "components": [{
+                "vertices": [0, 1, 2, 3, 4],
+                "balanced": False,
+                "potentials": [[0, 0], [1, 0], [2, 0], [3, 0], [4, 0]],
+                "unbalanced_witnesses": [[0, 1, 3], [4, 5, 7], [8], [9],
+                                         [10], [11], [12]],
+            }],
+        }
+        report = analyze_balance(g, mask_of([1, 3, 4, 7, 8, 12]))
+        assert report.to_json() == {
+            "balanced": False,
+            "components": [{
+                "vertices": [0, 2, 3, 1, 4],
+                "balanced": False,
+                "potentials": [[0, 0], [2, 0], [3, 0], [1, 1], [4, 1]],
+                "unbalanced_witnesses": [[8], [12]],
+            }],
+        }
+        assert [c.atoms for c in report.components] == [mask_of([1, 3, 4, 7, 8, 12])]
+        split = analyze_balance(g, mask_of([2, 6, 9]))
+        assert [c.vertices for c in split.components] == [(1, 2), (3, 4)]
+        assert [c.atoms for c in split.components] == [mask_of([2, 9]), mask_of([6])]
+        assert [c.balanced for c in split.components] == [False, True]
+
 
 class TestFrameMatroid:
     def test_trivial_gains_give_graphic_matroid(self):
@@ -218,6 +247,14 @@ class TestFrameMatroid:
         assert frame.rank(mask_of([2])) == 1  # a loop alone
         assert frame.rank(mask_of([0, 1])) == 2  # unbalanced digon
         assert frame.rank(mask_of([0, 2])) == 2
+
+    def test_disjoint_unbalanced_digons(self):
+        # each digon adds 1 to the frame rank; the lift adds 1 once overall
+        g = GainGraph(4, SIGN, [(0, 1, 0), (0, 1, 1), (2, 3, 0), (2, 3, 1)])
+        assert frame_matroid(g).full_rank == 4
+        lift = lift_matroid(g)
+        assert lift.rank(lift.full_mask & ~1) == 3
+        assert lift.full_rank == 3
 
     def test_repeated_edge_not_simple(self):
         with pytest.raises(NotSimpleFrame):
