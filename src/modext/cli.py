@@ -220,10 +220,9 @@ def run_corpus(args) -> tuple:
             checked["modular_coatoms"] = sum(
                 1 for _ in modular_coatoms_in_context(lat, lat.top))
         if "nonmodular_flat" in facts:
-            witness = is_modular_flat(m, mask_of(facts["nonmodular_flat"]),
-                                      lattice=lat)
-            checked["nonmodular_flat"] = (facts["nonmodular_flat"]
-                                          if not witness else None)
+            x = mask_of(facts["nonmodular_flat"])
+            nonmodular = x in lat and not is_modular_flat(m, x, lattice=lat)
+            checked["nonmodular_flat"] = facts["nonmodular_flat"] if nonmodular else None
         if "chain" in facts:
             flats = [mask_of(f) for f in facts["chain"]]
             chain = ChainCertificate((lat.bottom, *flats, lat.top))

@@ -3,9 +3,22 @@
 Flats are bitmasks over the matroid's atoms; the partial order is subset
 containment, meets are intersections, and the join of two flats is the
 closure of their union (whose rank equals the rank of the plain union).
-Enumeration walks rank levels upward: the flats of rank k+1 are exactly
-the closures cl(F | {a}) over rank-k flats F and atoms a outside F, which
-also yields every covering pair.
+
+Everything is driven by the covering relation:
+
+- Enumeration walks rank levels upward.  The covers of a flat F partition
+  the atoms outside F, so F's covers are found by closing F | {a} for the
+  lowest atom a not yet in an earlier cover, testing only atoms still
+  unassigned; each closure removes its cover's atoms from the pool.
+- Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
+  X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
+  flats Y covered by X with B <= Y and a not in Y, one pass over cover
+  edges.
+- Joins come from covers: z join y is z when y <= z, and otherwise
+  (z join y') join a, for y's first child y' and an atom a with
+  y = y' join a.  That is z join y' itself when it holds a, else its cover
+  containing a, looked up in a table filled per flat from its covers, so
+  joins walked in rank order cost no rank oracle call.
 """
 
 from __future__ import annotations
@@ -36,6 +49,15 @@ class FlatLattice:
         self.children = {f: tuple(sorted(cs, key=lex_key)) for f, cs in children.items()}
         self._below = {}
         self._above = {}
+        # flat y above the bottom -> (y', a): its first child y' and the
+        # lowest atom bit a of y outside y', so that y = y' join a
+        self.descent = {}
+        for f, cs in self.children.items():
+            if cs:
+                a = f & ~cs[0]
+                self.descent[f] = (cs[0], a & -a)
+        # F | {a} -> its closure, the cover of the flat F containing atom a
+        self.atom_joins = {}
         self._mobius = None
         self._charpoly = None
         self._upper = {}
@@ -94,12 +116,28 @@ class FlatLattice:
             return ()
         return tuple(self.levels[self.rank - 1])
 
+    def atom_join(self, flat: int, a: int) -> int:
+        """The join of a flat with the bit `a` of an atom outside it: the
+        cover of the flat containing a, read from `atom_joins`, which is
+        filled for every atom outside the flat on its first query."""
+        key = flat | a
+        cover = self.atom_joins.get(key)
+        if cover is None:
+            for c in self.covers[flat]:
+                rest = c & ~flat
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    self.atom_joins[flat | low] = c
+            cover = self.atom_joins[key]
+        return cover
+
     # -- Mobius function and characteristic polynomials
 
     def mobius(self) -> dict:
         """Mobius values mu(bottom, X) for every flat X (cached)."""
         if self._mobius is None:
-            self._mobius = _mobius_over(list(self.flats()), self.bottom)
+            self._mobius = self._weisner(list(self.flats()), self.bottom)
         return self._mobius
 
     def charpoly(self) -> IntPolynomial:
@@ -117,7 +155,7 @@ class FlatLattice:
             raise NotComparable(
                 f"{sorted(atom_tuple(bottom))} is not below {sorted(atom_tuple(top))}")
         flats = [f for f in self.above(bottom) if f & top == f]
-        mu = _mobius_over(flats, bottom)
+        mu = self._weisner(flats, bottom)
         top_rank = self.rank_of[top]
         return _chi_from_mobius(mu, self.rank_of, top_rank, shift=self.rank_of[bottom])
 
@@ -129,6 +167,17 @@ class FlatLattice:
             cached = self.interval_charpoly(flat, self.top)
             self._upper[flat] = cached
         return cached
+
+    def _weisner(self, flats, bottom: int) -> dict:
+        """mu(bottom, X) for the flats X of an interval [bottom, top], given
+        in rank order with bottom first, by Weisner's theorem."""
+        children = self.children
+        mu = {bottom: 1}
+        for x in flats[1:]:
+            a = x & ~bottom
+            a &= -a
+            mu[x] = -sum(mu.get(y, 0) for y in children[x] if not y & a)
+        return mu
 
     # -- serialization
 
@@ -146,29 +195,6 @@ class FlatLattice:
         return f"FlatLattice(rank={self.rank}, flats={len(self)})"
 
 
-def _mobius_over(flats, bottom) -> dict:
-    """Mobius values over an arbitrary containment-closed flat collection.
-
-    `flats` must contain `bottom` and be closed under the interval it is
-    meant to describe; the recursion is mu(bottom)=1,
-    mu(X) = -sum(mu(Y) for bottom <= Y < X).
-    """
-    order = sorted(flats, key=lambda f: (bin(f).count("1"), f))
-    mu = {}
-    for x in order:
-        if x == bottom:
-            mu[x] = 1
-            continue
-        acc = 0
-        for y in order:
-            if y == x:
-                continue
-            if y & x == y and mu.get(y) is not None:
-                acc += mu[y]
-        mu[x] = -acc
-    return mu
-
-
 def _chi_from_mobius(mu: dict, rank_of: dict, top_rank: int, shift: int = 0) -> IntPolynomial:
     coeffs = [0] * (top_rank - shift + 1)
     for f, value in mu.items():
@@ -179,8 +205,9 @@ def _chi_from_mobius(mu: dict, rank_of: dict, top_rank: int, shift: int = 0) -> 
 def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLattice:
     """Enumerate the lattice of flats of a simple matroid.
 
-    Walks rank levels upward by closing each flat with one more atom;
-    raises TooLarge when the flat count exceeds `max_flats`.
+    Walks rank levels upward, closing each flat with the lowest atom not
+    yet in one of its covers; raises TooLarge when the flat count exceeds
+    `max_flats`.
     """
     bottom = m.closure(0)
     levels = [[bottom]]
@@ -191,13 +218,12 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
     while current and current[0] != full:
         nxt = set()
         for f in current:
-            cs = set()
+            cs = []
             rest = full & ~f
             while rest:
-                low = rest & -rest
-                rest ^= low
-                g = m.closure(f | low)
-                cs.add(g)
+                g = m.closure(f | (rest & -rest), rest)
+                rest &= ~g
+                cs.append(g)
                 nxt.add(g)
             covers[f] = cs
         total += len(nxt)

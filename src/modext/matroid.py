@@ -6,10 +6,6 @@ to single machine operations at desk scale.  A Matroid wraps a pure rank
 function with a memo table; derived matroids (restrictions, simplified
 contractions) delegate their queries to the parent oracle, so memoized
 ranks are shared.
-
-The memo is an ordinary dict: entries are only ever inserted, values are
-deterministic functions of the key, and CPython dict reads/writes are
-atomic, so concurrent readers cannot observe an inconsistent cache.
 """
 
 from __future__ import annotations
@@ -85,6 +81,7 @@ class Matroid:
         self.n = n
         self.labels = labels
         self.backend = backend
+        self.max_atoms = max_atoms
         self.full_mask = (1 << n) - 1
         self._rank_fn = rank_fn
         self._memo = {0: 0}
@@ -107,11 +104,18 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.full_mask)
 
-    def closure(self, subset: int) -> int:
-        """Smallest flat containing the subset."""
+    def closure(self, subset: int, candidates: int | None = None) -> int:
+        """Smallest flat containing the subset.
+
+        With `candidates`, only those atoms are tested for membership; the
+        caller vouches that no other atom outside the subset lies in the
+        closure.
+        """
         r = self.rank(subset)
         out = subset
-        rest = self.full_mask & ~subset
+        if candidates is None:
+            candidates = self.full_mask
+        rest = candidates & ~subset
         while rest:
             low = rest & -rest
             rest ^= low
@@ -160,7 +164,8 @@ class Matroid:
             return _parent.rank(expanded)
 
         labels = tuple(self.label_of(a) for a in atoms) if self.labels else None
-        return Matroid(len(atoms), rank_fn, labels=labels, backend=self.backend)
+        return Matroid(len(atoms), rank_fn, labels=labels, backend=self.backend,
+                       max_atoms=self.max_atoms)
 
     def contract_simplify(self, flat: int):
         """Simplification of the contraction by a flat.
@@ -190,7 +195,7 @@ class Matroid:
                 i += 1
             return _parent.rank(union) - _base
 
-        m = Matroid(len(covers), rank_fn, backend="explicit")
+        m = Matroid(len(covers), rank_fn, backend="explicit", max_atoms=self.max_atoms)
         return m, atom_map
 
     def __repr__(self):

@@ -89,15 +89,37 @@ def violating_flat_in_context(lat: FlatLattice, z: int, ctx: int):
     """First flat Y <= ctx violating the rank equation against z, or None.
 
     Checks modularity of z within the restriction to the flat ctx; with
-    ctx the top flat this is plain modularity.  Meets of flats are their
-    intersections, and the rank of a join equals the rank of the union.
+    ctx the top flat this is plain modularity.  Flats Y are scanned in the
+    order of below(ctx), and the equation holds for every Y comparable
+    with z.  Any other Y covers its first child Y', with Y = Y' join a for
+    an atom a (lattice.descent); Y' is scanned earlier and satisfies the
+    equation.  From Y' to Y, r(Y) rises by one, while r(z meet Y) +
+    r(z join Y) never falls and, by semimodularity at Y, rises by at most
+    one: so Y violates the equation exactly when both the meet and the
+    join with z are unchanged from Y'.  Meets are intersections and joins
+    are walked up from z one atom at a time through the lattice's covers,
+    so no rank is computed.
     """
-    m = lat.matroid
-    rank_of = lat.rank_of
-    rz = rank_of[z]
+    lat.require(z)
+    descent = lat.descent
+    atom_joins = lat.atom_joins
+    join = {}
     for y in lat.below(ctx):
-        if rz + rank_of[y] != rank_of[z & y] + m.rank(z | y):
-            return y
+        meet = y & z
+        if meet == y:
+            join[y] = z
+            continue
+        if meet == z:
+            join[y] = y
+            continue
+        child, a = descent[y]
+        j = join[child]
+        if j & a:
+            if meet == child & z:
+                return y
+        else:
+            j = atom_joins.get(j | a) or lat.atom_join(j, a)
+        join[y] = j
     return None
 
 

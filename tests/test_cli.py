@@ -274,3 +274,20 @@ class TestCorpusCommand:
         member = report["result"]["members"]["bowtie-lift-9"]
         assert member["ok"] is False
         assert member["checked"]["chain"] is None
+
+    def test_nonmodular_fact_that_is_not_a_flat_fails_its_member(self, monkeypatch, capsys):
+        # [0, 1, 2] spans fish-sign, so it is not a flat; only this member fails
+        real = cli.corpus_facts
+
+        def facts(name):
+            out = real(name)
+            if name == "fish-sign":
+                out["nonmodular_flat"] = [0, 1, 2]
+            return out
+
+        monkeypatch.setattr(cli, "corpus_facts", facts)
+        assert cli.main(["corpus"]) == 4
+        members = json.loads(capsys.readouterr().out)["result"]["members"]
+        assert members["fish-sign"]["ok"] is False
+        assert members["fish-sign"]["checked"]["nonmodular_flat"] is None
+        assert all(entry["ok"] for name, entry in members.items() if name != "fish-sign")

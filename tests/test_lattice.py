@@ -6,7 +6,27 @@ from modext.algebra import IntPolynomial
 from modext.errors import NotAFlat, TooLarge
 from modext.lattice import charpoly, enumerate_flats, interval_charpoly, mobius
 
-from oracles import brute_flats, brute_mobius, whitney_charpoly_coeffs
+from oracles import brute_flats, brute_mobius, popcount, whitney_charpoly_coeffs
+
+SMALL_FLATS = 250  # members with at most this many flats get pairwise checks
+
+
+def _small(corpus, names):
+    for name in names:
+        m, lat = corpus(name)
+        if len(lat) <= SMALL_FLATS:
+            yield name, m, lat
+
+
+def _brute_interval_charpoly(m, flats, bottom, top):
+    """chi of [bottom, top] from mu(bottom, X) = -sum over bottom <= Y < X."""
+    mu = {}
+    for x in sorted((f for f in flats if f & bottom == bottom and f & top == f), key=popcount):
+        mu[x] = 1 if x == bottom else -sum(v for y, v in mu.items() if y & x == y)
+    coeffs = [0] * (m.rank(top) - m.rank(bottom) + 1)
+    for x, v in mu.items():
+        coeffs[m.rank(top) - m.rank(x)] += v
+    return IntPolynomial(coeffs)
 
 
 def test_u23_lattice(corpus):
@@ -35,6 +55,35 @@ def test_covers_are_saturated(corpus):
                 # no flat strictly between f and g
                 for h in lat.flats():
                     assert not (h & f == f and h & g == h and f != h != g)
+
+
+def test_covers_partition_the_atoms_outside(corpus, all_corpus_names):
+    for name in all_corpus_names:
+        m, lat = corpus(name)
+        for f in lat.flats():
+            seen = 0
+            for g in lat.covers[f]:
+                assert (g & ~f) & seen == 0, (name, f, g)
+                seen |= g & ~f
+            assert seen == m.full_mask & ~f, (name, f)
+
+
+def _descent_join(lat, z, y):
+    """z join y by descending y to a flat below z, then adding atoms back."""
+    if y & z == y:
+        return z
+    child, a = lat.descent[y]
+    j = _descent_join(lat, z, child)
+    return j if j & a else lat.atom_join(j, a)
+
+
+def test_lattice_joins_are_closures(corpus, all_corpus_names):
+    for name, m, lat in _small(corpus, all_corpus_names):
+        for y, (child, a) in lat.descent.items():
+            assert child == lat.children[y][0] and a & y & ~child and popcount(a) == 1
+        for z in lat.flats():
+            for y in lat.flats():
+                assert _descent_join(lat, z, y) == m.closure(z | y), (name, z, y)
 
 
 def test_mobius_matches_brute(corpus):
@@ -72,6 +121,15 @@ def test_interval_charpoly_is_contraction_charpoly(corpus):
     for f in lat.flats():
         q, _ = m.contract_simplify(f)
         assert lat.upper_charpoly(f) == charpoly(q)
+
+
+def test_interval_charpoly_matches_brute_mobius(corpus, all_corpus_names):
+    for name, m, lat in _small(corpus, all_corpus_names):
+        flats = brute_flats(m)
+        for b in lat.flats():
+            for t in lat.above(b):
+                assert (interval_charpoly(lat, b, t)
+                        == _brute_interval_charpoly(m, flats, b, t)), (name, b, t)
 
 
 def test_interval_requires_comparable_flats(corpus):

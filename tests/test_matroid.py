@@ -87,6 +87,15 @@ def test_restrict_and_contract():
     assert set(atom_map) == {1, 2} and set(atom_map.values()) == {0}
 
 
+def test_minors_keep_the_atom_cap():
+    edges = list(combinations(range(8), 2))
+    m = graphic_matroid(8, edges, max_atoms=28)
+    sub = m.restrict(m.full_mask)
+    assert sub.n == 28 and sub.max_atoms == 28 and sub.full_rank == 7
+    q, _ = m.contract_simplify(0)
+    assert q.n == 28 and q.max_atoms == 28 and q.full_rank == 7
+
+
 def test_contract_simplify_of_fano_atom(corpus):
     m, _ = corpus("fano")
     q, _ = m.contract_simplify(0b1)

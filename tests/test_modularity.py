@@ -21,6 +21,20 @@ def test_rank_equation_matches_brute(corpus):
             assert got == brute_modular(m, f, flats), (name, atom_tuple(f))
 
 
+def test_rank_equation_witness_matches_rank_scan(corpus, all_corpus_names):
+    for name in all_corpus_names:
+        m, lat = corpus(name)
+        if len(lat) > 250:
+            continue
+        rank_of = lat.rank_of
+        for ctx in (lat.top, *lat.coatoms()):
+            for z in lat.flats():
+                expected = next((y for y in lat.below(ctx)
+                                 if rank_of[z] + rank_of[y] != rank_of[z & y] + m.rank(z | y)),
+                                None)
+                assert violating_flat_in_context(lat, z, ctx) == expected, (name, z, ctx)
+
+
 def test_trivial_flats_always_modular(corpus):
     for name in ("u34", "example-7", "bn-2"):
         m, lat = corpus(name)
