@@ -13,11 +13,12 @@ import random
 from .algebra import Field, FieldMatrix, IntPolynomial, rref
 from .errors import InvalidInput, NotSimple, SizeMismatch, TooLarge
 from .lattice import charpoly
-from .matroid import DEFAULT_MAX_ATOMS, Matroid, linear_matroid
+from .matroid import DEFAULT_MAX_ATOMS, Matroid, linear_matroid, remap_mask
 
 
 class Arrangement:
-    """A finite set of hyperplanes ker(f_i) in field^dim."""
+    """A finite set of at most `max_atoms` hyperplanes ker(f_i) in field^dim;
+    the cap passes on to the dependence matroid and to `essentialize`."""
 
     def __init__(self, field: Field, dim: int, forms, labels=None,
                  max_atoms: int = DEFAULT_MAX_ATOMS):
@@ -51,6 +52,7 @@ class Arrangement:
             if len(labels) != len(self.forms):
                 raise InvalidInput("label count differs from hyperplane count")
         self.labels = labels
+        self.max_atoms = max_atoms
         self._matroid = None
 
     def __len__(self):
@@ -62,7 +64,7 @@ class Arrangement:
             rows = [[row[k] for row in self.forms] for k in range(self.dim)]
             self._matroid = linear_matroid(
                 FieldMatrix(self.field, rows), labels=self.labels,
-                max_atoms=max(len(self.forms), 1))
+                max_atoms=self.max_atoms)
         return self._matroid
 
     def rank(self) -> int:
@@ -81,7 +83,8 @@ class Arrangement:
         if not pivots:
             raise InvalidInput("cannot essentialize an empty arrangement")
         new_forms = [[row[k] for k in pivots] for row in self.forms]
-        return Arrangement(self.field, len(pivots), new_forms, labels=self.labels)
+        return Arrangement(self.field, len(pivots), new_forms, labels=self.labels,
+                           max_atoms=self.max_atoms)
 
     def charpoly(self) -> IntPolynomial:
         """chi(A, t) = t^(dim - rank) * chi(M(A), t)."""
@@ -180,13 +183,7 @@ def rank_agreement(m1: Matroid, m2: Matroid, correspondence=None,
         if sorted(correspondence) != list(range(n)):
             raise InvalidInput("correspondence must be a permutation of the atoms")
 
-    def translate(mask):
-        out = 0
-        for i in range(n):
-            if mask >> i & 1:
-                out |= 1 << correspondence[i]
-        return out
-
+    images = [1 << c for c in correspondence]
     total = 1 << n
     if total <= exhaustive_limit:
         checked = total
@@ -199,7 +196,7 @@ def rank_agreement(m1: Matroid, m2: Matroid, correspondence=None,
         subsets = (rng.randrange(total) for _ in range(samples))
     for mask in subsets:
         r1 = m1.rank(mask)
-        r2 = m2.rank(translate(mask))
+        r2 = m2.rank(remap_mask(mask, images))
         if r1 != r2:
             return {"agree": False, "mode": mode, "checked": checked,
                     "witness": sorted(bit for bit in range(n) if mask >> bit & 1),

@@ -104,16 +104,17 @@ def load_input(spec: str, max_atoms: int):
             return load_matroid(data, max_atoms=max_atoms)
         raise InvalidInput(
             "input JSON is neither an arrangement, a gain graph, nor a matroid")
-    return named_input(spec)
+    return named_input(spec, max_atoms)
 
 
-def matroid_of(obj, model: str) -> Matroid:
+def matroid_of(obj, model: str, max_atoms: int) -> Matroid:
     if isinstance(obj, Matroid):
         return obj
     if isinstance(obj, Arrangement):
         return obj.dependence_matroid()
     if isinstance(obj, GainGraph):
-        return lift_matroid(obj) if model == "lift" else frame_matroid(obj)
+        build = lift_matroid if model == "lift" else frame_matroid
+        return build(obj, max_atoms)
     raise InvalidInput(f"cannot derive a matroid from {type(obj).__name__}")
 
 
@@ -129,12 +130,12 @@ def run_analysis(args, obj) -> tuple:
             raise InvalidInput("realize needs a gain graph input")
         field = parse_field(args.field)
         if args.model == "lift":
-            arr = realize_lift_arrangement(obj, field)
+            arr = realize_lift_arrangement(obj, field, args.max_atoms)
         else:
-            arr = realize_frame_arrangement(obj, field)
+            arr = realize_frame_arrangement(obj, field, args.max_atoms)
         return {"arrangement": arr.to_json()}, 0
 
-    m = matroid_of(obj, args.model)
+    m = matroid_of(obj, args.model, args.max_atoms)
     if m.n > args.max_atoms:
         raise TooLarge(f"{m.n} atoms exceeds the limit of {args.max_atoms}")
 

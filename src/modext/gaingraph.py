@@ -24,7 +24,7 @@ from .errors import (
     NoMultiplicativeEmbedding,
     NotSimpleFrame,
 )
-from .matroid import Matroid, iter_atoms
+from .matroid import DEFAULT_MAX_ATOMS, Matroid, iter_atoms
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +515,7 @@ def _tree_path_atoms(g: GainGraph, tree_edges: dict, u: int, v: int) -> int:
 # frame and lift matroids
 
 
-def frame_matroid(g: GainGraph) -> Matroid:
+def frame_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     """The frame matroid: rank = sum over components of |V| - 1 + [unbalanced].
 
     A component is unbalanced when it holds a loop or an unbalanced cycle
@@ -535,10 +535,10 @@ def frame_matroid(g: GainGraph) -> Matroid:
                    for order, _, _, _, bad in _components(g, mask))
 
     return Matroid(g.num_atoms, rank_fn, labels=g.atom_labels() or None,
-                   backend="frame")
+                   backend="frame", max_atoms=max_atoms)
 
 
-def lift_matroid(g: GainGraph) -> Matroid:
+def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     """The extended lift matroid on {inf} followed by the edges.
 
     For an edge set S with c(S) components on |V(S)| vertices,
@@ -557,7 +557,8 @@ def lift_matroid(g: GainGraph) -> Matroid:
             lifted = lifted or bad
         return rank + (1 if lifted else 0)
 
-    return Matroid(len(g.edges) + 1, rank_fn, labels=labels, backend="lift")
+    return Matroid(len(g.edges) + 1, rank_fn, labels=labels, backend="lift",
+                   max_atoms=max_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -568,6 +569,26 @@ def _has_edge_with_gain(g: GainGraph, u: int, w: int, gain_from_u: int) -> bool:
     return any(e.gain_from(u, g.group) == gain_from_u for e in g.edges_between(u, w))
 
 
+def _paths_close(g: GainGraph, v: int, inc) -> bool:
+    """Clause (i) at v, whose incident edges are `inc`: every two-edge path
+    u -e1- v -e2- w with u != w closes with an edge {u,w} of the composed
+    gain."""
+    group = g.group
+    for i in inc:
+        e1 = g.edges[i]
+        u = e1.other(v)
+        g1 = e1.gain_from(u, group)  # u -> v
+        for j in inc:
+            e2 = g.edges[j]
+            w = e2.other(v)
+            if w == u:
+                continue
+            h = e2.gain_from(v, group)  # v -> w
+            if not _has_edge_with_gain(g, u, w, group.op(g1, h)):
+                return False
+    return True
+
+
 def bias_simplicial_vertices(g: GainGraph) -> list:
     """Vertices v that are bias simplicial.
 
@@ -576,27 +597,11 @@ def bias_simplicial_vertices(g: GainGraph) -> list:
     gains force a loop at the other endpoint; (iii) a loop at v forces a
     loop at every neighbour.
     """
-    group = g.group
     loops = set(g.loops)
     out = []
     for v in range(g.n):
         inc = g.incident(v)
-        ok = True
-        for i in inc:
-            e1 = g.edges[i]
-            u = e1.other(v)
-            g1 = e1.gain_from(u, group)  # u -> v
-            for j in inc:
-                e2 = g.edges[j]
-                w = e2.other(v)
-                if w == u:
-                    continue
-                h = e2.gain_from(v, group)  # v -> w
-                if not _has_edge_with_gain(g, u, w, group.op(g1, h)):
-                    ok = False
-                    break
-            if not ok:
-                break
+        ok = _paths_close(g, v, inc)
         if ok:
             for i in inc:
                 for j in inc:
@@ -619,28 +624,7 @@ def link_simplicial_vertices(g: GainGraph) -> list:
     """Vertices satisfying the path-closure clause alone; loopless only."""
     if g.loops:
         raise HasLoops("link simpliciality is defined for loopless gain graphs")
-    group = g.group
-    out = []
-    for v in range(g.n):
-        inc = g.incident(v)
-        ok = True
-        for i in inc:
-            e1 = g.edges[i]
-            u = e1.other(v)
-            g1 = e1.gain_from(u, group)
-            for j in inc:
-                e2 = g.edges[j]
-                w = e2.other(v)
-                if w == u:
-                    continue
-                if not _has_edge_with_gain(g, u, w, group.op(g1, e2.gain_from(v, group))):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out.append(v)
-    return out
+    return [v for v in range(g.n) if _paths_close(g, v, g.incident(v))]
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +638,8 @@ def complete_gain_graph(n: int, group: FiniteGroup, loops: bool = False) -> Gain
     return GainGraph(n, group, edges, range(n) if loops else ())
 
 
-def realize_frame_arrangement(g: GainGraph, field: Field) -> Arrangement:
+def realize_frame_arrangement(g: GainGraph, field: Field,
+                              max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """Hyperplanes x_u - emb(g) x_v = 0 per edge and x_w = 0 per loop.
 
     Needs an injective multiplicative embedding of the gain group; atom
@@ -671,10 +656,12 @@ def realize_frame_arrangement(g: GainGraph, field: Field) -> Arrangement:
         row = [field.zero()] * g.n
         row[w] = field.one()
         forms.append(row)
-    return Arrangement(field, g.n, forms, labels=g.atom_labels() or None)
+    return Arrangement(field, g.n, forms, labels=g.atom_labels() or None,
+                       max_atoms=max_atoms)
 
 
-def realize_lift_arrangement(g: GainGraph, field: Field) -> Arrangement:
+def realize_lift_arrangement(g: GainGraph, field: Field,
+                             max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """Hyperplanes z = 0 (first, for inf) and x_u - x_v - emb(g) z = 0.
 
     Coordinates are (z, x_0, ..., x_{n-1}); needs an injective additive
@@ -693,4 +680,4 @@ def realize_lift_arrangement(g: GainGraph, field: Field) -> Arrangement:
         row[1 + e.v] = field.neg(field.one())
         forms.append(row)
     labels = ("inf",) + tuple(g.atom_label(i) for i in range(len(g.edges)))
-    return Arrangement(field, dim, forms, labels=labels)
+    return Arrangement(field, dim, forms, labels=labels, max_atoms=max_atoms)

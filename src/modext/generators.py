@@ -13,6 +13,7 @@ from .arrangement import Arrangement, pg_arrangement
 from .errors import InvalidInput
 from .gaingraph import FiniteGroup, GainGraph, complete_gain_graph, \
     realize_frame_arrangement
+from .matroid import DEFAULT_MAX_ATOMS
 
 
 def example_7() -> Arrangement:
@@ -139,22 +140,22 @@ def fish(group: FiniteGroup) -> GainGraph:
     return GainGraph(3, group, edges, loops=(0,))
 
 
-def braid_arrangement(n: int) -> Arrangement:
+def braid_arrangement(n: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """x_i - x_j = 0 in Q^n for i < j."""
     return realize_frame_arrangement(
-        complete_gain_graph(n, FiniteGroup.trivial()), Field.rational())
+        complete_gain_graph(n, FiniteGroup.trivial()), Field.rational(), max_atoms)
 
 
-def type_b_arrangement(n: int) -> Arrangement:
+def type_b_arrangement(n: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """x_i +- x_j = 0 and x_i = 0 in Q^n."""
     return realize_frame_arrangement(
-        complete_gain_graph(n, FiniteGroup.sign(), loops=True), Field.rational())
+        complete_gain_graph(n, FiniteGroup.sign(), loops=True), Field.rational(), max_atoms)
 
 
-def type_d_arrangement(n: int) -> Arrangement:
+def type_d_arrangement(n: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """x_i +- x_j = 0 in Q^n."""
     return realize_frame_arrangement(
-        complete_gain_graph(n, FiniteGroup.sign()), Field.rational())
+        complete_gain_graph(n, FiniteGroup.sign()), Field.rational(), max_atoms)
 
 
 def named_group(token: str) -> FiniteGroup:
@@ -178,26 +179,27 @@ _FIXED = {
 }
 
 
-def named_input(name: str):
+def named_input(name: str, max_atoms: int = DEFAULT_MAX_ATOMS):
     """Resolve a generator name to an Arrangement or a GainGraph.
 
     Fixed names: example-7, example-13, ziegler-11, ziegler-19,
     bowtie-lift-9, bowtie, bowtie-loops.  Patterns: braid-N, bn-N, dn-N,
     pg-N-P, fish-GROUP, k-N-GROUP, kl-N-GROUP with GROUP in
-    {trivial, sign, zM}.
+    {trivial, sign, zM}.  The pattern arrangements hold at most
+    `max_atoms` hyperplanes.
     """
     if name in _FIXED:
         return _FIXED[name]()
     parts = name.split("-")
     try:
         if parts[0] == "braid" and len(parts) == 2:
-            return braid_arrangement(int(parts[1]))
+            return braid_arrangement(int(parts[1]), max_atoms)
         if parts[0] == "bn" and len(parts) == 2:
-            return type_b_arrangement(int(parts[1]))
+            return type_b_arrangement(int(parts[1]), max_atoms)
         if parts[0] == "dn" and len(parts) == 2:
-            return type_d_arrangement(int(parts[1]))
+            return type_d_arrangement(int(parts[1]), max_atoms)
         if parts[0] == "pg" and len(parts) == 3:
-            return pg_arrangement(int(parts[1]), int(parts[2]))
+            return pg_arrangement(int(parts[1]), int(parts[2]), max_atoms)
         if parts[0] == "fish" and len(parts) == 2:
             return fish(named_group(parts[1]))
         if parts[0] in ("k", "kl") and len(parts) == 3:

@@ -9,6 +9,10 @@ matroid and closed under (a) adding a modular coatom whose restriction is
 in the class and (b) modular joins over a round intersection with both
 sides in the class; `me_certify` searches for such a certificate
 recursively over the lattice, memoized per flat.
+
+Both read the joins of a flat from `modular_joins_in_context`, whose
+verdicts come from `modularity.violating_flat`, so a context's flats are
+scanned once whichever of `modular_flats` and the two searches asks first.
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ from .divisional import is_divisional_atom
 from .errors import IdentityViolation, InvalidInput, LiftViolation
 from .lattice import FlatLattice, charpoly, enumerate_flats
 from .matroid import Matroid, atom_tuple, lex_key
-from .modularity import (modular_coatoms_in_context, round_in_context,
-                         violating_flat_in_context)
+from .modularity import modular_coatoms_in_context, round_in_context, violating_flat
+# Not called here: bound only so that a tracer patching the raw rank-equation
+# scan in every module that imports it finds the name.
+from .modularity import violating_flat_in_context  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -47,34 +53,28 @@ class JoinDecomposition:
         }
 
 
-def _modular_flats_in_context(lat: FlatLattice, ctx: int) -> list:
-    """Flats of the restriction to ctx that are modular within it."""
-    return [f for f in lat.below(ctx)
-            if violating_flat_in_context(lat, f, ctx) is None]
+def modular_joins_in_context(lat: FlatLattice, ctx: int):
+    """Yield the modular joins of the restriction to ctx.
 
-
-def _join_pairs(lat: FlatLattice, ctx: int):
-    """Deterministic pairs of proper modular flats of M|ctx covering ctx."""
-    mods = [f for f in _modular_flats_in_context(lat, ctx) if f != ctx]
+    One JoinDecomposition per unordered pair of proper flats of ctx, both
+    modular within it, whose union is ctx; pairs come in the order of
+    below(ctx), each annotated with the roundness of the restriction to
+    the intersection.
+    """
+    mods = [f for f in lat.below(ctx)
+            if f != ctx and violating_flat(lat, f, ctx) is None]
     for i, e1 in enumerate(mods):
         for e2 in mods[i + 1:]:
             if e1 | e2 == ctx:
-                yield e1, e2
+                x = e1 & e2
+                yield JoinDecomposition(e1, e2, x, round_in_context(lat, x)[0])
 
 
 def find_modular_joins(m: Matroid, lattice: FlatLattice | None = None) -> list:
-    """All modular join decompositions of the whole matroid.
-
-    Pairs are unordered, listed lexicographically by atom sets, each
-    annotated with the roundness of the restriction to the intersection.
-    """
+    """All modular join decompositions of the whole matroid, in the order
+    of `modular_joins_in_context` at the top flat."""
     lat = lattice if lattice is not None else enumerate_flats(m)
-    out = []
-    for e1, e2 in _join_pairs(lat, lat.top):
-        x = e1 & e2
-        ok, _ = round_in_context(lat, x)
-        out.append(JoinDecomposition(e1, e2, x, ok))
-    return out
+    return list(modular_joins_in_context(lat, lat.top))
 
 
 def brylawski_identity_check(m: Matroid, d: JoinDecomposition,
@@ -119,18 +119,16 @@ def me_certify(m: Matroid, lattice: FlatLattice | None = None):
                     result = ModularCoatomCertificate(z, sub)
                     break
             if result is None:
-                for e1, e2 in _join_pairs(lat, ctx):
-                    x = e1 & e2
-                    ok, _ = round_in_context(lat, x)
-                    if not ok:
+                for d in modular_joins_in_context(lat, ctx):
+                    if not d.x_round:
                         continue
-                    c1 = cert(e1)
+                    c1 = cert(d.e1)
                     if c1 is None:
                         continue
-                    c2 = cert(e2)
+                    c2 = cert(d.e2)
                     if c2 is None:
                         continue
-                    result = ModularJoinCertificate(e1, e2, x, c1, c2)
+                    result = ModularJoinCertificate(d.e1, d.e2, d.x, c1, c2)
                     break
         memo[ctx] = result
         return result

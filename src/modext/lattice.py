@@ -61,6 +61,8 @@ class FlatLattice:
         self._mobius = None
         self._charpoly = None
         self._upper = {}
+        # (z, ctx) -> the verdict of modularity.violating_flat
+        self.violations = {}
 
     # -- basic structure
 

@@ -48,6 +48,16 @@ def iter_atoms(mask: int):
         mask ^= low
 
 
+def remap_mask(mask: int, images) -> int:
+    """Union of images[i] over the atoms i of a bitmask."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= images[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def lex_key(mask: int) -> tuple:
     """Sort key ordering subsets lexicographically by their atom tuples."""
     return atom_tuple(mask)
@@ -154,14 +164,7 @@ class Matroid:
         bits = [1 << a for a in atoms]
 
         def rank_fn(sub, _bits=bits, _parent=self):
-            expanded = 0
-            i = 0
-            while sub:
-                if sub & 1:
-                    expanded |= _bits[i]
-                sub >>= 1
-                i += 1
-            return _parent.rank(expanded)
+            return _parent.rank(remap_mask(sub, _bits))
 
         labels = tuple(self.label_of(a) for a in atoms) if self.labels else None
         return Matroid(len(atoms), rank_fn, labels=labels, backend=self.backend,
@@ -186,14 +189,7 @@ class Matroid:
         atom_map = {a: index[c] for a, c in cover_of.items()}
 
         def rank_fn(sub, _covers=covers, _flat=flat, _base=base, _parent=self):
-            union = _flat
-            i = 0
-            while sub:
-                if sub & 1:
-                    union |= _covers[i]
-                sub >>= 1
-                i += 1
-            return _parent.rank(union) - _base
+            return _parent.rank(_flat | remap_mask(sub, _covers)) - _base
 
         m = Matroid(len(covers), rank_fn, backend="explicit", max_atoms=self.max_atoms)
         return m, atom_map

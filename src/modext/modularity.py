@@ -6,6 +6,13 @@ a coatom triangle test (every pair of atoms outside a coatom closes a
 triangle through it), and the short-circuit axiom over circuits.  Each
 returns a ModularityWitness carrying the verdict plus the first offending
 object on failure.
+
+The prover's question "is z modular within ctx?" (modular flats, the
+coatom peel, the modular joins) goes through `violating_flat`, which scans
+once per (z, ctx) and keeps the answer on the lattice.  `verify` and
+`stanley_division_check` call the raw scan `violating_flat_in_context`:
+they are handed the prover's lattice, and reading its answers back would
+re-check nothing.
 """
 
 from __future__ import annotations
@@ -123,6 +130,15 @@ def violating_flat_in_context(lat: FlatLattice, z: int, ctx: int):
     return None
 
 
+def violating_flat(lat: FlatLattice, z: int, ctx: int):
+    """What `violating_flat_in_context(lat, z, ctx)` returns, scanned once
+    per (z, ctx) and remembered in the lattice's `violations` table."""
+    memo = lat.violations
+    if (z, ctx) not in memo:
+        memo[z, ctx] = violating_flat_in_context(lat, z, ctx)
+    return memo[z, ctx]
+
+
 def modular_coatoms_in_context(lat: FlatLattice, ctx: int):
     """Yield the coatoms of ctx that are modular within it, lexicographically.
 
@@ -130,15 +146,14 @@ def modular_coatoms_in_context(lat: FlatLattice, ctx: int):
     further ones.
     """
     for z in lat.children[ctx]:
-        if violating_flat_in_context(lat, z, ctx) is None:
+        if violating_flat(lat, z, ctx) is None:
             yield z
 
 
 def is_modular_flat(m: Matroid, x: int, lattice: FlatLattice | None = None) -> ModularityWitness:
     """Rank-equation modularity test against every flat."""
     lat = _lattice_for(m, lattice)
-    lat.require(x)
-    bad = violating_flat_in_context(lat, x, lat.top)
+    bad = violating_flat(lat, x, lat.top)
     if bad is None:
         return ModularityWitness(True, "rank-equation", x)
     return ModularityWitness(False, "rank-equation", x, violating_flat=bad)
@@ -147,9 +162,7 @@ def is_modular_flat(m: Matroid, x: int, lattice: FlatLattice | None = None) -> M
 def modular_flats(m: Matroid, lattice: FlatLattice | None = None) -> tuple:
     """All modular flats, by rank then lexicographic atom order."""
     lat = _lattice_for(m, lattice)
-    top = lat.top
-    return tuple(f for f in lat.flats()
-                 if violating_flat_in_context(lat, f, top) is None)
+    return tuple(f for f in lat.flats() if violating_flat(lat, f, lat.top) is None)
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,12 @@ class TestEssentialize:
         assert arr.charpoly() == t * arr.essentialize().charpoly()
         assert arr.charpoly() == IntPolynomial([0, -6, 11, -6, 1])
 
+    def test_keeps_a_raised_cap(self):
+        arr = Arrangement(Field.rational(), 2, [[1, k] for k in range(30)], max_atoms=40)
+        ess = arr.essentialize()
+        assert len(ess) == 30 and ess.max_atoms == 40
+        assert ess.dependence_matroid().max_atoms == 40
+
     def test_essential_arrangement_is_fixed_point(self):
         arr = pg_arrangement(2, 2)
         assert arr.is_essential()

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from modext import cli
+from modext.algebra import IntPolynomial
 from modext.corpus import corpus_names
 
 
@@ -248,6 +249,31 @@ class TestExitCodes:
         assert proc.returncode == 3
         proc = run_cli("flats", "--input", "pg-2-3", "--max-flats", "10")
         assert proc.returncode == 3
+
+
+class TestMaxAtomsReachesConstructors:
+    def test_projective_plane_over_gf5(self):
+        result = run_json("charpoly", "--input", "pg-2-5", "--max-atoms", "40")["result"]
+        assert result["atoms"] == 31
+        assert result["charpoly"] == IntPolynomial.from_roots([1, 5, 25]).to_json()
+        proc = run_cli("charpoly", "--input", "pg-2-5", "--max-atoms", "30")
+        assert proc.returncode == 3 and "limit of 30" in proc.stderr
+
+    @pytest.mark.parametrize("model, atoms, roots",
+                             [("frame", 33, [1, 12, 20]), ("lift", 34, [1, 11, 22])])
+    def test_gain_graph_models(self, model, atoms, roots):
+        result = run_json("charpoly", "--input", "k-3-z11", "--model", model,
+                          "--max-atoms", "40")["result"]
+        assert result["atoms"] == atoms
+        assert result["charpoly"] == IntPolynomial.from_roots(roots).to_json()
+
+    def test_realize(self):
+        # K8 with trivial gains has 28 edges
+        proc = run_cli("realize", "--input", "k-8-trivial", "--field", "q")
+        assert proc.returncode == 3
+        arr = run_json("realize", "--input", "k-8-trivial", "--field", "q",
+                       "--max-atoms", "28")["result"]["arrangement"]
+        assert len(arr["forms"]) == 28
 
 
 class TestCorpusCommand:

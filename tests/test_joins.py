@@ -1,17 +1,22 @@
 """Modular joins, the product identity, and the certified class."""
 
+from collections import Counter
+
 import pytest
 
+from modext import joins, modularity
 from modext.algebra import IntPolynomial, poly_exact_div
 from modext.certificates import (EmptyCertificate, ModularCoatomCertificate,
                                  ModularJoinCertificate)
+from modext.corpus import corpus_matroid
 from modext.divisional import is_divisional_atom
 from modext.errors import InvalidInput
 from modext.joins import (brylawski_identity_check, find_modular_joins,
                           join_divisional_lift_check, me_certify)
-from modext.lattice import interval_charpoly
+from modext.lattice import enumerate_flats, interval_charpoly
 from modext.matroid import atom_tuple, mask_of
-from modext.modularity import is_modular_flat, is_round
+from modext.modularity import (is_modular_flat, is_round, modular_flats,
+                               supersolvable_chain)
 from modext.verify import verify_certificate
 
 
@@ -142,3 +147,23 @@ def test_join_construction_from_pieces(corpus):
     for side in (cert.e1, cert.e2):
         sub = m.restrict(side)
         assert me_certify(sub) is not None
+
+
+@pytest.mark.parametrize("name", ["ziegler-19", "example-13"])
+def test_each_modularity_question_is_scanned_once(monkeypatch, name):
+    m = corpus_matroid(name)
+    lat = enumerate_flats(m)
+    scanned = Counter()
+    scan = modularity.violating_flat_in_context
+
+    def counting(lat_, z, ctx):
+        scanned[z, ctx] += 1
+        return scan(lat_, z, ctx)
+
+    for module in (modularity, joins):
+        monkeypatch.setattr(module, "violating_flat_in_context", counting)
+    modular_flats(m, lattice=lat)
+    find_modular_joins(m, lattice=lat)
+    supersolvable_chain(m, lattice=lat)
+    me_certify(m, lattice=lat)
+    assert scanned and max(scanned.values()) == 1

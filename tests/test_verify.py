@@ -9,11 +9,13 @@ from modext.certificates import (ChainCertificate, DivisionalFlag,
                                  ModularCoatomCertificate,
                                  ModularJoinCertificate,
                                  certificate_from_json)
-from modext.divisional import divisional_flag
-from modext.errors import InvalidInput
+from modext.corpus import corpus_matroid
+from modext.divisional import divisional_flag, stanley_division_check
+from modext.errors import InvalidInput, NotModular
 from modext.joins import me_certify
+from modext.lattice import enumerate_flats
 from modext.matroid import Matroid, graphic_matroid, mask_of
-from modext.modularity import supersolvable_chain
+from modext.modularity import is_modular_flat, supersolvable_chain
 from modext.verify import verify_certificate
 
 
@@ -248,3 +250,38 @@ def test_unknown_certificate_node(corpus):
     m, lat = corpus("u23")
     with pytest.raises(InvalidInput):
         verify_certificate(m, object(), lattice=lat)
+
+
+class _AllModular(dict):
+    """A verdict table that answers "modular" for every (z, ctx)."""
+
+    def __contains__(self, key):
+        return True
+
+    def __getitem__(self, key):
+        return None
+
+
+class TestCheckersReadNoProverVerdicts:
+    """With every memoized prover verdict forced to "modular", the checkers
+    still run their own rank-equation scan."""
+
+    @pytest.fixture
+    def fooled(self):
+        m = corpus_matroid("k4")
+        lat = enumerate_flats(m)
+        lat.violations = _AllModular()
+        matching = mask_of([0, 5])
+        assert is_modular_flat(m, matching, lattice=lat)  # the prover is fooled
+        return m, lat, matching
+
+    def test_non_modular_chain_member_still_rejected(self, fooled):
+        m, lat, matching = fooled
+        bad = ChainCertificate((0, mask_of([0]), matching, lat.top))
+        path, reason = _single_failure(verify_certificate(m, bad, lattice=lat))
+        assert "chain[2]" in reason and "not modular within" in reason
+
+    def test_stanley_division_check_still_raises(self, fooled):
+        m, lat, matching = fooled
+        with pytest.raises(NotModular):
+            stanley_division_check(m, matching, lattice=lat)
