@@ -2,8 +2,9 @@
 
 All computations are exact; no floating point enters anywhere.  Rationals
 are `fractions.Fraction`, prime-field residues are plain ints in [0, p).
-Matrix ranks are computed by fraction-free (Bareiss) elimination over the
-integers for rational input and by modular elimination for GF(p).
+Matrix ranks have three kernels: fraction-free (Bareiss) elimination over
+the integers for Q, a XOR basis over vectors packed into ints for GF(2),
+and modular elimination for GF(p) with p >= 3.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DivisionByZeroPolynomial, InvalidInput
+from .errors import DivisionByZeroPolynomial, InvalidInput, reading
 
 
 # ---------------------------------------------------------------------------
@@ -129,10 +130,8 @@ class IntPolynomial:
 
     @classmethod
     def from_json(cls, data) -> "IntPolynomial":
-        try:
+        with reading("polynomial JSON"):
             return cls([int(c) for c in data])
-        except (TypeError, ValueError) as exc:
-            raise InvalidInput(f"bad polynomial JSON: {data!r}") from exc
 
     # -- dunder plumbing
 
@@ -381,11 +380,8 @@ class FieldMatrix:
 
     @classmethod
     def from_json(cls, data) -> "FieldMatrix":
-        try:
-            field = Field.from_json(data["field"])
-            return cls(field, data["rows"])
-        except (KeyError, TypeError) as exc:
-            raise InvalidInput(f"bad matrix JSON: {data!r}") from exc
+        with reading("matrix JSON"):
+            return cls(Field.from_json(data["field"]), data["rows"])
 
     def __eq__(self, other):
         return (
@@ -464,6 +460,30 @@ def gf_row_rank(rows, p: int) -> int:
     return rank
 
 
+def gf2_pack(values) -> int:
+    """A GF(2) vector of 0/1 entries as an int, entry i at bit i."""
+    return sum(1 << i for i, x in enumerate(values) if x)
+
+
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) of vectors packed into ints.
+
+    A XOR basis keyed by leading bit: each vector is reduced by the basis
+    vector holding its current leading bit until it vanishes or brings a
+    new leading bit, which adds it to the basis.
+    """
+    basis = {}
+    for v in vectors:
+        while v:
+            top = v.bit_length()
+            b = basis.get(top)
+            if b is None:
+                basis[top] = v
+                break
+            v ^= b
+    return len(basis)
+
+
 def _clear_row_denominators(row) -> list:
     """Scale a row of Fractions to integers (rank-preserving)."""
     lcm = 1
@@ -480,36 +500,7 @@ def matrix_rank(m: FieldMatrix) -> int:
         return 0
     if m.field.is_rational:
         return integer_row_rank([_clear_row_denominators(r) for r in m.rows])
+    if m.field.p == 2:
+        return gf2_rank([gf2_pack(r) for r in m.rows])
     return gf_row_rank([list(r) for r in m.rows], m.field.p)
 
-
-def rref(field: Field, rows):
-    """Reduced row echelon form over the field.
-
-    Returns (basis_rows, pivot_columns) where basis_rows are the nonzero
-    reduced rows (a basis of the row space) and pivot_columns their pivot
-    indices, both as tuples.
-    """
-    work = [[field.of(x) for x in row] for row in rows]
-    nrows = len(work)
-    ncols = len(work[0]) if work else 0
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if not field.is_zero(work[i][col]):
-                piv = i
-                break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][col])
-        work[r] = [field.mul(x, inv) for x in work[r]]
-        for i in range(nrows):
-            if i != r and not field.is_zero(work[i][col]):
-                q = work[i][col]
-                work[i] = [field.sub(x, field.mul(q, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-    return tuple(tuple(row) for row in work[:r]), tuple(pivots)

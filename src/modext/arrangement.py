@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import random
 
-from .algebra import Field, FieldMatrix, IntPolynomial, rref
-from .errors import InvalidInput, NotSimple, SizeMismatch, TooLarge
+from .algebra import Field, FieldMatrix, IntPolynomial, matrix_rank
+from .errors import InvalidInput, NotSimple, SizeMismatch, TooLarge, reading
 from .lattice import charpoly
 from .matroid import DEFAULT_MAX_ATOMS, Matroid, linear_matroid, remap_mask
 
@@ -76,10 +76,15 @@ class Arrangement:
     def essentialize(self) -> "Arrangement":
         """Quotient out the common intersection subspace.
 
-        New coordinates are the values of the forms at a basis of pivot
-        columns of the row space, so each hyperplane keeps its index.
+        New coordinates are the leftmost coordinates whose columns of the
+        forms are independent (the pivot columns of the row space), so each
+        hyperplane keeps its index.
         """
-        _, pivots = rref(self.field, [list(r) for r in self.forms])
+        pivots = []
+        for k in range(self.dim):
+            rows = [[row[j] for j in pivots + [k]] for row in self.forms]
+            if matrix_rank(FieldMatrix(self.field, rows)) > len(pivots):
+                pivots.append(k)
         if not pivots:
             raise InvalidInput("cannot essentialize an empty arrangement")
         new_forms = [[row[k] for k in pivots] for row in self.forms]
@@ -105,12 +110,9 @@ class Arrangement:
     def from_json(cls, data, max_atoms: int = DEFAULT_MAX_ATOMS) -> "Arrangement":
         if not isinstance(data, dict):
             raise InvalidInput("arrangement descriptor must be an object")
-        try:
-            field = Field.from_json(data["field"])
-            return cls(field, int(data["dim"]), data["forms"],
+        with reading("arrangement descriptor"):
+            return cls(Field.from_json(data["field"]), int(data["dim"]), data["forms"],
                        labels=data.get("labels"), max_atoms=max_atoms)
-        except KeyError as exc:
-            raise InvalidInput(f"arrangement descriptor missing {exc}") from exc
 
     def __repr__(self):
         return (f"Arrangement({self.field!r}, dim={self.dim}, "

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InvalidInput
+from .errors import InvalidInput, reading
 from .matroid import atom_tuple, mask_of
 
 
@@ -125,7 +125,7 @@ def certificate_from_json(data) -> Certificate:
     if not isinstance(data, dict) or "kind" not in data:
         raise InvalidInput(f"bad certificate JSON: {data!r}")
     kind = data["kind"]
-    try:
+    with reading(f"{kind!r} certificate"):
         if kind == "empty":
             return EmptyCertificate()
         if kind == "modular-coatom":
@@ -146,6 +146,4 @@ def certificate_from_json(data) -> Certificate:
             ))
         if kind == "supersolvable-chain":
             return ChainCertificate(tuple(mask_of(f) for f in data["flats"]))
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"bad {kind!r} certificate: {data!r}") from exc
     raise InvalidInput(f"unknown certificate kind {kind!r}")

@@ -6,6 +6,8 @@ breaches -> 3, certificate verification failures -> 4.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 
 class ModextError(Exception):
     """Base class for all toolkit errors."""
@@ -17,6 +19,19 @@ class InvalidInput(ModextError):
 
 class TooLarge(ModextError):
     """A desk-scale guardrail was exceeded (CLI exit code 3)."""
+
+
+@contextmanager
+def reading(what: str):
+    """Report a missing key or a field of the wrong shape (TypeError,
+    ValueError, IndexError) in the JSON of `what` as InvalidInput; a
+    ModextError such as TooLarge is none of these and passes unchanged."""
+    try:
+        yield
+    except KeyError as exc:
+        raise InvalidInput(f"{what} missing {exc}") from exc
+    except (TypeError, ValueError, IndexError) as exc:
+        raise InvalidInput(f"bad {what}: {exc}") from exc
 
 
 class NotSimple(InvalidInput):

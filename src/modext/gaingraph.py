@@ -23,6 +23,7 @@ from .errors import (
     NoAdditiveEmbedding,
     NoMultiplicativeEmbedding,
     NotSimpleFrame,
+    reading,
 )
 from .matroid import DEFAULT_MAX_ATOMS, Matroid, iter_atoms
 
@@ -155,13 +156,11 @@ class FiniteGroup:
             return cls.trivial()
         if kind == "sign":
             return cls.sign()
-        if kind == "zmod":
-            return cls.zmod(int(data.get("p", 0)))
-        if kind == "table":
-            try:
+        with reading(f"{kind!r} group"):
+            if kind == "zmod":
+                return cls.zmod(int(data.get("p", 0)))
+            if kind == "table":
                 return cls(data["names"], data["table"])
-            except KeyError as exc:
-                raise InvalidInput(f"table group missing {exc}") from exc
         raise InvalidInput(f"unknown group kind {kind!r}")
 
     def __repr__(self):
@@ -366,12 +365,9 @@ class GainGraph:
     def from_json(cls, data) -> "GainGraph":
         if not isinstance(data, dict):
             raise InvalidInput("gain graph descriptor must be an object")
-        try:
-            group = FiniteGroup.from_json(data["group"])
-            return cls(int(data["vertices"]), group, data["edges"],
-                       data.get("loops", ()))
-        except KeyError as exc:
-            raise InvalidInput(f"gain graph descriptor missing {exc}") from exc
+        with reading("gain graph descriptor"):
+            return cls(int(data["vertices"]), FiniteGroup.from_json(data["group"]),
+                       data["edges"], data.get("loops", ()))
 
     def __repr__(self):
         return (f"GainGraph(n={self.n}, group={self.group!r}, "

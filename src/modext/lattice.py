@@ -6,10 +6,10 @@ closure of their union (whose rank equals the rank of the plain union).
 
 Everything is driven by the covering relation:
 
-- Enumeration walks rank levels upward.  The covers of a flat F partition
-  the atoms outside F, so F's covers are found by closing F | {a} for the
-  lowest atom a not yet in an earlier cover, testing only atoms still
-  unassigned; each closure removes its cover's atoms from the pool.
+- Enumeration walks rank levels upward, reading each flat's covers from
+  `Matroid.cover_classes`: the covers of F partition the atoms outside F,
+  so they are found by closing F | {a} for the lowest atom a not yet in an
+  earlier cover, testing only atoms still unassigned.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y, one pass over cover
@@ -207,8 +207,8 @@ def _chi_from_mobius(mu: dict, rank_of: dict, top_rank: int, shift: int = 0) -> 
 def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLattice:
     """Enumerate the lattice of flats of a simple matroid.
 
-    Walks rank levels upward, closing each flat with the lowest atom not
-    yet in one of its covers; raises TooLarge when the flat count exceeds
+    Walks rank levels upward, taking each flat's covers from
+    `Matroid.cover_classes`; raises TooLarge when the flat count exceeds
     `max_flats`.
     """
     bottom = m.closure(0)
@@ -220,14 +220,8 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
     while current and current[0] != full:
         nxt = set()
         for f in current:
-            cs = []
-            rest = full & ~f
-            while rest:
-                g = m.closure(f | (rest & -rest), rest)
-                rest &= ~g
-                cs.append(g)
-                nxt.add(g)
-            covers[f] = cs
+            covers[f] = m.cover_classes(f)
+            nxt.update(covers[f])
         total += len(nxt)
         if total > max_flats:
             raise TooLarge(f"flat count exceeds the guardrail of {max_flats}")

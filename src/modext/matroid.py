@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .algebra import Field, FieldMatrix, gf_row_rank, integer_row_rank, _clear_row_denominators
-from .errors import InvalidInput, NotAFlat, NotSimple, TooLarge
+from .algebra import (Field, FieldMatrix, gf2_pack, gf2_rank, gf_row_rank, integer_row_rank,
+                      _clear_row_denominators)
+from .errors import InvalidInput, NotAFlat, NotSimple, TooLarge, reading
 
 DEFAULT_MAX_ATOMS = 24
 
@@ -133,6 +134,19 @@ class Matroid:
                 out |= low
         return out
 
+    def cover_classes(self, flat: int) -> list:
+        """The flats covering a flat, in discovery order: they partition the
+        atoms outside it, so each closes the flat with the lowest atom not
+        yet in an earlier cover, testing only the atoms still unassigned.
+        Their lowest outside atoms rise, so this is also lex order."""
+        out = []
+        rest = self.full_mask & ~flat
+        while rest:
+            cover = self.closure(flat | (rest & -rest), rest)
+            rest &= ~cover
+            out.append(cover)
+        return out
+
     def is_flat(self, subset: int) -> bool:
         return self.closure(subset) == subset
 
@@ -181,12 +195,9 @@ class Matroid:
         if not self.is_flat(flat):
             raise NotAFlat(f"contraction requires a flat, got {sorted(atom_tuple(flat))}")
         base = self.rank(flat)
-        cover_of = {}
-        for a in iter_atoms(self.full_mask & ~flat):
-            cover_of[a] = self.closure(flat | (1 << a))
-        covers = sorted(set(cover_of.values()), key=lex_key)
-        index = {c: i for i, c in enumerate(covers)}
-        atom_map = {a: index[c] for a, c in cover_of.items()}
+        covers = self.cover_classes(flat)
+        atom_map = dict(sorted((a, i) for i, c in enumerate(covers)
+                               for a in iter_atoms(c & ~flat)))
 
         def rank_fn(sub, _covers=covers, _flat=flat, _base=base, _parent=self):
             return _parent.rank(_flat | remap_mask(sub, _covers)) - _base
@@ -223,14 +234,21 @@ def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS
 
         def rank_fn(mask, _cols=int_cols):
             return integer_row_rank([list(_cols[a]) for a in iter_atoms(mask)])
+    elif field.p == 2:
+        rank_fn = _gf2_rank_fn([gf2_pack(c) for c in cols])
     else:
-        p = field.p
-        res_cols = [tuple(int(x) % p for x in c) for c in cols]
-
-        def rank_fn(mask, _cols=res_cols, _p=p):
-            return gf_row_rank([list(_cols[a]) for a in iter_atoms(mask)], _p)
+        def rank_fn(mask, _cols=cols, _p=field.p):
+            return gf_row_rank([_cols[a] for a in iter_atoms(mask)], _p)
 
     return Matroid(ncols, rank_fn, labels=labels, backend="linear", max_atoms=max_atoms)
+
+
+def _gf2_rank_fn(vectors):
+    """Rank oracle of the GF(2) vectors packed into ints, atom i being vectors[i]."""
+    def rank_fn(mask):
+        return gf2_rank([vectors[a] for a in iter_atoms(mask)])
+
+    return rank_fn
 
 
 def _proportional(field: Field, u, v) -> bool:
@@ -246,7 +264,10 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
     """Cycle matroid of a simple graph on vertices 0..n_vertices-1.
 
     Atom i is edge i.  Loops and repeated edges are rejected because the
-    matroid would not be simple.
+    matroid would not be simple.  Ranks come from the GF(2) vertex-edge
+    incidence matrix, which represents every cycle matroid (Oxley, Matroid
+    Theory, 5.1): edge uv is the packed vector (1 << u) | (1 << v), and the
+    rank of a subset is that of its vectors over GF(2).
     """
     edge_list = []
     seen = set()
@@ -265,30 +286,7 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
     if labels is None and edge_list:
         labels = tuple(f"{u}-{v}" for u, v in edge_list)
 
-    def rank_fn(mask, _edges=edge_list):
-        parent = {}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        nv = 0
-        ncomp = 0
-        for a in iter_atoms(mask):
-            u, v = _edges[a]
-            for w in (u, v):
-                if w not in parent:
-                    parent[w] = w
-                    nv += 1
-                    ncomp += 1
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-                ncomp -= 1
-        return nv - ncomp
-
+    rank_fn = _gf2_rank_fn([(1 << u) | (1 << v) for u, v in edge_list])
     return Matroid(len(edge_list), rank_fn, labels=labels, backend="graphic",
                    max_atoms=max_atoms)
 
@@ -359,16 +357,11 @@ def load_matroid(data, max_atoms=DEFAULT_MAX_ATOMS) -> Matroid:
         raise InvalidInput("matroid descriptor must be an object")
     kind = data.get("type")
     if kind == "linear":
-        try:
-            field = Field.from_json(data["field"])
-            matrix = FieldMatrix(field, data["matrix"])
-        except KeyError as exc:
-            raise InvalidInput(f"linear descriptor missing {exc}") from exc
-        return linear_matroid(matrix, labels=data.get("labels"), max_atoms=max_atoms)
+        with reading("linear descriptor"):
+            matrix = FieldMatrix(Field.from_json(data["field"]), data["matrix"])
+            return linear_matroid(matrix, labels=data.get("labels"), max_atoms=max_atoms)
     if kind == "graph":
-        try:
+        with reading("graph descriptor"):
             return graphic_matroid(int(data["vertices"]), data["edges"],
                                    labels=data.get("labels"), max_atoms=max_atoms)
-        except KeyError as exc:
-            raise InvalidInput(f"graph descriptor missing {exc}") from exc
     raise InvalidInput(f"unknown matroid type {kind!r}")

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from modext.algebra import (Field, FieldMatrix, IntPolynomial,
-                            integer_row_rank, poly_exact_div, rref)
+from modext.algebra import (Field, FieldMatrix, IntPolynomial, gf_row_rank,
+                            integer_row_rank, poly_exact_div)
+from modext.arrangement import Arrangement
 from modext.errors import DivisionByZeroPolynomial, InvalidInput, NotComparable
 
 
@@ -99,10 +100,25 @@ def test_matrix_rank_rational_and_gf():
     assert m2.rank() == 2  # rows sum to zero mod 2
 
 
-def test_rref_pivots():
-    basis, pivots = rref(Field.gf(3), [[0, 1, 2], [0, 2, 1], [0, 0, 1]])
-    assert pivots == (1, 2)
-    assert len(basis) == 2
+def test_gf2_rank_matches_modular_elimination():
+    rng = random.Random(13)
+    gf2 = Field.gf(2)
+    for _ in range(40):
+        nrows = rng.randint(1, 6)
+        ncols = rng.randint(1, 7)
+        rows = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
+        for mask in range(1, 1 << nrows):
+            sub = [rows[i] for i in range(nrows) if mask >> i & 1]
+            assert FieldMatrix(gf2, sub).rank() == gf_row_rank(sub, 2), sub
+
+
+def test_essentialize_drops_unused_gf3_coordinate():
+    # coordinate 0 is zero in every form and coordinate 3 is the sum of 1 and 2
+    arr = Arrangement(Field.gf(3), 4, [[0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 2], [0, 1, 2, 0]])
+    assert arr.essentialize().to_json() == {
+        "field": {"kind": "gf", "p": 3}, "dim": 2,
+        "forms": [[1, 0], [0, 1], [1, 1], [1, 2]],
+        "labels": ["x1+x3", "x2+x3", "x1+x2+2*x3", "x1+2*x2"]}
 
 
 def test_matrix_json_roundtrip():

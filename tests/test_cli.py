@@ -238,6 +238,32 @@ class TestFileInputs:
         assert "neither" in proc.stderr
 
 
+MALFORMED_INPUTS = {
+    "graph-edge-short": {"type": "graph", "vertices": 2, "edges": [[0]]},
+    "graph-vertices": {"type": "graph", "vertices": "x", "edges": [[0, 1]]},
+    "graph-edges": {"type": "graph", "vertices": 2, "edges": 5},
+    "arrangement-dim": {"field": {"kind": "rational"}, "dim": "x", "forms": [[1]]},
+    "gaingraph-vertices": {"vertices": "x", "group": {"kind": "sign"},
+                           "edges": [[0, 1, "+1"]]},
+    "group-zmod": {"vertices": 2, "group": {"kind": "zmod", "p": "q"},
+                   "edges": [[0, 1, "0"]]},
+    "linear-matrix": {"type": "linear", "field": {"kind": "gf", "p": 2}, "matrix": 5},
+}
+
+MALFORMED_CERTIFICATES = {
+    "coatom-atom": {"kind": "modular-coatom", "coatom": [-1], "child": {"kind": "empty"}},
+    "chain-atom": {"kind": "supersolvable-chain", "flats": [[], [-1], [0, 1, 2]]},
+    "quotient-roots": {"kind": "divisional-flag", "flats": [[], [0], [0, 1, 2]],
+                       "quotient_roots": ["x"]},
+}
+
+
+def assert_invalid_input(proc):
+    """A field of the wrong shape is invalid input (exit 2), not a crash."""
+    assert proc.returncode == 2, proc.stderr
+    assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 class TestExitCodes:
     def test_unknown_name(self):
         proc = run_cli("charpoly", "--input", "petersen")
@@ -249,6 +275,18 @@ class TestExitCodes:
         assert proc.returncode == 3
         proc = run_cli("flats", "--input", "pg-2-3", "--max-flats", "10")
         assert proc.returncode == 3
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+    def test_malformed_input(self, tmp_path, case):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(MALFORMED_INPUTS[case]))
+        assert_invalid_input(run_cli("charpoly", "--input", str(f)))
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
+    def test_malformed_certificate(self, tmp_path, case):
+        f = tmp_path / "cert.json"
+        f.write_text(json.dumps(MALFORMED_CERTIFICATES[case]))
+        assert_invalid_input(run_cli("verify", "--input", "pg-2-2", "--certificate", str(f)))
 
 
 class TestMaxAtomsReachesConstructors:

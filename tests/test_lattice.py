@@ -68,6 +68,18 @@ def test_covers_partition_the_atoms_outside(corpus, all_corpus_names):
             assert seen == m.full_mask & ~f, (name, f)
 
 
+def test_contraction_atoms_are_the_covers(corpus, all_corpus_names):
+    # the atoms of si(M/f) are f's covers, in lex order, each the class of
+    # the atoms outside f that atom_map sends to it
+    for name, m, lat in _small(corpus, all_corpus_names):
+        for f in lat.flats():
+            q, atom_map = m.contract_simplify(f)
+            classes = [f] * q.n
+            for a, i in atom_map.items():
+                classes[i] |= 1 << a
+            assert tuple(classes) == lat.covers[f], (name, f)
+
+
 def _descent_join(lat, z, y):
     """z join y by descending y to a flat below z, then adding atoms back."""
     if y & z == y:

@@ -5,7 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from modext.algebra import Field, FieldMatrix
+from modext.algebra import Field, FieldMatrix, gf_row_rank
+from modext.corpus import corpus_matroid, corpus_member
 from modext.errors import InvalidInput, NotAFlat, NotSimple, TooLarge
 from modext.matroid import (Matroid, atom_tuple, circuits, graphic_matroid,
                             is_chordal, linear_matroid, load_matroid, mask_of)
@@ -46,6 +47,7 @@ def test_guardrail():
 
 
 def test_graphic_rank_is_spanning_forest_size():
+    # an inline union-find is the reference for the GF(2) incidence kernel
     rng = random.Random(3)
     for _ in range(25):
         nv = rng.randint(1, 6)
@@ -53,8 +55,11 @@ def test_graphic_rank_is_spanning_forest_size():
         rng.shuffle(pool)
         edges = pool[: rng.randint(0, len(pool))]
         m = graphic_matroid(nv, edges)
-        for _ in range(40):
-            mask = rng.randrange(1 << len(edges)) if edges else 0
+        if len(edges) <= 10:
+            masks = range(1 << len(edges))
+        else:
+            masks = [rng.randrange(1 << len(edges)) for _ in range(40)]
+        for mask in masks:
             chosen = [edges[i] for i in atom_tuple(mask)]
             # forest size = nv - number of components on nv vertices
             parent = list(range(nv))
@@ -72,6 +77,32 @@ def test_graphic_rank_is_spanning_forest_size():
                     parent[ru] = rv
                     comps -= 1
             assert m.rank(mask) == nv - comps
+
+
+@pytest.mark.parametrize("name", ["fano", "ziegler-11", "bowtie-lift-9"])
+def test_binary_ranks_match_modular_elimination(name):
+    forms = corpus_member(name)["arrangement"]().forms
+    m = corpus_matroid(name)
+    for mask in range(1 << m.n):
+        rows = [forms[a] for a in atom_tuple(mask)]
+        expected = gf_row_rank(rows, 2)
+        assert m.rank(mask) == expected, rows
+        assert FieldMatrix(Field.gf(2), rows).rank() == expected, rows
+
+
+def test_random_binary_ranks_match_modular_elimination():
+    rng = random.Random(17)
+    for _ in range(30):
+        nrows = rng.randint(1, 5)
+        n = rng.randint(1, min(9, (1 << nrows) - 1))
+        # distinct nonzero columns over GF(2) give a simple matroid
+        cols = [[x >> i & 1 for i in range(nrows)]
+                for x in rng.sample(range(1, 1 << nrows), n)]
+        matrix = FieldMatrix(Field.gf(2), [[c[i] for c in cols] for i in range(nrows)])
+        m = linear_matroid(matrix)
+        for mask in range(1 << n):
+            rows = [cols[a] for a in atom_tuple(mask)]
+            assert m.rank(mask) == gf_row_rank(rows, 2), (cols, mask)
 
 
 def test_restrict_and_contract():
