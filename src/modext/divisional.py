@@ -6,10 +6,9 @@ flats from bottom to top whose upward contraction charpolys divide each
 in turn; the step quotients are forced to be linear, and their product
 telescopes back to chi(M).
 
-The flag search runs on the lattice of flats: the lattice of si(M/X) is
-the interval [X, top], so chi(si(M/X)) is the interval charpoly, while
-`is_divisional_atom` goes through an explicit contraction.  The two routes
-are cross-checked in the test suite.
+Both run on the lattice of flats: the lattice of si(M/X) is the interval
+[X, top], so chi(si(M/X)) is an interval charpoly and no minor is built.
+The test suite cross-checks the intervals against explicit contractions.
 """
 
 from __future__ import annotations
@@ -17,22 +16,25 @@ from __future__ import annotations
 from .algebra import IntPolynomial, poly_exact_div
 from .certificates import DivisionalFlag
 from .errors import InternalInconsistency, NotModular
-from .lattice import FlatLattice, enumerate_flats, charpoly
+from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, atom_tuple
 from .modularity import violating_flat_in_context
 
 
+def atom_quotient(chi: IntPolynomial, chi_upper: IntPolynomial):
+    """chi / chi_upper for the charpolys below and above an atom, or None
+    when the division is not exact; an exact quotient is linear monic."""
+    q = poly_exact_div(chi, chi_upper)
+    if q is not None and (q.degree != 1 or not q.is_monic):
+        raise InternalInconsistency(f"atom quotient {q} is not linear monic")
+    return q
+
+
 def is_divisional_atom(m: Matroid, e: int, lattice: FlatLattice | None = None):
     """Whether atom e is divisional; returns (verdict, linear quotient or None)."""
-    contraction, _ = m.contract_simplify(m.closure(1 << e))
-    chi_m = lattice.charpoly() if lattice is not None else charpoly(m)
-    chi_c = charpoly(contraction)
-    q = poly_exact_div(chi_m, chi_c)
-    if q is None:
-        return False, None
-    if q.degree != 1 or not q.is_monic:
-        raise InternalInconsistency(f"atom quotient {q} is not linear monic")
-    return True, q
+    lat = lattice if lattice is not None else enumerate_flats(m)
+    q = atom_quotient(lat.charpoly(), lat.upper_charpoly(m.closure(1 << e)))
+    return q is not None, q
 
 
 def divisional_flag(m: Matroid, lattice: FlatLattice | None = None):

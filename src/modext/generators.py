@@ -13,7 +13,7 @@ from .arrangement import Arrangement, pg_arrangement
 from .errors import InvalidInput
 from .gaingraph import FiniteGroup, GainGraph, complete_gain_graph, \
     realize_frame_arrangement
-from .matroid import DEFAULT_MAX_ATOMS
+from .matroid import DEFAULT_MAX_ATOMS, check_atom_count
 
 
 def example_7() -> Arrangement:
@@ -158,13 +158,16 @@ def type_d_arrangement(n: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangemen
         complete_gain_graph(n, FiniteGroup.sign()), Field.rational(), max_atoms)
 
 
-def named_group(token: str) -> FiniteGroup:
+def named_group(token: str):
+    """(order, build) for a group name: its order is known before `build()`
+    makes the table, whose validation is cubic in the order."""
     if token == "trivial":
-        return FiniteGroup.trivial()
+        return 1, FiniteGroup.trivial
     if token == "sign":
-        return FiniteGroup.sign()
+        return 2, FiniteGroup.sign
     if token.startswith("z") and token[1:].isdigit():
-        return FiniteGroup.zmod(int(token[1:]))
+        order = int(token[1:])
+        return order, lambda: FiniteGroup.zmod(order)
     raise InvalidInput(f"unknown group name {token!r}")
 
 
@@ -186,7 +189,8 @@ def named_input(name: str, max_atoms: int = DEFAULT_MAX_ATOMS):
     bowtie-lift-9, bowtie, bowtie-loops.  Patterns: braid-N, bn-N, dn-N,
     pg-N-P, fish-GROUP, k-N-GROUP, kl-N-GROUP with GROUP in
     {trivial, sign, zM}.  The pattern arrangements hold at most
-    `max_atoms` hyperplanes.
+    `max_atoms` hyperplanes, and the pattern gain graphs at most
+    `max_atoms` edges and loops, checked before the group is built.
     """
     if name in _FIXED:
         return _FIXED[name]()
@@ -201,10 +205,15 @@ def named_input(name: str, max_atoms: int = DEFAULT_MAX_ATOMS):
         if parts[0] == "pg" and len(parts) == 3:
             return pg_arrangement(int(parts[1]), int(parts[2]), max_atoms)
         if parts[0] == "fish" and len(parts) == 2:
-            return fish(named_group(parts[1]))
+            order, group = named_group(parts[1])
+            check_atom_count(order + 2, max_atoms)
+            return fish(group())
         if parts[0] in ("k", "kl") and len(parts) == 3:
-            return complete_gain_graph(int(parts[1]), named_group(parts[2]),
-                                       loops=parts[0] == "kl")
+            n = int(parts[1])
+            loops = parts[0] == "kl"
+            order, group = named_group(parts[2])
+            check_atom_count(n * (n - 1) // 2 * order + (n if loops else 0), max_atoms)
+            return complete_gain_graph(n, group(), loops=loops)
     except ValueError as exc:
         raise InvalidInput(f"bad generator name {name!r}") from exc
     raise InvalidInput(f"unknown generator name {name!r}")

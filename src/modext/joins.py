@@ -25,10 +25,10 @@ from .certificates import (
     ModularCoatomCertificate,
     ModularJoinCertificate,
 )
-from .divisional import is_divisional_atom
+from .divisional import atom_quotient
 from .errors import IdentityViolation, InvalidInput, LiftViolation
-from .lattice import FlatLattice, charpoly, enumerate_flats
-from .matroid import Matroid, atom_tuple, lex_key
+from .lattice import FlatLattice, enumerate_flats
+from .matroid import Matroid, atom_tuple
 from .modularity import modular_coatoms_in_context, round_in_context, violating_flat
 # Not called here: bound only so that a tracer patching the raw rank-equation
 # scan in every module that imports it finds the name.
@@ -144,24 +144,24 @@ def join_divisional_lift_check(m: Matroid, d: JoinDecomposition, e: int) -> bool
     m and that the lifted contraction charpoly satisfies
     chi(si(M/e)) * chi(M|X) == chi(si(M1/e)) * chi(M|E2) exactly; raises
     LiftViolation on either failure.
+
+    Every charpoly is an interval of the one lattice of m: chi(si(M/e)) is
+    [e, top], chi(si((M|E1)/e)) is [e, E1], chi(M|X) is [0, X] and
+    chi(M|E2) is [0, E2].
     """
     bit = 1 << e
     if not (d.e1 & bit) or (d.x & bit):
         raise InvalidInput(f"atom {e} is not in E1 minus X")
-    m1 = m.restrict(d.e1)
-    e_in_m1 = atom_tuple(d.e1).index(e)
-    ok1, _ = is_divisional_atom(m1, e_in_m1)
-    if not ok1:
+    lat = enumerate_flats(m)
+    bottom = lat.bottom
+    chi_m1e = lat.interval_charpoly(bit, d.e1)
+    if atom_quotient(lat.interval_charpoly(bottom, d.e1), chi_m1e) is None:
         raise InvalidInput(f"atom {e} is not divisional in the restriction to E1")
-    ok, _ = is_divisional_atom(m, e)
-    if not ok:
+    chi_me = lat.upper_charpoly(bit)
+    if atom_quotient(lat.charpoly(), chi_me) is None:
         raise LiftViolation(f"atom {e} is divisional in M|E1 but not in M")
-    contraction, _ = m.contract_simplify(m.closure(bit))
-    m1_contraction, _ = m1.contract_simplify(m1.closure(1 << e_in_m1))
-    chi_me = charpoly(contraction)
-    chi_x = charpoly(m.restrict(d.x))
-    chi_m1e = charpoly(m1_contraction)
-    chi_e2 = charpoly(m.restrict(d.e2))
+    chi_x = lat.interval_charpoly(bottom, d.x)
+    chi_e2 = lat.interval_charpoly(bottom, d.e2)
     if poly_mul(chi_me, chi_x) != poly_mul(chi_m1e, chi_e2):
         raise LiftViolation(
             f"contraction charpoly of atom {e} does not factor through the join: "

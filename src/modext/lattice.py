@@ -19,6 +19,11 @@ Everything is driven by the covering relation:
   y = y' join a.  That is z join y' itself when it holds a, else its cover
   containing a, looked up in a table filled per flat from its covers, so
   joins walked in rank order cost no rank oracle call.
+
+Order: levels, covers and children list flats in lexicographic atom order
+(`lex_key`).  `enumerate_flats` sorts each new level once,
+`Matroid.cover_classes` yields covers in it, and children gathered in
+(rank, lex) order keep it, so `FlatLattice` sorts nothing.
 """
 
 from __future__ import annotations
@@ -31,22 +36,23 @@ DEFAULT_MAX_FLATS = 2 ** 20
 
 
 class FlatLattice:
-    """The lattice of flats of a simple matroid, fully enumerated."""
+    """The lattice of flats of a simple matroid, fully enumerated.  Keeps
+    `levels` and `covers` (lex-sorted tuples, every flat but the top) as given."""
 
     def __init__(self, matroid: Matroid, levels, covers):
         self.matroid = matroid
-        self.levels = [sorted(level, key=lex_key) for level in levels]
+        self.levels = levels
         self.rank_of = {}
-        for k, level in enumerate(self.levels):
+        for k, level in enumerate(levels):
             for f in level:
                 self.rank_of[f] = k
-        self.covers = {f: tuple(sorted(cs, key=lex_key)) for f, cs in covers.items()}
-        self.covers.setdefault(self.top, ())
+        self.covers = covers
+        covers.setdefault(self.top, ())
         children = {f: [] for f in self.rank_of}
-        for f, cs in self.covers.items():
-            for c in cs:
+        for f in self.rank_of:
+            for c in covers[f]:
                 children[c].append(f)
-        self.children = {f: tuple(sorted(cs, key=lex_key)) for f, cs in children.items()}
+        self.children = {f: tuple(cs) for f, cs in children.items()}
         self._below = {}
         self._above = {}
         # flat y above the bottom -> (y', a): its first child y' and the
@@ -225,7 +231,7 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
         total += len(nxt)
         if total > max_flats:
             raise TooLarge(f"flat count exceeds the guardrail of {max_flats}")
-        current = sorted(nxt)
+        current = sorted(nxt, key=lex_key)
         levels.append(current)
     return FlatLattice(m, levels, covers)
 

@@ -64,6 +64,12 @@ def lex_key(mask: int) -> tuple:
     return atom_tuple(mask)
 
 
+def check_atom_count(n: int, max_atoms: int) -> None:
+    """Raise TooLarge when n atoms exceed the guardrail `max_atoms`."""
+    if n > max_atoms:
+        raise TooLarge(f"{n} atoms exceeds the guardrail of {max_atoms}")
+
+
 # ---------------------------------------------------------------------------
 # the matroid itself
 
@@ -79,8 +85,7 @@ class Matroid:
 
     def __init__(self, n, rank_fn, *, labels=None, backend="explicit",
                  max_atoms=DEFAULT_MAX_ATOMS):
-        if n > max_atoms:
-            raise TooLarge(f"{n} atoms exceeds the guardrail of {max_atoms}")
+        check_atom_count(n, max_atoms)
         if n < 0:
             raise InvalidInput("negative ground-set size")
         if labels is not None:
@@ -134,7 +139,7 @@ class Matroid:
                 out |= low
         return out
 
-    def cover_classes(self, flat: int) -> list:
+    def cover_classes(self, flat: int) -> tuple:
         """The flats covering a flat, in discovery order: they partition the
         atoms outside it, so each closes the flat with the lowest atom not
         yet in an earlier cover, testing only the atoms still unassigned.
@@ -145,7 +150,7 @@ class Matroid:
             cover = self.closure(flat | (rest & -rest), rest)
             rest &= ~cover
             out.append(cover)
-        return out
+        return tuple(out)
 
     def is_flat(self, subset: int) -> bool:
         return self.closure(subset) == subset
@@ -269,6 +274,8 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
     Theory, 5.1): edge uv is the packed vector (1 << u) | (1 << v), and the
     rank of a subset is that of its vectors over GF(2).
     """
+    if n_vertices < 0:
+        raise InvalidInput("negative vertex count")
     edge_list = []
     seen = set()
     for e in edges:

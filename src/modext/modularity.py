@@ -23,7 +23,7 @@ from itertools import combinations
 from .certificates import ChainCertificate
 from .errors import EmptyFlat, NotACoatom, NotAFlat, NotModularCoatom
 from .lattice import FlatLattice, enumerate_flats
-from .matroid import Matroid, atom_tuple, circuits, iter_atoms, lex_key
+from .matroid import Matroid, atom_tuple, circuits, iter_atoms
 
 
 @dataclass(frozen=True)

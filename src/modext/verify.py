@@ -157,11 +157,12 @@ def _verify_flag(lat: FlatLattice, flag, ctx: int, path: str, failures: list):
             _fail(failures, path,
                   f"flag step {_flat_str(lo)} -> {_flat_str(hi)} is not a cover")
             return
+    # the raw interval charpoly, not the prover's upper_charpoly cache, so
+    # each one is derived again here
+    uppers = [lat.interval_charpoly(f, ctx) for f in flats]
     for i in range(len(flats) - 1):
-        upper_lo = lat.interval_charpoly(flats[i], ctx)
-        upper_hi = lat.interval_charpoly(flats[i + 1], ctx)
         quotient = IntPolynomial((-roots[i], 1))
-        if poly_mul(upper_hi, quotient) != upper_lo:
+        if poly_mul(uppers[i + 1], quotient) != uppers[i]:
             _fail(failures, path,
                   f"flag step {i}: chi above {_flat_str(flats[i])} is not "
                   f"(t - {roots[i]}) times chi above {_flat_str(flats[i + 1])}")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -242,6 +243,7 @@ MALFORMED_INPUTS = {
     "graph-edge-short": {"type": "graph", "vertices": 2, "edges": [[0]]},
     "graph-vertices": {"type": "graph", "vertices": "x", "edges": [[0, 1]]},
     "graph-edges": {"type": "graph", "vertices": 2, "edges": 5},
+    "graph-negative-vertices": {"type": "graph", "vertices": -3, "edges": []},
     "arrangement-dim": {"field": {"kind": "rational"}, "dim": "x", "forms": [[1]]},
     "gaingraph-vertices": {"vertices": "x", "group": {"kind": "sign"},
                            "edges": [[0, 1, "+1"]]},
@@ -275,6 +277,12 @@ class TestExitCodes:
         assert proc.returncode == 3
         proc = run_cli("flats", "--input", "pg-2-3", "--max-flats", "10")
         assert proc.returncode == 3
+        # the atom count is checked before the 500-element group table,
+        # whose validation alone takes seconds, is built
+        started = time.monotonic()
+        proc = run_cli("flats", "--input", "k-2-z500")
+        assert proc.returncode == 3 and "500 atoms" in proc.stderr
+        assert time.monotonic() - started < 5
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_malformed_input(self, tmp_path, case):

@@ -17,17 +17,20 @@ def test_stanley_division_on_modular_flats(corpus):
             assert quotient is not None, name
 
 
-def test_divisional_atom_definition(corpus):
-    m, lat = corpus("braid-4")
-    chi = lat.charpoly()
-    for a in range(m.n):
-        ok, quotient = is_divisional_atom(m, a, lattice=lat)
-        q, _ = m.contract_simplify(1 << a)
-        expected = poly_exact_div(chi, charpoly(q))
-        assert ok == (expected is not None)
-        if ok:
-            assert quotient == expected
-            assert quotient * charpoly(q) == chi
+def test_divisional_atom_definition(corpus, all_corpus_names):
+    # the interval [a, top] against the lattice of an explicit contraction
+    for name in all_corpus_names:
+        m, lat = corpus(name)
+        chi = lat.charpoly()
+        for a in range(m.n):
+            q, _ = m.contract_simplify(1 << a)
+            expected = poly_exact_div(chi, charpoly(q))
+            for ok, quotient in (is_divisional_atom(m, a, lattice=lat),
+                                 is_divisional_atom(m, a)):
+                assert ok == (expected is not None), (name, a)
+                assert quotient == expected, (name, a)
+                if ok:
+                    assert quotient * charpoly(q) == chi
 
 
 def test_flag_shape_and_telescoping(corpus):

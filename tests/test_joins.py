@@ -13,7 +13,7 @@ from modext.divisional import is_divisional_atom
 from modext.errors import InvalidInput
 from modext.joins import (brylawski_identity_check, find_modular_joins,
                           join_divisional_lift_check, me_certify)
-from modext.lattice import enumerate_flats, interval_charpoly
+from modext.lattice import FlatLattice, enumerate_flats, interval_charpoly
 from modext.matroid import atom_tuple, mask_of
 from modext.modularity import (is_modular_flat, is_round, modular_flats,
                                supersolvable_chain)
@@ -125,6 +125,27 @@ def test_join_divisional_lift(corpus, name, x_atoms, expected):
     for parent in divisional:
         assert join_divisional_lift_check(m, d, parent)
         assert is_divisional_atom(m, parent, lattice=lat)[0]
+
+
+def test_minor_charpolys_are_lattice_intervals(corpus, monkeypatch):
+    # is_divisional_atom reads the lattice it is given; the lift check
+    # builds only the lattice of m
+    m, lat = corpus("ziegler-19")
+    d = [j for j in find_modular_joins(m, lattice=lat)
+         if atom_tuple(j.x) == (0, 1, 2)][0]
+    built = []
+    init = FlatLattice.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(FlatLattice, "__init__", counting)
+    for a in range(m.n):
+        is_divisional_atom(m, a, lattice=lat)
+    assert built == []
+    assert join_divisional_lift_check(m, d, 8)
+    assert len(built) == 1
 
 
 def test_join_divisional_lift_rejects_bad_atoms(corpus):

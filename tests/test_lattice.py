@@ -5,6 +5,7 @@ import pytest
 from modext.algebra import IntPolynomial
 from modext.errors import NotAFlat, TooLarge
 from modext.lattice import charpoly, enumerate_flats, interval_charpoly, mobius
+from modext.matroid import lex_key
 
 from oracles import brute_flats, brute_mobius, popcount, whitney_charpoly_coeffs
 
@@ -66,6 +67,24 @@ def test_covers_partition_the_atoms_outside(corpus, all_corpus_names):
                 assert (g & ~f) & seen == 0, (name, f, g)
                 seen |= g & ~f
             assert seen == m.full_mask & ~f, (name, f)
+
+
+def test_lattice_is_built_in_lex_order(corpus, all_corpus_names):
+    # enumeration hands over levels and covers already lex-sorted, and the
+    # children, walked in that order, are exactly the inverse of the covers
+    for name in all_corpus_names:
+        _, lat = corpus(name)
+        for level in lat.levels:
+            assert level == sorted(level, key=lex_key), name
+        assert set(lat.covers) == set(lat.children) == set(lat.rank_of), name
+        inverse = {f: set() for f in lat.flats()}
+        for f in lat.flats():
+            for flats in (lat.covers[f], lat.children[f]):
+                assert type(flats) is tuple, (name, f)
+                assert list(flats) == sorted(flats, key=lex_key), (name, f)
+            for c in lat.covers[f]:
+                inverse[c].add(f)
+        assert {f: set(cs) for f, cs in lat.children.items()} == inverse, name
 
 
 def test_contraction_atoms_are_the_covers(corpus, all_corpus_names):
