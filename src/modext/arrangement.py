@@ -16,6 +16,12 @@ from .lattice import charpoly
 from .matroid import DEFAULT_MAX_ATOMS, Matroid, linear_matroid, remap_mask
 
 
+def check_hyperplane_count(count: int, max_atoms: int) -> None:
+    """Raise TooLarge when `count` hyperplanes exceed the guardrail `max_atoms`."""
+    if count > max_atoms:
+        raise TooLarge(f"{count} hyperplanes exceeds the limit of {max_atoms}")
+
+
 class Arrangement:
     """A finite set of at most `max_atoms` hyperplanes ker(f_i) in field^dim;
     the cap passes on to the dependence matroid and to `essentialize`."""
@@ -24,8 +30,7 @@ class Arrangement:
                  max_atoms: int = DEFAULT_MAX_ATOMS):
         if dim < 0:
             raise InvalidInput("negative ambient dimension")
-        if len(forms) > max_atoms:
-            raise TooLarge(f"{len(forms)} hyperplanes exceeds the limit of {max_atoms}")
+        check_hyperplane_count(len(forms), max_atoms)
         self.field = field
         self.dim = dim
         canon = []

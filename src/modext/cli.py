@@ -92,7 +92,7 @@ def load_input(spec: str, max_atoms: int):
         try:
             with open(spec, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInput(f"cannot read {spec}: {exc}") from exc
         if not isinstance(data, dict):
             raise InvalidInput("input JSON must be an object")
@@ -143,7 +143,7 @@ def run_analysis(args, obj) -> tuple:
         try:
             with open(args.certificate, "r", encoding="utf-8") as fh:
                 cert = certificate_from_json(json.load(fh))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInput(f"cannot read certificate: {exc}") from exc
         lat = enumerate_flats(m, max_flats=args.max_flats)
         report = verify_certificate(m, cert, lattice=lat)

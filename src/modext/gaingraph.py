@@ -511,6 +511,17 @@ def _tree_path_atoms(g: GainGraph, tree_edges: dict, u: int, v: int) -> int:
 # frame and lift matroids
 
 
+def _check_no_repeated_edges(g: GainGraph) -> None:
+    """Raise NotSimpleFrame when two edges share their ends and gain: they
+    would be parallel atoms of the frame and of the lift matroid."""
+    seen = {}
+    for i, e in enumerate(g.edges):
+        key = (e.u, e.v, e.gain)
+        if key in seen:
+            raise NotSimpleFrame([seen[key], i], f"repeated edge {g.atom_label(i)}")
+        seen[key] = i
+
+
 def frame_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     """The frame matroid: rank = sum over components of |V| - 1 + [unbalanced].
 
@@ -519,12 +530,7 @@ def frame_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     Repeated identical edges would be parallel atoms, so they raise
     NotSimpleFrame.
     """
-    seen = {}
-    for i, e in enumerate(g.edges):
-        key = (e.u, e.v, e.gain)
-        if key in seen:
-            raise NotSimpleFrame([seen[key], i], f"repeated edge {g.atom_label(i)}")
-        seen[key] = i
+    _check_no_repeated_edges(g)
 
     def rank_fn(mask):
         return sum(len(order) - 1 + (1 if bad else 0)
@@ -540,10 +546,11 @@ def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     For an edge set S with c(S) components on |V(S)| vertices,
     rank = |V(S)| - c(S) + [inf in S or S holds an unbalanced cycle]
     (Zaslavsky, "Biased graphs II: the three matroids", JCTB 1991).
-    Loops are rejected.
+    Loops are rejected, and repeated identical edges raise NotSimpleFrame.
     """
     if g.loops:
         raise HasLoops("the extended lift matroid is defined for loopless gain graphs")
+    _check_no_repeated_edges(g)
     labels = ("inf",) + tuple(g.atom_label(i) for i in range(len(g.edges)))
 
     def rank_fn(mask):

@@ -9,7 +9,7 @@ All generators are deterministic: fixed coordinate order, fixed atom order.
 from __future__ import annotations
 
 from .algebra import Field
-from .arrangement import Arrangement, pg_arrangement
+from .arrangement import Arrangement, check_hyperplane_count, pg_arrangement
 from .errors import InvalidInput
 from .gaingraph import FiniteGroup, GainGraph, complete_gain_graph, \
     realize_frame_arrangement
@@ -142,18 +142,21 @@ def fish(group: FiniteGroup) -> GainGraph:
 
 def braid_arrangement(n: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """x_i - x_j = 0 in Q^n for i < j."""
+    check_hyperplane_count(n * (n - 1) // 2, max_atoms)
     return realize_frame_arrangement(
         complete_gain_graph(n, FiniteGroup.trivial()), Field.rational(), max_atoms)
 
 
 def type_b_arrangement(n: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """x_i +- x_j = 0 and x_i = 0 in Q^n."""
+    check_hyperplane_count(n * n, max_atoms)
     return realize_frame_arrangement(
         complete_gain_graph(n, FiniteGroup.sign(), loops=True), Field.rational(), max_atoms)
 
 
 def type_d_arrangement(n: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """x_i +- x_j = 0 in Q^n."""
+    check_hyperplane_count(n * (n - 1), max_atoms)
     return realize_frame_arrangement(
         complete_gain_graph(n, FiniteGroup.sign()), Field.rational(), max_atoms)
 

@@ -6,10 +6,12 @@ closure of their union (whose rank equals the rank of the plain union).
 
 Everything is driven by the covering relation:
 
-- Enumeration walks rank levels upward, reading each flat's covers from
-  `Matroid.cover_classes`: the covers of F partition the atoms outside F,
-  so they are found by closing F | {a} for the lowest atom a not yet in an
-  earlier cover, testing only atoms still unassigned.
+- Enumeration walks rank levels upward and closes each flat once: the
+  covers of F partition the atoms outside F (Oxley, Matroid Theory, 1.4),
+  so F closes F | {a} only for the lowest atom a in no cover of F found so
+  far, by F or by an earlier flat of its level, testing only those atoms.
+  A new flat's children are the flats of the level holding no atom
+  outside it, and each of them records it as a cover found.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y, one pass over cover
@@ -21,38 +23,39 @@ Everything is driven by the covering relation:
   joins walked in rank order cost no rank oracle call.
 
 Order: levels, covers and children list flats in lexicographic atom order
-(`lex_key`).  `enumerate_flats` sorts each new level once,
-`Matroid.cover_classes` yields covers in it, and children gathered in
-(rank, lex) order keep it, so `FlatLattice` sorts nothing.
+(`lex_key`).  `enumerate_flats` sorts each new level once, which decides
+it: children are read off the sorted level below, and covers gathered by
+walking the children in (rank, lex) order keep it, so `FlatLattice` sorts
+nothing.
 """
 
 from __future__ import annotations
 
 from .algebra import IntPolynomial
 from .errors import NotAFlat, NotComparable, TooLarge
-from .matroid import Matroid, atom_tuple, lex_key
+from .matroid import Matroid, atom_tuple, iter_atoms, lex_key
 
 DEFAULT_MAX_FLATS = 2 ** 20
 
 
 class FlatLattice:
     """The lattice of flats of a simple matroid, fully enumerated.  Keeps
-    `levels` and `covers` (lex-sorted tuples, every flat but the top) as given."""
+    `levels` and `children` (lex-sorted tuples, keyed in (rank, lex) order)
+    as given, and derives `covers` from the children."""
 
-    def __init__(self, matroid: Matroid, levels, covers):
+    def __init__(self, matroid: Matroid, levels, children):
         self.matroid = matroid
         self.levels = levels
         self.rank_of = {}
         for k, level in enumerate(levels):
             for f in level:
                 self.rank_of[f] = k
-        self.covers = covers
-        covers.setdefault(self.top, ())
-        children = {f: [] for f in self.rank_of}
-        for f in self.rank_of:
-            for c in covers[f]:
-                children[c].append(f)
-        self.children = {f: tuple(cs) for f, cs in children.items()}
+        self.children = children
+        covers = {f: [] for f in self.rank_of}
+        for c, cs in children.items():
+            for f in cs:
+                covers[f].append(c)
+        self.covers = {f: tuple(cs) for f, cs in covers.items()}
         self._below = {}
         self._above = {}
         # flat y above the bottom -> (y', a): its first child y' and the
@@ -213,27 +216,41 @@ def _chi_from_mobius(mu: dict, rank_of: dict, top_rank: int, shift: int = 0) -> 
 def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLattice:
     """Enumerate the lattice of flats of a simple matroid.
 
-    Walks rank levels upward, taking each flat's covers from
-    `Matroid.cover_classes`; raises TooLarge when the flat count exceeds
-    `max_flats`.
+    Closes each flat of rank k+1 once, from the first flat of rank k below
+    it; raises TooLarge when the flat count exceeds `max_flats`.
     """
     bottom = m.closure(0)
     levels = [[bottom]]
-    covers = {}
+    children = {bottom: ()}
     total = 1
     full = m.full_mask
     current = [bottom]
     while current and current[0] != full:
-        nxt = set()
-        for f in current:
-            covers[f] = m.cover_classes(f)
-            nxt.update(covers[f])
+        # has[a]: bit i set when current[i] holds atom a
+        has = [0] * m.n
+        for i, f in enumerate(current):
+            for a in iter_atoms(f):
+                has[a] |= 1 << i
+        found = [0] * len(current)    # union of the covers of current[i] found so far
+        nxt = {}
+        for i, f in enumerate(current):
+            rest = full & ~f & ~found[i]
+            while rest:
+                c = m.closure(f | (rest & -rest), rest)
+                rest &= ~c
+                below = (1 << len(current)) - 1
+                for a in iter_atoms(full & ~c):
+                    below &= ~has[a]
+                nxt[c] = tuple(current[j] for j in iter_atoms(below))
+                for j in iter_atoms(below):
+                    found[j] |= c
         total += len(nxt)
         if total > max_flats:
             raise TooLarge(f"flat count exceeds the guardrail of {max_flats}")
         current = sorted(nxt, key=lex_key)
         levels.append(current)
-    return FlatLattice(m, levels, covers)
+        children.update((c, nxt[c]) for c in current)
+    return FlatLattice(m, levels, children)
 
 
 def mobius(lattice: FlatLattice) -> dict:

@@ -139,19 +139,6 @@ class Matroid:
                 out |= low
         return out
 
-    def cover_classes(self, flat: int) -> tuple:
-        """The flats covering a flat, in discovery order: they partition the
-        atoms outside it, so each closes the flat with the lowest atom not
-        yet in an earlier cover, testing only the atoms still unassigned.
-        Their lowest outside atoms rise, so this is also lex order."""
-        out = []
-        rest = self.full_mask & ~flat
-        while rest:
-            cover = self.closure(flat | (rest & -rest), rest)
-            rest &= ~cover
-            out.append(cover)
-        return tuple(out)
-
     def is_flat(self, subset: int) -> bool:
         return self.closure(subset) == subset
 
@@ -200,7 +187,11 @@ class Matroid:
         if not self.is_flat(flat):
             raise NotAFlat(f"contraction requires a flat, got {sorted(atom_tuple(flat))}")
         base = self.rank(flat)
-        covers = self.cover_classes(flat)
+        covers = []
+        rest = self.full_mask & ~flat
+        while rest:
+            covers.append(self.closure(flat | (rest & -rest), rest))
+            rest &= ~covers[-1]
         atom_map = dict(sorted((a, i) for i, c in enumerate(covers)
                                for a in iter_atoms(c & ~flat)))
 

@@ -283,6 +283,22 @@ class TestExitCodes:
         proc = run_cli("flats", "--input", "k-2-z500")
         assert proc.returncode == 3 and "500 atoms" in proc.stderr
         assert time.monotonic() - started < 5
+        # and the hyperplane count n(n-1)/2 before the braid arrangement
+        started = time.monotonic()
+        proc = run_cli("flats", "--input", "braid-600")
+        assert proc.returncode == 3 and "179700 hyperplanes" in proc.stderr
+        assert time.monotonic() - started < 5
+
+    def test_json_nested_past_the_recursion_limit(self, tmp_path):
+        # json.dumps cannot encode a certificate this deep, so it is spelled out
+        depth = 3000
+        cert = tmp_path / "cert.json"
+        cert.write_text('{"kind": "modular-coatom", "coatom": [0], "child": ' * depth
+                        + '{"kind": "empty"}' + "}" * depth)
+        assert_invalid_input(run_cli("verify", "--input", "pg-2-2", "--certificate", str(cert)))
+        data = tmp_path / "input.json"
+        data.write_text("[" * 5000 + "]" * 5000)
+        assert_invalid_input(run_cli("charpoly", "--input", str(data)))
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_malformed_input(self, tmp_path, case):

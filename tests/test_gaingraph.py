@@ -262,6 +262,11 @@ class TestFrameMatroid:
         with pytest.raises(NotSimpleFrame):
             frame_matroid(GainGraph(2, SIGN, [(0, 1, 1), (1, 0, 1)]))
 
+    def test_repeated_edge_not_simple_in_lift(self):
+        # the two copies would be parallel atoms, not a clash of labels
+        with pytest.raises(NotSimpleFrame, match="repeated edge"):
+            lift_matroid(GainGraph(3, SIGN, [(0, 1, 0), (1, 2, 1), (1, 0, 0)]))
+
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(41)
         groups = [TRIV, SIGN, FiniteGroup.zmod(3)]

@@ -1,11 +1,16 @@
 """Lattice of flats: enumeration, Moebius values, characteristic polynomials."""
 
+import random
+from itertools import combinations
+
 import pytest
 
-from modext.algebra import IntPolynomial
-from modext.errors import NotAFlat, TooLarge
+from modext.algebra import Field, FieldMatrix, IntPolynomial, gf_row_rank
+from modext.corpus import corpus_matroid
+from modext.errors import NotAFlat, NotSimple, TooLarge
+from modext.gaingraph import FiniteGroup, GainGraph, frame_matroid, lift_matroid
 from modext.lattice import charpoly, enumerate_flats, interval_charpoly, mobius
-from modext.matroid import lex_key
+from modext.matroid import Matroid, graphic_matroid, iter_atoms, lex_key, linear_matroid
 
 from oracles import brute_flats, brute_mobius, popcount, whitney_charpoly_coeffs
 
@@ -43,6 +48,52 @@ def test_flat_enumeration_matches_brute(corpus):
     for name in ("u23", "u34", "fano", "example-7", "c4", "bn-2", "fish-sign"):
         m, lat = corpus(name)
         assert sorted(lat.flats()) == sorted(brute_flats(m)), name
+
+
+def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
+    calls = []
+    closure = Matroid.closure
+
+    def counted(m, *args):
+        calls.append(args)
+        return closure(m, *args)
+
+    monkeypatch.setattr(Matroid, "closure", counted)
+    for name in all_corpus_names:
+        m = corpus_matroid(name)
+        calls.clear()
+        lat = enumerate_flats(m)
+        assert len(calls) == len(lat), name
+
+
+def _random_matroids(seed=8):
+    """Simple matroids of every backend on at most 12 atoms: matrices over Q,
+    GF(2) and GF(3), graphs, and frame and lift matroids of gain graphs."""
+    rng = random.Random(seed)
+    out = []
+    for field in (Field.rational(), Field.gf(2), Field.gf(3)):
+        built = 0
+        while built < 8:
+            rank, n = rng.randint(2, 4), rng.randint(3, 9)
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rank)]
+            try:
+                out.append(linear_matroid(FieldMatrix(field, rows)))
+                built += 1
+            except NotSimple:
+                pass
+    for _ in range(8):
+        nv = rng.randint(3, 6)
+        pairs = list(combinations(range(nv), 2))
+        out.append(graphic_matroid(nv, rng.sample(pairs, rng.randint(2, min(9, len(pairs))))))
+    for group in (FiniteGroup.sign(), FiniteGroup.zmod(3)):
+        for _ in range(4):
+            nv = rng.randint(2, 4)
+            pool = [(u, v, k) for u, v in combinations(range(nv), 2) for k in range(group.order)]
+            edges = rng.sample(pool, rng.randint(1, min(8, len(pool))))
+            out.append(lift_matroid(GainGraph(nv, group, edges)))
+            loops = [v for v in range(nv) if rng.random() < 0.3]
+            out.append(frame_matroid(GainGraph(nv, group, edges, loops)))
+    return out
 
 
 def test_covers_are_saturated(corpus):
@@ -87,16 +138,49 @@ def test_lattice_is_built_in_lex_order(corpus, all_corpus_names):
         assert {f: set(cs) for f, cs in lat.children.items()} == inverse, name
 
 
-def test_contraction_atoms_are_the_covers(corpus, all_corpus_names):
+def _assert_contraction_atoms_are_the_covers(name, m, lat):
     # the atoms of si(M/f) are f's covers, in lex order, each the class of
     # the atoms outside f that atom_map sends to it
+    for f in lat.flats():
+        q, atom_map = m.contract_simplify(f)
+        classes = [f] * q.n
+        for a, i in atom_map.items():
+            classes[i] |= 1 << a
+        assert tuple(classes) == lat.covers[f], (name, f)
+
+
+def test_contraction_atoms_are_the_covers(corpus, all_corpus_names):
     for name, m, lat in _small(corpus, all_corpus_names):
+        _assert_contraction_atoms_are_the_covers(name, m, lat)
+
+
+def test_random_lattices_match_brute_force_and_contractions():
+    for i, m in enumerate(_random_matroids()):
+        lat = enumerate_flats(m)
+        assert sorted(lat.flats()) == brute_flats(m), (i, m)
+        _assert_contraction_atoms_are_the_covers((i, m), m, lat)
+
+
+def test_non_simple_explicit_lattices_match_brute_force():
+    # loops join the bottom flat, and parallel atoms are closed together
+    rng = random.Random(5)
+    for trial in range(30):
+        cols = [[rng.randrange(3) for _ in range(3)] for _ in range(rng.randint(2, 8))]
+        cols += [[0, 0, 0], [2 * x % 3 for x in cols[0]], list(cols[1])]
+        rng.shuffle(cols)
+
+        def rank_fn(mask, cols=cols):
+            return gf_row_rank([cols[a] for a in iter_atoms(mask)], 3)
+
+        m = Matroid(len(cols), rank_fn)
+        lat = enumerate_flats(m)
+        flats = brute_flats(m)
+        assert sorted(lat.flats()) == flats and lat.bottom == flats[0] != 0, trial
         for f in lat.flats():
-            q, atom_map = m.contract_simplify(f)
-            classes = [f] * q.n
-            for a, i in atom_map.items():
-                classes[i] |= 1 << a
-            assert tuple(classes) == lat.covers[f], (name, f)
+            assert lat.rank_of[f] == m.rank(f), (trial, f)
+            outside = [c & ~f for c in lat.covers[f]]
+            assert sum(outside) == m.full_mask & ~f, (trial, f)
+            assert all(a & b == 0 for a, b in combinations(outside, 2)), (trial, f)
 
 
 def _descent_join(lat, z, y):
