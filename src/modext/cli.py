@@ -33,6 +33,17 @@ from .modularity import (is_modular_flat, is_round, modular_coatoms_in_context,
 from .verify import verify_certificate
 
 
+def _limit(text: str) -> int:
+    """A guardrail value: a non-negative integer, else a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modext",
@@ -48,8 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", help="write the report here instead of stdout")
         p.add_argument("--model", choices=("frame", "lift"), default="frame",
                        help="matroid model for gain-graph inputs")
-        p.add_argument("--max-atoms", type=int, default=DEFAULT_MAX_ATOMS)
-        p.add_argument("--max-flats", type=int, default=DEFAULT_MAX_FLATS)
+        p.add_argument("--max-atoms", type=_limit, default=DEFAULT_MAX_ATOMS)
+        p.add_argument("--max-flats", type=_limit, default=DEFAULT_MAX_FLATS)
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the report")
         return p

@@ -11,8 +11,8 @@ sides in the class; `me_certify` searches for such a certificate
 recursively over the lattice, memoized per flat.
 
 Both read the joins of a flat from `modular_joins_in_context`, whose
-verdicts come from `modularity.violating_flat`, so a context's flats are
-scanned once whichever of `modular_flats` and the two searches asks first.
+verdicts come from `modularity.is_modular_in_context`: a meet test over
+the lattice's atom index, with no rank-equation scan.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .divisional import atom_quotient
 from .errors import IdentityViolation, InvalidInput, LiftViolation
 from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, atom_tuple
-from .modularity import modular_coatoms_in_context, round_in_context, violating_flat
+from .modularity import is_modular_in_context, modular_coatoms_in_context, round_in_context
 # Not called here: bound only so that a tracer patching the raw rank-equation
 # scan in every module that imports it finds the name.
 from .modularity import violating_flat_in_context  # noqa: F401
@@ -62,7 +62,7 @@ def modular_joins_in_context(lat: FlatLattice, ctx: int):
     the intersection.
     """
     mods = [f for f in lat.below(ctx)
-            if f != ctx and violating_flat(lat, f, ctx) is None]
+            if f != ctx and is_modular_in_context(lat, f, ctx)]
     for i, e1 in enumerate(mods):
         for e2 in mods[i + 1:]:
             if e1 | e2 == ctx:

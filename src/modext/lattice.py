@@ -11,7 +11,9 @@ Everything is driven by the covering relation:
   so F closes F | {a} only for the lowest atom a in no cover of F found so
   far, by F or by an earlier flat of its level, testing only those atoms.
   A new flat's children are the flats of the level holding no atom
-  outside it, and each of them records it as a cover found.
+  outside it, found through a per-level atom index, and each of them
+  records it as a cover found.  The lattice keeps that index
+  (`atom_index`), from which modularity is decided.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y, one pass over cover
@@ -41,11 +43,18 @@ DEFAULT_MAX_FLATS = 2 ** 20
 class FlatLattice:
     """The lattice of flats of a simple matroid, fully enumerated.  Keeps
     `levels` and `children` (lex-sorted tuples, keyed in (rank, lex) order)
-    as given, and derives `covers` from the children."""
+    as given, and derives `covers` from the children.
 
-    def __init__(self, matroid: Matroid, levels, children):
+    `atom_index[k][a]`, for every level k below the top, has bit i set when
+    `levels[k][i]` holds atom a: the flats of rank k below a flat X are the
+    positions that no atom outside X sets, and those a flat Z meets are
+    the positions its atoms outside the bottom set.
+    """
+
+    def __init__(self, matroid: Matroid, levels, children, atom_index):
         self.matroid = matroid
         self.levels = levels
+        self.atom_index = atom_index
         self.rank_of = {}
         for k, level in enumerate(levels):
             for f in level:
@@ -70,8 +79,6 @@ class FlatLattice:
         self._mobius = None
         self._charpoly = None
         self._upper = {}
-        # (z, ctx) -> the verdict of modularity.violating_flat
-        self.violations = {}
 
     # -- basic structure
 
@@ -222,6 +229,7 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
     bottom = m.closure(0)
     levels = [[bottom]]
     children = {bottom: ()}
+    atom_index = []
     total = 1
     full = m.full_mask
     current = [bottom]
@@ -231,6 +239,7 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
         for i, f in enumerate(current):
             for a in iter_atoms(f):
                 has[a] |= 1 << i
+        atom_index.append(has)
         found = [0] * len(current)    # union of the covers of current[i] found so far
         nxt = {}
         for i, f in enumerate(current):
@@ -250,7 +259,7 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
         current = sorted(nxt, key=lex_key)
         levels.append(current)
         children.update((c, nxt[c]) for c in current)
-    return FlatLattice(m, levels, children)
+    return FlatLattice(m, levels, children, atom_index)
 
 
 def mobius(lattice: FlatLattice) -> dict:

@@ -8,11 +8,13 @@ returns a ModularityWitness carrying the verdict plus the first offending
 object on failure.
 
 The prover's question "is z modular within ctx?" (modular flats, the
-coatom peel, the modular joins) goes through `violating_flat`, which scans
-once per (z, ctx) and keeps the answer on the lattice.  `verify` and
-`stanley_division_check` call the raw scan `violating_flat_in_context`:
-they are handed the prover's lattice, and reading its answers back would
-re-check nothing.
+coatom peel, the modular joins, and the verdict of `is_modular_flat`) is
+answered by `is_modular_in_context`, a meet test over the lattice's atom
+index that computes no rank.  The rank-equation scan
+`violating_flat_in_context` runs only where a violating flat is wanted:
+the witness of a non-modular `is_modular_flat`, and the checkers `verify`
+and `stanley_division_check`, which so re-check modularity by a route the
+prover does not take.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .certificates import ChainCertificate
-from .errors import EmptyFlat, NotACoatom, NotAFlat, NotModularCoatom
+from .errors import EmptyFlat, NotACoatom, NotAFlat, NotComparable, NotModularCoatom
 from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, atom_tuple, circuits, iter_atoms
 
@@ -130,39 +132,64 @@ def violating_flat_in_context(lat: FlatLattice, z: int, ctx: int):
     return None
 
 
-def violating_flat(lat: FlatLattice, z: int, ctx: int):
-    """What `violating_flat_in_context(lat, z, ctx)` returns, scanned once
-    per (z, ctx) and remembered in the lattice's `violations` table."""
-    memo = lat.violations
-    if (z, ctx) not in memo:
-        memo[z, ctx] = violating_flat_in_context(lat, z, ctx)
-    return memo[z, ctx]
+def is_modular_in_context(lat: FlatLattice, z: int, ctx: int) -> bool:
+    """Whether the flat z <= ctx is modular within the restriction to ctx.
+
+    z is modular within ctx iff z meets every flat Y <= ctx of rank
+    r(ctx) - r(z) + 1, where z meets Y when z meet Y is above the bottom.
+    If z is modular, r(z meet Y) >= r(z) + r(Y) - r(ctx) = 1.  If not, some
+    Y with z meet Y = bottom has r(z join Y) < r(z) + r(Y) (Brylawski 1975);
+    adding to Y an atom a outside z join Y keeps it disjoint from z (an
+    atom b of z in Y join a would, by exchange, put a in Y join b <= z join
+    Y) and keeps the defect, so Y grows until z join Y = ctx, where
+    r(Y) > r(ctx) - r(z): some flat of rank r(ctx) - r(z) + 1 below Y
+    misses z.  Atoms and the bottom are always modular.
+
+    Read off `lat.atom_index` at that rank: the flats below ctx that z
+    misses are the positions set by no atom outside ctx and by no atom of
+    z outside the bottom (the loops lie in every flat).  No rank is
+    computed.
+    """
+    rank_of = lat.rank_of
+    r = rank_of[lat.require(z)]
+    k = rank_of[lat.require(ctx)] - r + 1
+    if z & ~ctx:
+        raise NotComparable(
+            f"{sorted(atom_tuple(z))} is not below {sorted(atom_tuple(ctx))}")
+    if r <= 1:
+        return True
+    has = lat.atom_index[k]
+    missed = (1 << len(lat.levels[k])) - 1
+    for a in iter_atoms((lat.top & ~ctx) | (z & ~lat.bottom)):
+        missed &= ~has[a]
+    return not missed
 
 
 def modular_coatoms_in_context(lat: FlatLattice, ctx: int):
     """Yield the coatoms of ctx that are modular within it, lexicographically.
 
-    Lazy, so a search that stops at the first usable coatom scans no
+    Lazy, so a search that stops at the first usable coatom tests no
     further ones.
     """
-    for z in lat.children[ctx]:
-        if violating_flat(lat, z, ctx) is None:
+    for z in lat.children[lat.require(ctx)]:
+        if is_modular_in_context(lat, z, ctx):
             yield z
 
 
 def is_modular_flat(m: Matroid, x: int, lattice: FlatLattice | None = None) -> ModularityWitness:
-    """Rank-equation modularity test against every flat."""
+    """Modularity against every flat; a non-modular flat's witness is the
+    first flat, in (rank, lex) order, violating the rank equation."""
     lat = _lattice_for(m, lattice)
-    bad = violating_flat(lat, x, lat.top)
-    if bad is None:
+    if is_modular_in_context(lat, x, lat.top):
         return ModularityWitness(True, "rank-equation", x)
+    bad = violating_flat_in_context(lat, x, lat.top)
     return ModularityWitness(False, "rank-equation", x, violating_flat=bad)
 
 
 def modular_flats(m: Matroid, lattice: FlatLattice | None = None) -> tuple:
     """All modular flats, by rank then lexicographic atom order."""
     lat = _lattice_for(m, lattice)
-    return tuple(f for f in lat.flats() if violating_flat(lat, f, lat.top) is None)
+    return tuple(f for f in lat.flats() if is_modular_in_context(lat, f, lat.top))
 
 
 # ---------------------------------------------------------------------------

@@ -289,6 +289,13 @@ class TestExitCodes:
         assert proc.returncode == 3 and "179700 hyperplanes" in proc.stderr
         assert time.monotonic() - started < 5
 
+    @pytest.mark.parametrize("flag, value", [("--max-flats", "-5"), ("--max-atoms", "-1"),
+                                             ("--max-atoms", "many")])
+    def test_guardrail_must_be_a_non_negative_integer(self, flag, value):
+        proc = run_cli("flats", "--input", "braid-3", flag, value)
+        assert proc.returncode == 2
+        assert f"argument {flag}: expected a non-negative integer, got '{value}'" in proc.stderr
+
     def test_json_nested_past_the_recursion_limit(self, tmp_path):
         # json.dumps cannot encode a certificate this deep, so it is spelled out
         depth = 3000

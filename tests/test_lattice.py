@@ -1,18 +1,17 @@
 """Lattice of flats: enumeration, Moebius values, characteristic polynomials."""
 
-import random
 from itertools import combinations
 
 import pytest
 
-from modext.algebra import Field, FieldMatrix, IntPolynomial, gf_row_rank
+from modext.algebra import IntPolynomial
 from modext.corpus import corpus_matroid
-from modext.errors import NotAFlat, NotSimple, TooLarge
-from modext.gaingraph import FiniteGroup, GainGraph, frame_matroid, lift_matroid
+from modext.errors import NotAFlat, TooLarge
 from modext.lattice import charpoly, enumerate_flats, interval_charpoly, mobius
-from modext.matroid import Matroid, graphic_matroid, iter_atoms, lex_key, linear_matroid
+from modext.matroid import Matroid, lex_key
 
 from oracles import brute_flats, brute_mobius, popcount, whitney_charpoly_coeffs
+from samples import non_simple_gf3_matroids, random_matroids
 
 SMALL_FLATS = 250  # members with at most this many flats get pairwise checks
 
@@ -64,36 +63,6 @@ def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
         calls.clear()
         lat = enumerate_flats(m)
         assert len(calls) == len(lat), name
-
-
-def _random_matroids(seed=8):
-    """Simple matroids of every backend on at most 12 atoms: matrices over Q,
-    GF(2) and GF(3), graphs, and frame and lift matroids of gain graphs."""
-    rng = random.Random(seed)
-    out = []
-    for field in (Field.rational(), Field.gf(2), Field.gf(3)):
-        built = 0
-        while built < 8:
-            rank, n = rng.randint(2, 4), rng.randint(3, 9)
-            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(rank)]
-            try:
-                out.append(linear_matroid(FieldMatrix(field, rows)))
-                built += 1
-            except NotSimple:
-                pass
-    for _ in range(8):
-        nv = rng.randint(3, 6)
-        pairs = list(combinations(range(nv), 2))
-        out.append(graphic_matroid(nv, rng.sample(pairs, rng.randint(2, min(9, len(pairs))))))
-    for group in (FiniteGroup.sign(), FiniteGroup.zmod(3)):
-        for _ in range(4):
-            nv = rng.randint(2, 4)
-            pool = [(u, v, k) for u, v in combinations(range(nv), 2) for k in range(group.order)]
-            edges = rng.sample(pool, rng.randint(1, min(8, len(pool))))
-            out.append(lift_matroid(GainGraph(nv, group, edges)))
-            loops = [v for v in range(nv) if rng.random() < 0.3]
-            out.append(frame_matroid(GainGraph(nv, group, edges, loops)))
-    return out
 
 
 def test_covers_are_saturated(corpus):
@@ -155,24 +124,14 @@ def test_contraction_atoms_are_the_covers(corpus, all_corpus_names):
 
 
 def test_random_lattices_match_brute_force_and_contractions():
-    for i, m in enumerate(_random_matroids()):
+    for i, m in enumerate(random_matroids()):
         lat = enumerate_flats(m)
         assert sorted(lat.flats()) == brute_flats(m), (i, m)
         _assert_contraction_atoms_are_the_covers((i, m), m, lat)
 
 
 def test_non_simple_explicit_lattices_match_brute_force():
-    # loops join the bottom flat, and parallel atoms are closed together
-    rng = random.Random(5)
-    for trial in range(30):
-        cols = [[rng.randrange(3) for _ in range(3)] for _ in range(rng.randint(2, 8))]
-        cols += [[0, 0, 0], [2 * x % 3 for x in cols[0]], list(cols[1])]
-        rng.shuffle(cols)
-
-        def rank_fn(mask, cols=cols):
-            return gf_row_rank([cols[a] for a in iter_atoms(mask)], 3)
-
-        m = Matroid(len(cols), rank_fn)
+    for trial, m in enumerate(non_simple_gf3_matroids()):
         lat = enumerate_flats(m)
         flats = brute_flats(m)
         assert sorted(lat.flats()) == flats and lat.bottom == flats[0] != 0, trial

@@ -2,14 +2,18 @@
 
 import pytest
 
-from modext.errors import EmptyFlat, NotACoatom
+from modext.errors import EmptyFlat, NotACoatom, NotAFlat, NotComparable
+from modext.joins import modular_joins_in_context
+from modext.lattice import enumerate_flats
 from modext.matroid import atom_tuple, mask_of
 from modext.modularity import (coatom_pairing, is_modular_coatom_triangle,
-                               is_modular_flat, is_round, modular_flats,
+                               is_modular_flat, is_modular_in_context, is_round,
+                               modular_coatoms_in_context, modular_flats,
                                short_circuit_check, supersolvable_chain,
                                violating_flat_in_context)
 
 from oracles import brute_flats, brute_modular, brute_round, brute_supersolvable
+from samples import non_simple_gf3_matroids, random_matroids
 
 
 def test_rank_equation_matches_brute(corpus):
@@ -33,6 +37,45 @@ def test_rank_equation_witness_matches_rank_scan(corpus, all_corpus_names):
                                  if rank_of[z] + rank_of[y] != rank_of[z & y] + m.rank(z | y)),
                                 None)
                 assert violating_flat_in_context(lat, z, ctx) == expected, (name, z, ctx)
+
+
+def _assert_meet_test_matches_rank_scan(label, lat):
+    for ctx in lat.flats():
+        for z in lat.below(ctx):
+            expected = violating_flat_in_context(lat, z, ctx) is None
+            assert is_modular_in_context(lat, z, ctx) == expected, (label, z, ctx)
+
+
+def test_meet_test_matches_rank_scan(corpus, all_corpus_names):
+    for name in all_corpus_names:
+        m, lat = corpus(name)
+        if len(lat) <= 250:
+            _assert_meet_test_matches_rank_scan(name, lat)
+
+
+def test_meet_test_matches_rank_scan_on_random_matroids():
+    # the non-simple ones put a loop in every flat, so the test must not
+    # count the bottom's atoms as a meet
+    for i, m in enumerate(random_matroids() + non_simple_gf3_matroids()):
+        _assert_meet_test_matches_rank_scan(i, enumerate_flats(m))
+
+
+def test_modularity_verdicts_require_flats(corpus):
+    m, lat = corpus("fano")
+    not_a_flat = mask_of([0, 1])
+    assert not_a_flat not in lat
+    with pytest.raises(NotAFlat):
+        is_modular_flat(m, not_a_flat, lattice=lat)
+    with pytest.raises(NotAFlat):
+        is_modular_in_context(lat, not_a_flat, lat.top)
+    with pytest.raises(NotAFlat):
+        is_modular_in_context(lat, lat.bottom, not_a_flat)
+    with pytest.raises(NotAFlat):
+        list(modular_coatoms_in_context(lat, not_a_flat))
+    with pytest.raises(NotAFlat):
+        list(modular_joins_in_context(lat, not_a_flat))
+    with pytest.raises(NotComparable):
+        is_modular_in_context(lat, mask_of([0]), mask_of([1]))
 
 
 def test_trivial_flats_always_modular(corpus):

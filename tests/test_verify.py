@@ -4,6 +4,7 @@ import dataclasses
 
 import pytest
 
+from modext import modularity
 from modext.certificates import (ChainCertificate, DivisionalFlag,
                                  EmptyCertificate, FlagCertificate,
                                  ModularCoatomCertificate,
@@ -252,25 +253,15 @@ def test_unknown_certificate_node(corpus):
         verify_certificate(m, object(), lattice=lat)
 
 
-class _AllModular(dict):
-    """A verdict table that answers "modular" for every (z, ctx)."""
-
-    def __contains__(self, key):
-        return True
-
-    def __getitem__(self, key):
-        return None
-
-
 class TestCheckersReadNoProverVerdicts:
-    """With every memoized prover verdict forced to "modular", the checkers
-    still run their own rank-equation scan."""
+    """With the prover's modularity verdict forced to "modular", the
+    checkers still run their own rank-equation scan."""
 
     @pytest.fixture
-    def fooled(self):
+    def fooled(self, monkeypatch):
         m = corpus_matroid("k4")
         lat = enumerate_flats(m)
-        lat.violations = _AllModular()
+        monkeypatch.setattr(modularity, "is_modular_in_context", lambda lat, z, ctx: True)
         matching = mask_of([0, 5])
         assert is_modular_flat(m, matching, lattice=lat)  # the prover is fooled
         return m, lat, matching
