@@ -13,22 +13,20 @@ Everything is driven by the covering relation:
   A new flat's children are the flats of the level holding no atom
   outside it, found through a per-level atom index, and each of them
   records it as a cover found.  The lattice keeps that index
-  (`atom_index`), from which modularity is decided.
+  (`atom_index`), from which the prover decides modularity.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y, one pass over cover
   edges.
-- Joins come from covers: z join y is z when y <= z, and otherwise
-  (z join y') join a, for y's first child y' and an atom a with
-  y = y' join a.  That is z join y' itself when it holds a, else its cover
-  containing a, looked up in a table filled per flat from its covers, so
-  joins walked in rank order cost no rank oracle call.
 
 Order: levels, covers and children list flats in lexicographic atom order
 (`lex_key`).  `enumerate_flats` sorts each new level once, which decides
 it: children are read off the sorted level below, and covers gathered by
 walking the children in (rank, lex) order keep it, so `FlatLattice` sorts
 nothing.
+
+The lattice stores no joins.  A check that needs r(X join Y) asks the rank
+oracle for r(X | Y), which is the same number.
 """
 
 from __future__ import annotations
@@ -67,15 +65,6 @@ class FlatLattice:
         self.covers = {f: tuple(cs) for f, cs in covers.items()}
         self._below = {}
         self._above = {}
-        # flat y above the bottom -> (y', a): its first child y' and the
-        # lowest atom bit a of y outside y', so that y = y' join a
-        self.descent = {}
-        for f, cs in self.children.items():
-            if cs:
-                a = f & ~cs[0]
-                self.descent[f] = (cs[0], a & -a)
-        # F | {a} -> its closure, the cover of the flat F containing atom a
-        self.atom_joins = {}
         self._mobius = None
         self._charpoly = None
         self._upper = {}
@@ -133,22 +122,6 @@ class FlatLattice:
         if self.rank == 0:
             return ()
         return tuple(self.levels[self.rank - 1])
-
-    def atom_join(self, flat: int, a: int) -> int:
-        """The join of a flat with the bit `a` of an atom outside it: the
-        cover of the flat containing a, read from `atom_joins`, which is
-        filled for every atom outside the flat on its first query."""
-        key = flat | a
-        cover = self.atom_joins.get(key)
-        if cover is None:
-            for c in self.covers[flat]:
-                rest = c & ~flat
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    self.atom_joins[flat | low] = c
-            cover = self.atom_joins[key]
-        return cover
 
     # -- Mobius function and characteristic polynomials
 

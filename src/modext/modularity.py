@@ -2,19 +2,19 @@
 
 A flat X is modular when r(X) + r(Y) = r(X meet Y) + r(X join Y) for every
 flat Y.  Three equivalent tests are implemented: the rank equation itself,
-a coatom triangle test (every pair of atoms outside a coatom closes a
-triangle through it), and the short-circuit axiom over circuits.  Each
+a coatom triangle test (every line through two atoms outside a coatom
+holds an atom of it), and the short-circuit axiom over circuits.  Each
 returns a ModularityWitness carrying the verdict plus the first offending
 object on failure.
 
 The prover's question "is z modular within ctx?" (modular flats, the
 coatom peel, the modular joins, and the verdict of `is_modular_flat`) is
 answered by `is_modular_in_context`, a meet test over the lattice's atom
-index that computes no rank.  The rank-equation scan
-`violating_flat_in_context` runs only where a violating flat is wanted:
-the witness of a non-modular `is_modular_flat`, and the checkers `verify`
-and `stanley_division_check`, which so re-check modularity by a route the
-prover does not take.
+index that computes no rank.  The checkers re-derive modularity from the
+rank oracle instead: `verify` runs the triangle test (`lines_outside`)
+on each modular coatom and chain step, and the rank-equation scan
+`violating_flat_in_context` on join sides; `stanley_division_check` and
+the witness of a non-modular `is_modular_flat` run the scan too.
 """
 
 from __future__ import annotations
@@ -99,36 +99,16 @@ def violating_flat_in_context(lat: FlatLattice, z: int, ctx: int):
 
     Checks modularity of z within the restriction to the flat ctx; with
     ctx the top flat this is plain modularity.  Flats Y are scanned in the
-    order of below(ctx), and the equation holds for every Y comparable
-    with z.  Any other Y covers its first child Y', with Y = Y' join a for
-    an atom a (lattice.descent); Y' is scanned earlier and satisfies the
-    equation.  From Y' to Y, r(Y) rises by one, while r(z meet Y) +
-    r(z join Y) never falls and, by semimodularity at Y, rises by at most
-    one: so Y violates the equation exactly when both the meet and the
-    join with z are unchanged from Y'.  Meets are intersections and joins
-    are walked up from z one atom at a time through the lattice's covers,
-    so no rank is computed.
+    order of below(ctx); those comparable with z satisfy the equation, and
+    for the others r(z join Y) = r(z | Y) is asked of the rank oracle.
     """
-    lat.require(z)
-    descent = lat.descent
-    atom_joins = lat.atom_joins
-    join = {}
+    rank_of = lat.rank_of
+    r = rank_of[lat.require(z)]
+    rank = lat.matroid.rank
     for y in lat.below(ctx):
-        meet = y & z
-        if meet == y:
-            join[y] = z
-            continue
-        if meet == z:
-            join[y] = y
-            continue
-        child, a = descent[y]
-        j = join[child]
-        if j & a:
-            if meet == child & z:
-                return y
-        else:
-            j = atom_joins.get(j | a) or lat.atom_join(j, a)
-        join[y] = j
+        meet = z & y
+        if meet != y and meet != z and rank_of[meet] + rank(z | y) != r + rank_of[y]:
+            return y
     return None
 
 
@@ -196,48 +176,59 @@ def modular_flats(m: Matroid, lattice: FlatLattice | None = None) -> tuple:
 # coatom triangle test
 
 
-def is_modular_coatom_triangle(m: Matroid, x: int,
-                               lattice: FlatLattice | None = None) -> ModularityWitness:
-    """Coatom modularity via triangles: every atom pair outside x must close
-    a circuit with some atom of x."""
-    lat = _lattice_for(m, lattice)
+def lines_outside(lat: FlatLattice, z: int, ctx: int):
+    """Yield ((a, b), hits) for each pair of atoms a < b of ctx - z spanning
+    a line, r({a, b}) = 2, where `hits` lazily lists the atoms f of
+    z - bottom on that line, r({a, b, f}) = 2.
+
+    A flat z covered by ctx is modular within ctx iff every line of ctx
+    meets it, so iff no `hits` is empty: the coatom triangle test.  Parallel
+    atoms span no line, and a loop lies on every line without meeting it,
+    so neither counts.  Every rank is asked of the matroid's oracle.
+    """
+    rank = lat.matroid.rank
+    inside = atom_tuple(z & ~lat.bottom)
+    for a, b in combinations(atom_tuple(ctx & ~z), 2):
+        pair = (1 << a) | (1 << b)
+        if rank(pair) == 2:
+            yield (a, b), (f for f in inside if rank(pair | 1 << f) == 2)
+
+
+def _require_coatom(lat: FlatLattice, x: int):
     lat.require(x)
     if lat.rank_of[x] != lat.rank - 1:
         raise NotACoatom(f"{sorted(atom_tuple(x))} has rank {lat.rank_of[x]}, "
                          f"need {lat.rank - 1}")
-    outside = atom_tuple(m.full_mask & ~x)
-    inside = atom_tuple(x)
+
+
+def is_modular_coatom_triangle(m: Matroid, x: int,
+                               lattice: FlatLattice | None = None) -> ModularityWitness:
+    """Coatom modularity via triangles: every line through two atoms
+    outside x must hold an atom of x (`lines_outside`)."""
+    lat = _lattice_for(m, lattice)
+    _require_coatom(lat, x)
     pairing = []
-    for e, e2 in combinations(outside, 2):
-        pair_mask = (1 << e) | (1 << e2)
-        hit = None
-        for f in inside:
-            if m.rank(pair_mask | (1 << f)) == 2:
-                hit = f
-                break
+    for pair, hits in lines_outside(lat, x, lat.top):
+        hit = next(hits, None)
         if hit is None:
-            return ModularityWitness(False, "coatom-triangle", x, pair=(e, e2))
-        pairing.append(((e, e2), hit))
+            return ModularityWitness(False, "coatom-triangle", x, pair=pair)
+        pairing.append((pair, hit))
     return ModularityWitness(True, "coatom-triangle", x, pairing=tuple(pairing))
 
 
 def coatom_pairing(m: Matroid, x: int, lattice: FlatLattice | None = None) -> dict:
     """The pairing (a, b) -> f of a modular coatom, with uniqueness enforced.
 
-    For each atom pair outside x there must be exactly one atom f of x with
-    {a, b, f} a circuit; otherwise NotModularCoatom is raised.  The triple
-    f(a,b), f(a,c), f(b,c) of any three outside atoms is dependent.
+    For each line through two atoms a, b outside x there must be exactly
+    one atom f of x on it, so that {a, b, f} is a circuit; otherwise
+    NotModularCoatom is raised.  The triple f(a,b), f(a,c), f(b,c) of any
+    three outside atoms is dependent.
     """
     lat = _lattice_for(m, lattice)
-    lat.require(x)
-    if lat.rank_of[x] != lat.rank - 1:
-        raise NotACoatom(f"{sorted(atom_tuple(x))} is not a coatom")
-    outside = atom_tuple(m.full_mask & ~x)
-    inside = atom_tuple(x)
+    _require_coatom(lat, x)
     out = {}
-    for a, b in combinations(outside, 2):
-        pair_mask = (1 << a) | (1 << b)
-        hits = [f for f in inside if m.rank(pair_mask | (1 << f)) == 2]
+    for (a, b), hits in lines_outside(lat, x, lat.top):
+        hits = list(hits)
         if len(hits) != 1:
             raise NotModularCoatom(
                 f"pair ({a}, {b}) outside {sorted(atom_tuple(x))} has "

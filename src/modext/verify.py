@@ -3,7 +3,14 @@
 Verification never raises on a bad certificate: each failed claim becomes
 a (path, reason) entry, where the path addresses the certificate node
 ("$", "$/e1/child", ...).  A certificate is accepted only if every node
-checks out against the matroid's own lattice.
+checks out against the matroid.
+
+Modularity is re-derived from the rank oracle, not from the prover's meet
+test: a modular coatom, and each cover step lo -> hi of a chain, by the
+triangle test of lo within hi (`modularity.lines_outside`), so by the
+tower property every chain member is modular within the chain's top; a
+join side by the rank-equation scan.  Flat membership, covers, `below`
+and interval charpolys are still read from the prover's lattice.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .certificates import (
 from .errors import InvalidInput
 from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, atom_tuple
-from .modularity import round_in_context, violating_flat_in_context
+from .modularity import lines_outside, round_in_context, violating_flat_in_context
 
 
 @dataclass(frozen=True)
@@ -38,7 +45,9 @@ class VerificationReport:
 
 def verify_certificate(m: Matroid, cert, lattice: FlatLattice | None = None
                        ) -> VerificationReport:
-    """Check every claim of a certificate tree against the matroid."""
+    """Check every claim of a certificate tree against the matroid: the
+    modularity claims against its rank oracle, the rest against its
+    lattice (by default enumerated afresh)."""
     lat = lattice if lattice is not None else enumerate_flats(m)
     failures = []
     _verify(lat, cert, lat.top, "$", failures)
@@ -60,14 +69,25 @@ def _check_flat(lat, flat, path, failures, what) -> bool:
     return False
 
 
-def _check_modular_in(lat, flat, ctx, path, failures, what) -> bool:
-    bad = violating_flat_in_context(lat, flat, ctx)
-    if bad is None:
-        return True
+def _not_modular(failures, path, what, flat, ctx, why):
     _fail(failures, path,
-          f"{what} {_flat_str(flat)} is not modular within {_flat_str(ctx)}: "
-          f"rank equation fails against {_flat_str(bad)}")
-    return False
+          f"{what} {_flat_str(flat)} is not modular within {_flat_str(ctx)}: {why}")
+
+
+def _check_modular_in(lat, flat, ctx, path, failures, what):
+    bad = violating_flat_in_context(lat, flat, ctx)
+    if bad is not None:
+        _not_modular(failures, path, what, flat, ctx,
+                     f"rank equation fails against {_flat_str(bad)}")
+
+
+def _check_modular_cover(lat, z, ctx, path, failures, what):
+    """The triangle test of a flat z covered by ctx."""
+    for (a, b), hits in lines_outside(lat, z, ctx):
+        if next(hits, None) is None:
+            _not_modular(failures, path, what, z, ctx,
+                         f"the line through {a} and {b} misses it")
+            return
 
 
 def _verify(lat: FlatLattice, cert, ctx: int, path: str, failures: list):
@@ -84,7 +104,7 @@ def _verify(lat: FlatLattice, cert, ctx: int, path: str, failures: list):
             _fail(failures, path,
                   f"{_flat_str(z)} is not covered by {_flat_str(ctx)}")
             return
-        _check_modular_in(lat, z, ctx, path, failures, "coatom")
+        _check_modular_cover(lat, z, ctx, path, failures, "coatom")
         _verify(lat, cert.child, z, path + "/child", failures)
         return
     if isinstance(cert, ModularJoinCertificate):
@@ -130,8 +150,8 @@ def _verify(lat: FlatLattice, cert, ctx: int, path: str, failures: list):
                 _fail(failures, path,
                       f"chain step {_flat_str(lo)} -> {_flat_str(hi)} "
                       f"is not a cover")
-        for i, f in enumerate(flats):
-            _check_modular_in(lat, f, ctx, path, failures, f"chain[{i}]")
+            else:
+                _check_modular_cover(lat, lo, hi, path, failures, f"chain[{i}]")
         return
     if isinstance(cert, FlagCertificate):
         _verify_flag(lat, cert.flag, ctx, path, failures)

@@ -142,24 +142,6 @@ def test_non_simple_explicit_lattices_match_brute_force():
             assert all(a & b == 0 for a, b in combinations(outside, 2)), (trial, f)
 
 
-def _descent_join(lat, z, y):
-    """z join y by descending y to a flat below z, then adding atoms back."""
-    if y & z == y:
-        return z
-    child, a = lat.descent[y]
-    j = _descent_join(lat, z, child)
-    return j if j & a else lat.atom_join(j, a)
-
-
-def test_lattice_joins_are_closures(corpus, all_corpus_names):
-    for name, m, lat in _small(corpus, all_corpus_names):
-        for y, (child, a) in lat.descent.items():
-            assert child == lat.children[y][0] and a & y & ~child and popcount(a) == 1
-        for z in lat.flats():
-            for y in lat.flats():
-                assert _descent_join(lat, z, y) == m.closure(z | y), (name, z, y)
-
-
 def test_mobius_matches_brute(corpus):
     for name in ("u23", "fano", "example-7", "c5"):
         m, lat = corpus(name)

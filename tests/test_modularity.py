@@ -143,6 +143,16 @@ def test_triangle_test_requires_coatom(corpus):
         is_modular_coatom_triangle(m, 1, lattice=lat)
 
 
+def test_triangle_test_matches_rank_scan_on_random_matroids():
+    # a loop lies on every line and parallel atoms span none, so neither
+    # may count for or against a coatom of a non-simple matroid
+    for i, m in enumerate(random_matroids() + non_simple_gf3_matroids()):
+        lat = enumerate_flats(m)
+        for x in lat.coatoms():
+            expected = violating_flat_in_context(lat, x, lat.top) is None
+            assert bool(is_modular_coatom_triangle(m, x, lattice=lat)) == expected, (i, x)
+
+
 def test_triangle_witness_pair(corpus):
     m, lat = corpus("example-13")
     for z in lat.coatoms():

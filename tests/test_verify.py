@@ -1,6 +1,7 @@
 """Certificate verification: honest certificates pass, tampered ones say why."""
 
 import dataclasses
+from itertools import combinations
 
 import pytest
 
@@ -16,8 +17,11 @@ from modext.errors import InvalidInput, NotModular
 from modext.joins import me_certify
 from modext.lattice import enumerate_flats
 from modext.matroid import Matroid, graphic_matroid, mask_of
-from modext.modularity import is_modular_flat, supersolvable_chain
+from modext.modularity import (is_modular_flat, supersolvable_chain,
+                               violating_flat_in_context)
 from modext.verify import verify_certificate
+
+from samples import non_simple_gf3_matroids, random_matroids
 
 
 def _single_failure(report):
@@ -209,6 +213,72 @@ class TestTamperedChainCertificates:
         path, reason = _single_failure(report)
         assert path == "$"
         assert "chain[2]" in reason and "not modular within" in reason
+
+
+    def test_non_modular_step_below_the_top(self):
+        # in K5 a matching is not modular within the K4 above it, and that
+        # K4 is modular within K5; with a triangle for the matching every
+        # step is modular, so by the tower property every member is too
+        edges = list(combinations(range(5), 2))
+        m = graphic_matroid(5, edges)
+        lat = enumerate_flats(m)
+
+        def flat(*pairs):
+            return mask_of(edges.index(e) for e in pairs)
+
+        k4 = flat(*combinations(range(4), 2))
+        matching = (0, flat((0, 1)), flat((0, 1), (2, 3)), k4, lat.top)
+        report = verify_certificate(m, ChainCertificate(matching), lattice=lat)
+        path, reason = _single_failure(report)
+        assert reason == ("chain[2] {0,7} is not modular within {0,1,2,4,5,7}: "
+                          "the line through 1 and 5 misses it")
+        triangle = (0, flat((0, 1)), flat((0, 1), (0, 2), (1, 2)), k4, lat.top)
+        assert verify_certificate(m, ChainCertificate(triangle), lattice=lat).ok
+        for f in triangle:
+            assert violating_flat_in_context(lat, f, lat.top) is None
+
+
+def _chain_through(lat, z, ctx):
+    """A saturated chain from the bottom through z and a flat ctx covering
+    it up to the top."""
+    down = [z]
+    while down[-1] != lat.bottom:
+        down.append(lat.children[down[-1]][0])
+    up = [ctx]
+    while up[-1] != lat.top:
+        up.append(lat.covers[up[-1]][0])
+    return tuple(reversed(down)) + tuple(up)
+
+
+def _assert_coatom_check_matches_rank_scan(label, m, lat):
+    for ctx in lat.flats():
+        for z in lat.children[ctx]:
+            modular = violating_flat_in_context(lat, z, ctx) is None
+            chain = _chain_through(lat, z, ctx)
+            step = f"chain[{chain.index(z)}] "
+            report = verify_certificate(m, ChainCertificate(chain), lattice=lat)
+            assert modular != any(r.startswith(step) for _, r in report.failures), \
+                (label, z, ctx)
+            if ctx == lat.top:
+                cert = ModularCoatomCertificate(z, EmptyCertificate())
+                report = verify_certificate(m, cert, lattice=lat)
+                assert modular != any(p == "$" for p, _ in report.failures), (label, z)
+
+
+class TestCoatomCheckMatchesRankScan:
+    """The verifier's triangle test of a coatom within a flat, run on every
+    cover step of a chain and on a top-level modular-coatom node, agrees
+    with the rank equation."""
+
+    def test_corpus(self, corpus, all_corpus_names):
+        for name in all_corpus_names:
+            m, lat = corpus(name)
+            if len(lat) <= 250:
+                _assert_coatom_check_matches_rank_scan(name, m, lat)
+
+    def test_random_and_non_simple_matroids(self):
+        for i, m in enumerate(random_matroids() + non_simple_gf3_matroids()):
+            _assert_coatom_check_matches_rank_scan(i, m, enumerate_flats(m))
 
 
 class TestTamperedFlagCertificates:
