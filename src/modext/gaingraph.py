@@ -522,6 +522,17 @@ def _check_no_repeated_edges(g: GainGraph) -> None:
         seen[key] = i
 
 
+def _component_map(g: GainGraph, atoms: int):
+    """One `_components` walk of an atom subset: (vertex -> component
+    index, vertex -> potential, per component whether it is unbalanced)."""
+    comp, pot, unbalanced = {}, {}, []
+    for k, (order, pot, _, _, bad) in enumerate(_components(g, atoms)):
+        for v in order:
+            comp[v] = k
+        unbalanced.append(bool(bad))
+    return comp, pot, unbalanced
+
+
 def frame_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     """The frame matroid: rank = sum over components of |V| - 1 + [unbalanced].
 
@@ -529,15 +540,44 @@ def frame_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     (Zaslavsky, "Biased graphs II: the three matroids", JCTB 1991).
     Repeated identical edges would be parallel atoms, so they raise
     NotSimpleFrame.
+
+    Closure follows from the formula and one component walk of the subset.
+    An edge with both ends in one component is in the closure iff that
+    component is unbalanced or the edge agrees with its potentials; an
+    edge between two components iff both are unbalanced; a loop iff its
+    vertex's component is unbalanced.  An edge or loop at a vertex the
+    subset does not touch adds a vertex, so it is never in the closure.
     """
     _check_no_repeated_edges(g)
+    ne, table = len(g.edges), g.group.table
+    ends = [(e.u, e.v, e.gain) for e in g.edges]
 
     def rank_fn(mask):
         return sum(len(order) - 1 + (1 if bad else 0)
                    for order, _, _, _, bad in _components(g, mask))
 
-    return Matroid(g.num_atoms, rank_fn, labels=g.atom_labels() or None,
-                   backend="frame", max_atoms=max_atoms)
+    def closure_fn(subset, candidates):
+        comp, pot, unbalanced = _component_map(g, subset)
+        out = subset
+        for i in iter_atoms(candidates):
+            if i < ne:
+                u, v, h = ends[i]
+                cu, cv = comp.get(u), comp.get(v)
+                if cu is None or cv is None:
+                    continue
+                if cu == cv:
+                    inside = unbalanced[cu] or table[pot[u]][h] == pot[v]
+                else:
+                    inside = unbalanced[cu] and unbalanced[cv]
+            else:
+                c = comp.get(g.loops[i - ne])
+                inside = c is not None and unbalanced[c]
+            if inside:
+                out |= 1 << i
+        return out
+
+    return Matroid(g.num_atoms, rank_fn, closure_fn=closure_fn,
+                   labels=g.atom_labels() or None, backend="frame", max_atoms=max_atoms)
 
 
 def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
@@ -547,11 +587,19 @@ def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     rank = |V(S)| - c(S) + [inf in S or S holds an unbalanced cycle]
     (Zaslavsky, "Biased graphs II: the three matroids", JCTB 1991).
     Loops are rejected, and repeated identical edges raise NotSimpleFrame.
+
+    Closure follows from the formula and one component walk of the subset,
+    which is lifted when it holds inf or an unbalanced cycle.  inf is in
+    the closure iff the subset is lifted; an edge iff both its ends lie in
+    one component and the subset is lifted or the edge agrees with the
+    potentials.
     """
     if g.loops:
         raise HasLoops("the extended lift matroid is defined for loopless gain graphs")
     _check_no_repeated_edges(g)
     labels = ("inf",) + tuple(g.atom_label(i) for i in range(len(g.edges)))
+    table = g.group.table
+    ends = [(e.u, e.v, e.gain) for e in g.edges]
 
     def rank_fn(mask):
         rank, lifted = 0, mask & 1
@@ -560,8 +608,19 @@ def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
             lifted = lifted or bad
         return rank + (1 if lifted else 0)
 
-    return Matroid(len(g.edges) + 1, rank_fn, labels=labels, backend="lift",
-                   max_atoms=max_atoms)
+    def closure_fn(subset, candidates):
+        comp, pot, unbalanced = _component_map(g, subset >> 1)
+        lifted = subset & 1 or any(unbalanced)
+        out = subset | (candidates & 1 if lifted else 0)
+        for i in iter_atoms(candidates >> 1):
+            u, v, h = ends[i]
+            c = comp.get(u)
+            if c is not None and c == comp.get(v) and (lifted or table[pot[u]][h] == pot[v]):
+                out |= 2 << i
+        return out
+
+    return Matroid(len(g.edges) + 1, rank_fn, closure_fn=closure_fn, labels=labels,
+                   backend="lift", max_atoms=max_atoms)
 
 
 # ---------------------------------------------------------------------------

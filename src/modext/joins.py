@@ -11,8 +11,9 @@ sides in the class; `me_certify` searches for such a certificate
 recursively over the lattice, memoized per flat.
 
 Both read the joins of a flat from `modular_joins_in_context`, whose
-verdicts come from `modularity.is_modular_in_context`: a meet test over
-the lattice's atom index, with no rank-equation scan.
+verdicts come from `modularity.modular_flats_in_context`: a meet test over
+the lattice's atom index, with no rank-equation scan, decided once per
+flat and context and shared with `modular_flats`.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .divisional import atom_quotient
 from .errors import IdentityViolation, InvalidInput, LiftViolation
 from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, atom_tuple
-from .modularity import is_modular_in_context, modular_coatoms_in_context, round_in_context
+from .modularity import modular_coatoms_in_context, modular_flats_in_context, round_in_context
 # Not called here: bound only so that a tracer patching the raw rank-equation
 # scan in every module that imports it finds the name.
 from .modularity import violating_flat_in_context  # noqa: F401
@@ -61,8 +62,7 @@ def modular_joins_in_context(lat: FlatLattice, ctx: int):
     below(ctx), each annotated with the roundness of the restriction to
     the intersection.
     """
-    mods = [f for f in lat.below(ctx)
-            if f != ctx and is_modular_in_context(lat, f, ctx)]
+    mods = [f for f in modular_flats_in_context(lat, ctx) if f != ctx]
     for i, e1 in enumerate(mods):
         for e2 in mods[i + 1:]:
             if e1 | e2 == ctx:

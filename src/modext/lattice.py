@@ -10,6 +10,10 @@ Everything is driven by the covering relation:
   covers of F partition the atoms outside F (Oxley, Matroid Theory, 1.4),
   so F closes F | {a} only for the lowest atom a in no cover of F found so
   far, by F or by an earlier flat of its level, testing only those atoms.
+  That closure is one call of `Matroid.closure`, which hands the flat and
+  its candidates to the backend's closure kernel (one basis or one
+  component walk, no rank query per candidate) and asks the rank oracle
+  per candidate only for matroids built from a bare rank function.
   A new flat's children are the flats of the level holding no atom
   outside it, found through a per-level atom index, and each of them
   records it as a cover found.  The lattice keeps that index
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from .algebra import IntPolynomial
 from .errors import NotAFlat, NotComparable, TooLarge
-from .matroid import Matroid, atom_tuple, iter_atoms, lex_key
+from .matroid import Matroid, atom_tuple, lex_key, remap_mask
 
 DEFAULT_MAX_FLATS = 2 ** 20
 
@@ -68,6 +72,7 @@ class FlatLattice:
         self._mobius = None
         self._charpoly = None
         self._upper = {}
+        self._modular = {}  # ctx -> modular flats within it, filled by modularity
 
     # -- basic structure
 
@@ -210,9 +215,13 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
         # has[a]: bit i set when current[i] holds atom a
         has = [0] * m.n
         for i, f in enumerate(current):
-            for a in iter_atoms(f):
-                has[a] |= 1 << i
+            bit = 1 << i
+            while f:
+                low = f & -f
+                has[low.bit_length() - 1] |= bit
+                f ^= low
         atom_index.append(has)
+        level = (1 << len(current)) - 1
         found = [0] * len(current)    # union of the covers of current[i] found so far
         nxt = {}
         for i, f in enumerate(current):
@@ -220,12 +229,15 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
             while rest:
                 c = m.closure(f | (rest & -rest), rest)
                 rest &= ~c
-                below = (1 << len(current)) - 1
-                for a in iter_atoms(full & ~c):
-                    below &= ~has[a]
-                nxt[c] = tuple(current[j] for j in iter_atoms(below))
-                for j in iter_atoms(below):
+                below = level & ~remap_mask(full & ~c, has)
+                kids = []
+                while below:
+                    low = below & -below
+                    j = low.bit_length() - 1
+                    kids.append(current[j])
                     found[j] |= c
+                    below ^= low
+                nxt[c] = tuple(kids)
         total += len(nxt)
         if total > max_flats:
             raise TooLarge(f"flat count exceeds the guardrail of {max_flats}")

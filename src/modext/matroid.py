@@ -1,19 +1,24 @@
-"""Simple matroids given by exact rank oracles.
+"""Simple matroids given by exact oracles: a rank function and a closure kernel.
 
 Ground sets are atoms 0..n-1 and subsets are plain Python ints used as
 bitmasks (bit a set <=> atom a in the subset), which keeps subset algebra
 to single machine operations at desk scale.  A Matroid wraps a pure rank
-function with a memo table; derived matroids (restrictions, simplified
-contractions) delegate their queries to the parent oracle, so memoized
-ranks are shared.
+function with a memo table, and optionally a closure kernel that decides
+which candidate atoms lie in the closure of a subset from one pass over
+the subset: one XOR basis over GF(2), one fraction-free echelon basis over
+Q and GF(p), one component walk for gain graphs.  Without a kernel,
+closure asks the rank of the subset plus each candidate.  Derived
+matroids (restrictions, simplified contractions) delegate their rank
+queries to the parent oracle, so memoized ranks are shared.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import gcd
 
-from .algebra import (Field, FieldMatrix, gf2_pack, gf2_rank, gf_row_rank, integer_row_rank,
-                      _clear_row_denominators)
+from .algebra import (Field, FieldMatrix, gf2_basis, gf2_pack, gf2_reduce, gf2_rank, gf_row_rank,
+                      integer_row_rank, _clear_row_denominators)
 from .errors import InvalidInput, NotAFlat, NotSimple, TooLarge, reading
 
 DEFAULT_MAX_ATOMS = 24
@@ -79,11 +84,13 @@ class Matroid:
 
     `rank_fn` must be a pure function of the subset bitmask satisfying the
     rank axioms; constructors in this module validate simplicity before
-    handing one over.  `backend` records where the oracle came from
+    handing one over.  `closure_fn(subset, candidates)`, when given, returns
+    the subset plus those candidates that lie in its closure under the same
+    rank function.  `backend` records where the oracle came from
     ("linear", "graphic", "frame", "lift", or "explicit").
     """
 
-    def __init__(self, n, rank_fn, *, labels=None, backend="explicit",
+    def __init__(self, n, rank_fn, *, closure_fn=None, labels=None, backend="explicit",
                  max_atoms=DEFAULT_MAX_ATOMS):
         check_atom_count(n, max_atoms)
         if n < 0:
@@ -100,6 +107,7 @@ class Matroid:
         self.max_atoms = max_atoms
         self.full_mask = (1 << n) - 1
         self._rank_fn = rank_fn
+        self._closure_fn = closure_fn
         self._memo = {0: 0}
         self._circuit_cache = None
 
@@ -125,13 +133,19 @@ class Matroid:
 
         With `candidates`, only those atoms are tested for membership; the
         caller vouches that no other atom outside the subset lies in the
-        closure.
+        closure.  The closure kernel decides them when the matroid has one;
+        otherwise each is tested by a rank query.
         """
-        r = self.rank(subset)
-        out = subset
         if candidates is None:
             candidates = self.full_mask
+        if (subset | candidates) & ~self.full_mask:
+            raise InvalidInput(f"subset {bin(subset | candidates)} outside ground set "
+                               f"of size {self.n}")
         rest = candidates & ~subset
+        if self._closure_fn is not None:
+            return self._closure_fn(subset, rest)
+        r = self.rank(subset)
+        out = subset
         while rest:
             low = rest & -rest
             rest ^= low
@@ -230,13 +244,17 @@ def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS
 
         def rank_fn(mask, _cols=int_cols):
             return integer_row_rank([list(_cols[a]) for a in iter_atoms(mask)])
+        closure_fn = _echelon_closure_fn(int_cols, 0)
     elif field.p == 2:
-        rank_fn = _gf2_rank_fn([gf2_pack(c) for c in cols])
+        vectors = [gf2_pack(c) for c in cols]
+        rank_fn, closure_fn = _gf2_rank_fn(vectors), _gf2_closure_fn(vectors)
     else:
         def rank_fn(mask, _cols=cols, _p=field.p):
             return gf_row_rank([_cols[a] for a in iter_atoms(mask)], _p)
+        closure_fn = _echelon_closure_fn(cols, field.p)
 
-    return Matroid(ncols, rank_fn, labels=labels, backend="linear", max_atoms=max_atoms)
+    return Matroid(ncols, rank_fn, closure_fn=closure_fn, labels=labels, backend="linear",
+                   max_atoms=max_atoms)
 
 
 def _gf2_rank_fn(vectors):
@@ -245,6 +263,61 @@ def _gf2_rank_fn(vectors):
         return gf2_rank([vectors[a] for a in iter_atoms(mask)])
 
     return rank_fn
+
+
+def _gf2_closure_fn(vectors):
+    """Closure kernel of the same vectors: one XOR basis of the subset's
+    vectors, and a candidate lies in the closure iff its vector reduces to 0."""
+    def closure_fn(subset, candidates):
+        basis = gf2_basis([vectors[a] for a in iter_atoms(subset)])
+        out = subset
+        for a in iter_atoms(candidates):
+            if not gf2_reduce(basis, vectors[a]):
+                out |= 1 << a
+        return out
+
+    return closure_fn
+
+
+def _echelon_closure_fn(cols, p):
+    """Closure kernel of integer columns over GF(p), or over Q when p is 0.
+
+    One fraction-free echelon basis of the subset's columns: a column is
+    reduced by each basis vector b with pivot piv in turn, by the step
+    v <- b[piv]*v - v[piv]*b, taken mod p over GF(p) and, over Q, where
+    the columns are cleared of denominators, divided by its content gcd so
+    that entries stay bounded.  Each basis vector is zero at the earlier
+    pivots, so a reduced column is zero at every pivot; it joins the basis,
+    pivoting at its first nonzero entry, unless it is zero.  A candidate
+    lies in the closure iff its column reduces to zero.
+    """
+    def reduce(v, basis):
+        for piv, b in basis:
+            x = v[piv]
+            if x:
+                y = b[piv]
+                if p:
+                    v = [(y * s - x * t) % p for s, t in zip(v, b)]
+                else:
+                    v = [y * s - x * t for s, t in zip(v, b)]
+                    g = gcd(*v)
+                    if g > 1:
+                        v = [s // g for s in v]
+        return v
+
+    def closure_fn(subset, candidates):
+        basis = []
+        for a in iter_atoms(subset):
+            v = reduce(cols[a], basis)
+            if any(v):
+                basis.append((next(i for i, s in enumerate(v) if s), v))
+        out = subset
+        for a in iter_atoms(candidates):
+            if not any(reduce(cols[a], basis)):
+                out |= 1 << a
+        return out
+
+    return closure_fn
 
 
 def _proportional(field: Field, u, v) -> bool:
@@ -284,9 +357,9 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
     if labels is None and edge_list:
         labels = tuple(f"{u}-{v}" for u, v in edge_list)
 
-    rank_fn = _gf2_rank_fn([(1 << u) | (1 << v) for u, v in edge_list])
-    return Matroid(len(edge_list), rank_fn, labels=labels, backend="graphic",
-                   max_atoms=max_atoms)
+    vectors = [(1 << u) | (1 << v) for u, v in edge_list]
+    return Matroid(len(edge_list), _gf2_rank_fn(vectors), closure_fn=_gf2_closure_fn(vectors),
+                   labels=labels, backend="graphic", max_atoms=max_atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,13 @@ object on failure.
 The prover's question "is z modular within ctx?" (modular flats, the
 coatom peel, the modular joins, and the verdict of `is_modular_flat`) is
 answered by `is_modular_in_context`, a meet test over the lattice's atom
-index that computes no rank.  The checkers re-derive modularity from the
-rank oracle instead: `verify` runs the triangle test (`lines_outside`)
-on each modular coatom and chain step, and the rank-equation scan
-`violating_flat_in_context` on join sides; `stanley_division_check` and
-the witness of a non-modular `is_modular_flat` run the scan too.
+index that computes no rank; `modular_flats_in_context` keeps the
+verdicts for every flat below a ctx on the lattice.  The checkers
+re-derive modularity from the rank oracle instead: `verify` runs the
+triangle test (`lines_outside`) on each modular coatom and chain step,
+and the rank-equation scan `violating_flat_in_context` on join sides;
+`stanley_division_check` and the witness of a non-modular
+`is_modular_flat` run the scan too.
 """
 
 from __future__ import annotations
@@ -145,6 +147,17 @@ def is_modular_in_context(lat: FlatLattice, z: int, ctx: int) -> bool:
     return not missed
 
 
+def modular_flats_in_context(lat: FlatLattice, ctx: int) -> tuple:
+    """The flats of below(ctx), ctx included, that are modular within ctx,
+    in that order.  Cached per ctx on the lattice, so `modular_flats`, the
+    modular joins and the ME search decide each verdict once."""
+    cached = lat._modular.get(ctx)
+    if cached is None:
+        cached = tuple(f for f in lat.below(ctx) if is_modular_in_context(lat, f, ctx))
+        lat._modular[ctx] = cached
+    return cached
+
+
 def modular_coatoms_in_context(lat: FlatLattice, ctx: int):
     """Yield the coatoms of ctx that are modular within it, lexicographically.
 
@@ -169,7 +182,7 @@ def is_modular_flat(m: Matroid, x: int, lattice: FlatLattice | None = None) -> M
 def modular_flats(m: Matroid, lattice: FlatLattice | None = None) -> tuple:
     """All modular flats, by rank then lexicographic atom order."""
     lat = _lattice_for(m, lattice)
-    return tuple(f for f in lat.flats() if is_modular_in_context(lat, f, lat.top))
+    return modular_flats_in_context(lat, lat.top)
 
 
 # ---------------------------------------------------------------------------
@@ -220,20 +233,26 @@ def coatom_pairing(m: Matroid, x: int, lattice: FlatLattice | None = None) -> di
     """The pairing (a, b) -> f of a modular coatom, with uniqueness enforced.
 
     For each line through two atoms a, b outside x there must be exactly
-    one atom f of x on it, so that {a, b, f} is a circuit; otherwise
-    NotModularCoatom is raised.  The triple f(a,b), f(a,c), f(b,c) of any
+    one parallel class of atoms of x on it, so that {a, b, f} is a circuit
+    for its atoms f; otherwise NotModularCoatom is raised.  f is the
+    class's lowest atom: the whole class lies on the line, and `hits`
+    lists it in ascending order.  The triple f(a,b), f(a,c), f(b,c) of any
     three outside atoms is dependent.
     """
     lat = _lattice_for(m, lattice)
     _require_coatom(lat, x)
+    rank = m.rank
     out = {}
     for (a, b), hits in lines_outside(lat, x, lat.top):
-        hits = list(hits)
-        if len(hits) != 1:
+        classes = []  # lowest atom of each parallel class on the line
+        for f in hits:
+            if all(rank(1 << f | 1 << g) == 2 for g in classes):
+                classes.append(f)
+        if len(classes) != 1:
             raise NotModularCoatom(
                 f"pair ({a}, {b}) outside {sorted(atom_tuple(x))} has "
-                f"{len(hits)} triangle completions")
-        out[(a, b)] = hits[0]
+                f"{len(classes)} triangle completions")
+        out[(a, b)] = classes[0]
     return out
 
 

@@ -196,3 +196,28 @@ def test_the_prover_runs_no_rank_equation_scan(monkeypatch, name):
         assert w.violating_flat == (None if w else scan(lat, f, lat.top))
         scanned.clear()
     assert len(mods) < len(lat)
+
+
+@pytest.mark.parametrize("name", ["ziegler-19", "example-13", "k5"])
+def test_modular_verdicts_are_decided_once_per_context(monkeypatch, name):
+    m = corpus_matroid(name)
+    lat = enumerate_flats(m)
+    decided = Counter()
+    meet_test = modularity.is_modular_in_context
+
+    def counting(lat_, z, ctx):
+        decided[z, ctx] += 1
+        return meet_test(lat_, z, ctx)
+
+    monkeypatch.setattr(modularity, "is_modular_in_context", counting)
+    mods = modular_flats(m, lattice=lat)
+    assert all(decided[f, lat.top] == 1 for f in lat.flats())
+    decided.clear()
+    joins = find_modular_joins(m, lattice=lat)
+    assert not decided
+    # the ME search's lazy coatom peel is the only verdict it asks again
+    me_certify(m, lattice=lat)
+    assert {f for f, ctx in decided if ctx == lat.top} <= set(lat.coatoms())
+    assert mods == tuple(f for f in lat.flats() if meet_test(lat, f, lat.top))
+    assert joins == find_modular_joins(m, lattice=enumerate_flats(m))
+    assert modularity.modular_flats_in_context(lat, lat.top) is mods

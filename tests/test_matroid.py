@@ -8,10 +8,14 @@ import pytest
 from modext.algebra import Field, FieldMatrix, gf_row_rank
 from modext.corpus import corpus_matroid, corpus_member
 from modext.errors import InvalidInput, NotAFlat, NotSimple, TooLarge
+from modext.gaingraph import frame_matroid, lift_matroid
+from modext.generators import named_input
+from modext.lattice import enumerate_flats
 from modext.matroid import (Matroid, atom_tuple, circuits, graphic_matroid,
                             is_chordal, linear_matroid, load_matroid, mask_of)
 
 from oracles import brute_chordal, brute_closure
+from samples import random_matroids
 
 
 def u23():
@@ -155,6 +159,68 @@ def test_closure_matches_brute(corpus):
         for _ in range(80):
             s = rng.randrange(1 << m.n)
             assert m.closure(s) == brute_closure(m, s)
+
+
+def _kernel_matroids():
+    """Matroids with a closure kernel: graphs, matrices over Q, GF(2) and
+    GF(3), frame matroids with loops and lift matroids with inf, from the
+    random samples, the corpus and two larger gain graphs."""
+    ms = random_matroids() + [corpus_matroid(name) for name in
+                              ("k5", "fano", "pg-2-3", "bn-3", "example-13", "ziegler-19",
+                               "q3-z3", "bowtie-frame", "bowtie-lift")]
+    ms += [frame_matroid(named_input("kl-4-z3")), lift_matroid(named_input("k-5-sign"))]
+    kinds = {(m.backend, m.labels is not None and any(
+        x.startswith("loop") or x == "inf" for x in m.labels)) for m in ms}
+    assert {("graphic", False), ("linear", False), ("frame", True), ("lift", True)} <= kinds
+    assert all(m._closure_fn is not None for m in ms)
+    return ms
+
+
+def test_closure_kernels_match_rank_closure_on_every_subset():
+    for i, m in enumerate(_kernel_matroids()):
+        if m.n > 10:
+            continue
+        for s in range(1 << m.n):
+            expected = brute_closure(m, s)
+            assert m._closure_fn(s, m.full_mask) == expected, (i, m, s)
+            assert m.closure(s) == expected, (i, m, s)
+
+
+def test_closure_kernels_match_rank_closure_on_enumeration_calls():
+    # the (subset, candidates) pairs enumeration hands over, then random ones
+    rng = random.Random(12)
+    for i, m in enumerate(_kernel_matroids()):
+        calls = []
+        kernel = m._closure_fn
+
+        def recorded(subset, candidates, _kernel=kernel):
+            calls.append((subset, candidates))
+            return _kernel(subset, candidates)
+
+        m._closure_fn = recorded
+        enumerate_flats(m)
+        m._closure_fn = kernel
+        calls += [(rng.randrange(1 << m.n), rng.randrange(1 << m.n)) for _ in range(60)]
+        for s, cand in calls:
+            assert kernel(s, cand) == s | (brute_closure(m, s) & cand), (i, m, s, cand)
+
+
+def test_kernel_and_rank_closure_enumerate_the_same_lattice(all_corpus_names):
+    for name in all_corpus_names:
+        m = corpus_matroid(name)
+        lat = enumerate_flats(m)
+        ref = enumerate_flats(Matroid(m.n, m.rank))
+        assert lat.levels == ref.levels, name
+        assert list(lat.children.items()) == list(ref.children.items()), name
+        assert lat.atom_index == ref.atom_index, name
+
+
+def test_closure_rejects_atoms_outside_the_ground_set():
+    for m in _kernel_matroids() + [Matroid(3, lambda s: min(2, s.bit_count()))]:
+        with pytest.raises(InvalidInput):
+            m.closure(1 << m.n)
+        with pytest.raises(InvalidInput):
+            m.closure(0, m.full_mask | 1 << m.n)
 
 
 def test_is_chordal_matches_brute_force():

@@ -8,7 +8,7 @@ from modext.lattice import enumerate_flats
 from modext.matroid import atom_tuple, mask_of
 from modext.modularity import (coatom_pairing, is_modular_coatom_triangle,
                                is_modular_flat, is_modular_in_context, is_round,
-                               modular_coatoms_in_context, modular_flats,
+                               lines_outside, modular_coatoms_in_context, modular_flats,
                                short_circuit_check, supersolvable_chain,
                                violating_flat_in_context)
 
@@ -189,6 +189,26 @@ def test_coatom_pairing_triples_dependent(corpus):
             triple = (1 << pairing[(a, b)]) | (1 << pairing[(a, c)]) \
                 | (1 << pairing[(b, c)])
             assert m.rank(triple) < bin(triple).count("1")
+
+
+def test_coatom_pairing_of_non_simple_matroids():
+    # parallel atoms of the coatom on one outside line are one completion,
+    # paired through the lowest atom of their class
+    paired = 0
+    for i, m in enumerate(non_simple_gf3_matroids()):
+        lat = enumerate_flats(m)
+        for x in lat.coatoms():
+            if not is_modular_in_context(lat, x, lat.top):
+                continue
+            pairing = coatom_pairing(m, x, lattice=lat)
+            assert set(pairing) == {pair for pair, _ in lines_outside(lat, x, lat.top)}
+            for (a, b), f in pairing.items():
+                line = (1 << a) | (1 << b)
+                on_line = [g for g in atom_tuple(x & ~lat.bottom) if m.rank(line | 1 << g) == 2]
+                assert f == on_line[0], (i, x, a, b)
+                assert all(m.rank(1 << f | 1 << g) == 1 for g in on_line), (i, x, a, b)
+            paired += 1
+    assert paired == 53
 
 
 def test_roundness_matches_brute(corpus):
