@@ -6,27 +6,51 @@ closure of their union (whose rank equals the rank of the plain union).
 
 Everything is driven by the covering relation:
 
-- Enumeration walks rank levels upward and closes each flat once: the
-  covers of F partition the atoms outside F (Oxley, Matroid Theory, 1.4),
-  so F closes F | {a} only for the lowest atom a in no cover of F found so
-  far, by F or by an earlier flat of its level, testing only those atoms.
-  That closure is one call of `Matroid.closure`, which hands the flat and
-  its candidates to the backend's closure kernel (one basis or one
-  component walk, no rank query per candidate) and asks the rank oracle
-  per candidate only for matroids built from a bare rank function.
-  A new flat's children are the flats of the level holding no atom
-  outside it, found through a per-level atom index, and each of them
-  records it as a cover found.  The lattice keeps that index
-  (`atom_index`), from which the prover decides modularity.
+- Enumeration walks rank levels upward and closes each flat once.  The
+  covers of a flat F partition the atoms outside F (Oxley, Matroid Theory,
+  1.4), so F closes F | {a} only for the lowest atom a in none of its
+  covers made so far, testing only the atoms in none of them.  That
+  closure is one call of `Matroid.closure`, which hands the flat and its
+  candidates to the backend's closure kernel (one basis or one component
+  walk, no rank query per candidate) and asks the rank oracle per
+  candidate only for matroids built from a bare rank function.
+  The covers of F made so far are the flats of the next level that hold
+  every atom of F outside the bottom: one AND of the next level's atom
+  index over those atoms, stopping early at 0.  Walking that AND once
+  appends F to each cover's children.  The index is built as the level
+  is made, and the lattice keeps it (`atom_index`), from which the prover
+  decides modularity.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y, one pass over cover
-  edges.
+  edges.  mu(bottom, X) depends on nothing above X, so `mobius()` computes
+  it once for the whole lattice and an interval [bottom, T] sums it over
+  the flats below T; any other interval [B, T] runs one Weisner pass over
+  the flats above B and below T, skipping the children not above B.
 
-Order: levels, covers and children list flats in lexicographic atom order
-(`lex_key`).  `enumerate_flats` sorts each new level once, which decides
-it: children are read off the sorted level below, and covers gathered by
-walking the children in (rank, lex) order keep it, so `FlatLattice` sorts
+Order: levels, covers and children list flats in lexicographic order of
+their ascending atom tuples (`atom_tuple`), and nothing is sorted:
+walking level k in that order, enumeration makes level k+1 in that order.
+Proof.  For a flat c of rank k+1, let beta(c) be the first atom at which
+the initial segment c & [0, beta] reaches rank k+1, and m(c) =
+cl(c & [0, beta)).  Then beta(c) = min(c - m(c)), and m(c) is the
+lex-least child of c: the first atom e at which another child g differs
+from m(c) lies in m(c), for an e in g - m(c) lies in c, so e >= beta,
+and then g holds c & [0, beta), so g = m(c).  So c is made exactly
+once, by m(c), at atom beta(c): when m(c) is walked no other child of c
+has been, so c is not made yet, and the first atom of c that m(c)
+closes on is min(c - m(c)).  A flat makes its covers in ascending beta.
+Now take c1 <lex c2 and e = min(c1 ^ c2), which lies in c1.
+- If beta1 < e or beta2 < e, the two initial segments agree through that
+  beta, have rank k+1, and span both flats, so c1 = c2: impossible.
+- If e < beta1, then m(c1) and m(c2) agree below e (both hold all of
+  c1 & [0, e) = c2 & [0, e)) and e lies in m(c1) but not in c2, so
+  m(c1) <lex m(c2).
+- If e = beta1, then m(c1) = cl(c1 & [0, e)) = cl(c2 & [0, e)) is inside
+  m(c2); both have rank k, so they are equal, and beta1 = e < beta2.
+So flats are made in lex order.  A flat's children are appended as the
+level below is walked, so they are lex-sorted too, and covers gathered by
+walking the children in (rank, lex) order keep it: `FlatLattice` sorts
 nothing.
 
 The lattice stores no joins.  A check that needs r(X join Y) asks the rank
@@ -37,20 +61,21 @@ from __future__ import annotations
 
 from .algebra import IntPolynomial
 from .errors import NotAFlat, NotComparable, TooLarge
-from .matroid import Matroid, atom_tuple, lex_key, remap_mask
+from .matroid import Matroid, atom_tuple
 
 DEFAULT_MAX_FLATS = 2 ** 20
 
 
 class FlatLattice:
-    """The lattice of flats of a simple matroid, fully enumerated.  Keeps
-    `levels` and `children` (lex-sorted tuples, keyed in (rank, lex) order)
-    as given, and derives `covers` from the children.
+    """The lattice of flats of a matroid, fully enumerated.  Keeps `levels`
+    and `children` (lex-sorted tuples, keyed in (rank, lex) order) as
+    enumeration made them, and derives `covers` from the children.
 
     `atom_index[k][a]`, for every level k below the top, has bit i set when
-    `levels[k][i]` holds atom a: the flats of rank k below a flat X are the
-    positions that no atom outside X sets, and those a flat Z meets are
-    the positions its atoms outside the bottom set.
+    `levels[k][i]` holds atom a: it is the index enumeration built while it
+    made level k.  The flats of rank k below a flat X are the positions
+    that no atom outside X sets, and those a flat Z meets are the
+    positions its atoms outside the bottom set.
     """
 
     def __init__(self, matroid: Matroid, levels, children, atom_index):
@@ -150,9 +175,15 @@ class FlatLattice:
         if bottom & top != bottom:
             raise NotComparable(
                 f"{sorted(atom_tuple(bottom))} is not below {sorted(atom_tuple(top))}")
+        top_rank = self.rank_of[top]
+        if bottom == self.bottom:
+            # mu(bottom, X) does not depend on the top of the interval
+            mu = self.mobius()
+            outside = ~top
+            return IntPolynomial([sum(mu[f] for f in self.levels[k] if not f & outside)
+                                  for k in range(top_rank, -1, -1)])
         flats = [f for f in self.above(bottom) if f & top == f]
         mu = self._weisner(flats, bottom)
-        top_rank = self.rank_of[top]
         return _chi_from_mobius(mu, self.rank_of, top_rank, shift=self.rank_of[bottom])
 
     def upper_charpoly(self, flat: int) -> IntPolynomial:
@@ -172,7 +203,11 @@ class FlatLattice:
         for x in flats[1:]:
             a = x & ~bottom
             a &= -a
-            mu[x] = -sum(mu.get(y, 0) for y in children[x] if not y & a)
+            s = 0
+            for y in children[x]:
+                if not y & a and y & bottom == bottom:
+                    s += mu[y]
+            mu[x] = -s
         return mu
 
     # -- serialization
@@ -199,51 +234,57 @@ def _chi_from_mobius(mu: dict, rank_of: dict, top_rank: int, shift: int = 0) -> 
 
 
 def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLattice:
-    """Enumerate the lattice of flats of a simple matroid.
+    """Enumerate the lattice of flats of a matroid.
 
-    Closes each flat of rank k+1 once, from the first flat of rank k below
-    it; raises TooLarge when the flat count exceeds `max_flats`.
+    Closes each flat of rank k+1 once, from its lex-least child, and makes
+    each level in lex order; raises TooLarge when the flat count exceeds
+    `max_flats`.
     """
     bottom = m.closure(0)
+    full = m.full_mask
     levels = [[bottom]]
     children = {bottom: ()}
     atom_index = []
+    # idx[a]: bit p set when the level's p-th flat holds atom a
+    idx = [bottom >> a & 1 for a in range(m.n)]
     total = 1
-    full = m.full_mask
     current = [bottom]
-    while current and current[0] != full:
-        # has[a]: bit i set when current[i] holds atom a
-        has = [0] * m.n
-        for i, f in enumerate(current):
-            bit = 1 << i
-            while f:
-                low = f & -f
-                has[low.bit_length() - 1] |= bit
-                f ^= low
-        atom_index.append(has)
-        level = (1 << len(current)) - 1
-        found = [0] * len(current)    # union of the covers of current[i] found so far
-        nxt = {}
-        for i, f in enumerate(current):
-            rest = full & ~f & ~found[i]
+    while current[0] != full:
+        atom_index.append(idx)
+        made = []             # the next level, in lex order
+        kids = []             # kids[p]: the children of made[p] found so far
+        idx = [0] * m.n
+        for f in current:
+            # the covers of f made so far hold every atom of f
+            known = (1 << len(made)) - 1
+            atoms = f & ~bottom
+            while atoms and known:
+                low = atoms & -atoms
+                known &= idx[low.bit_length() - 1]
+                atoms ^= low
+            rest = full & ~f
+            while known:
+                low = known & -known
+                p = low.bit_length() - 1
+                kids[p].append(f)
+                rest &= ~made[p]
+                known ^= low
             while rest:
                 c = m.closure(f | (rest & -rest), rest)
                 rest &= ~c
-                below = level & ~remap_mask(full & ~c, has)
-                kids = []
-                while below:
-                    low = below & -below
-                    j = low.bit_length() - 1
-                    kids.append(current[j])
-                    found[j] |= c
-                    below ^= low
-                nxt[c] = tuple(kids)
-        total += len(nxt)
+                bit = 1 << len(made)
+                made.append(c)
+                kids.append([f])
+                while c:
+                    low = c & -c
+                    idx[low.bit_length() - 1] |= bit
+                    c ^= low
+        total += len(made)
         if total > max_flats:
             raise TooLarge(f"flat count exceeds the guardrail of {max_flats}")
-        current = sorted(nxt, key=lex_key)
-        levels.append(current)
-        children.update((c, nxt[c]) for c in current)
+        levels.append(made)
+        children.update(zip(made, map(tuple, kids)))
+        current = made
     return FlatLattice(m, levels, children, atom_index)
 
 

@@ -64,11 +64,6 @@ def remap_mask(mask: int, images) -> int:
     return out
 
 
-def lex_key(mask: int) -> tuple:
-    """Sort key ordering subsets lexicographically by their atom tuples."""
-    return atom_tuple(mask)
-
-
 def check_atom_count(n: int, max_atoms: int) -> None:
     """Raise TooLarge when n atoms exceed the guardrail `max_atoms`."""
     if n > max_atoms:

@@ -10,7 +10,11 @@ test: a modular coatom, and each cover step lo -> hi of a chain, by the
 triangle test of lo within hi (`modularity.lines_outside`), so by the
 tower property every chain member is modular within the chain's top; a
 join side by the rank-equation scan.  Flat membership, covers, `below`
-and interval charpolys are still read from the prover's lattice.
+and interval charpolys are still read from the prover's lattice.  A
+flag's first interval, [bottom, ctx] (ctx is the top for a flag
+certificate), now reads the lattice's cached Mobius values mu(bottom, X),
+which the prover's charpoly shares; every other step runs its own
+Weisner pass over its interval.
 """
 
 from __future__ import annotations
@@ -177,8 +181,9 @@ def _verify_flag(lat: FlatLattice, flag, ctx: int, path: str, failures: list):
             _fail(failures, path,
                   f"flag step {_flat_str(lo)} -> {_flat_str(hi)} is not a cover")
             return
-    # the raw interval charpoly, not the prover's upper_charpoly cache, so
-    # each one is derived again here
+    # the raw interval charpoly, not the prover's upper_charpoly cache:
+    # [bottom, ctx] sums the lattice's mu(bottom, X), which the prover's
+    # charpoly shares, and every other step runs its own Weisner pass
     uppers = [lat.interval_charpoly(f, ctx) for f in flats]
     for i in range(len(flats) - 1):
         quotient = IntPolynomial((-roots[i], 1))

@@ -46,6 +46,31 @@ def brute_flats(m):
     return sorted(flats)
 
 
+def reference_lattice(m):
+    """(levels, children, covers, atom_index) of the lattice of flats, from
+    first definitions: level k+1 is the set of closures of f | {a} over the
+    flats f of level k and the atoms a outside f, sorted by atom tuple;
+    children and covers by subset test between adjacent levels; and
+    atom_index[k][a] has bit i set when levels[k][i] holds atom a, for every
+    level below the top."""
+    full = (1 << m.n) - 1
+    levels = [[brute_closure(m, 0)]]
+    while levels[-1][0] != full:
+        made = {brute_closure(m, f | 1 << a)
+                for f in levels[-1] for a in range(m.n) if not f >> a & 1}
+        levels.append(sorted(made, key=atoms_of))
+    children = {levels[0][0]: ()}
+    covers = {}
+    for lower, upper in zip(levels, levels[1:] + [[]]):
+        for f in lower:
+            covers[f] = tuple(c for c in upper if c & f == f)
+        for c in upper:
+            children[c] = tuple(f for f in lower if c & f == f)
+    atom_index = [[sum(1 << i for i, f in enumerate(level) if f >> a & 1) for a in range(m.n)]
+                  for level in levels[:-1]]
+    return levels, children, covers, atom_index
+
+
 def whitney_charpoly_coeffs(m):
     """chi(M, t) via the Whitney rank sum: sum over all subsets S of
     (-1)^|S| t^(r(M) - r(S)).  Returns coefficients, constant term first.

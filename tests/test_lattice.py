@@ -8,9 +8,10 @@ from modext.algebra import IntPolynomial
 from modext.corpus import corpus_matroid
 from modext.errors import NotAFlat, TooLarge
 from modext.lattice import charpoly, enumerate_flats, interval_charpoly, mobius
-from modext.matroid import Matroid, lex_key
+from modext.matroid import Matroid, atom_tuple
 
-from oracles import brute_flats, brute_mobius, popcount, whitney_charpoly_coeffs
+from oracles import (brute_flats, brute_mobius, popcount, reference_lattice,
+                     whitney_charpoly_coeffs)
 from samples import non_simple_gf3_matroids, random_matroids
 
 SMALL_FLATS = 250  # members with at most this many flats get pairwise checks
@@ -95,16 +96,35 @@ def test_lattice_is_built_in_lex_order(corpus, all_corpus_names):
     for name in all_corpus_names:
         _, lat = corpus(name)
         for level in lat.levels:
-            assert level == sorted(level, key=lex_key), name
+            assert level == sorted(level, key=atom_tuple), name
         assert set(lat.covers) == set(lat.children) == set(lat.rank_of), name
         inverse = {f: set() for f in lat.flats()}
         for f in lat.flats():
             for flats in (lat.covers[f], lat.children[f]):
                 assert type(flats) is tuple, (name, f)
-                assert list(flats) == sorted(flats, key=lex_key), (name, f)
+                assert list(flats) == sorted(flats, key=atom_tuple), (name, f)
             for c in lat.covers[f]:
                 inverse[c].add(f)
         assert {f: set(cs) for f, cs in lat.children.items()} == inverse, name
+
+
+def _assert_matches_reference(name, m, lat):
+    levels, children, covers, atom_index = reference_lattice(m)
+    assert lat.levels == levels, name
+    assert list(lat.children.items()) == list(children.items()), name
+    assert list(lat.covers.items()) == list(covers.items()), name
+    assert lat.atom_index == atom_index, name
+
+
+def test_enumeration_matches_reference_order_included(corpus, all_corpus_names):
+    # levels, children, covers and atom index, each in its order, against a
+    # plain closure of f | {a} for every flat f and atom a, sorted by atom tuple
+    for name, m, lat in _small(corpus, all_corpus_names):
+        _assert_matches_reference(name, m, lat)
+    for i, m in enumerate(random_matroids()):
+        _assert_matches_reference(("random", i), m, enumerate_flats(m))
+    for i, m in enumerate(non_simple_gf3_matroids()):
+        _assert_matches_reference(("non-simple", i), m, enumerate_flats(m))
 
 
 def _assert_contraction_atoms_are_the_covers(name, m, lat):
@@ -188,6 +208,23 @@ def test_interval_charpoly_matches_brute_mobius(corpus, all_corpus_names):
                         == _brute_interval_charpoly(m, flats, b, t)), (name, b, t)
 
 
+def test_interval_charpolys_of_samples_match_brute_mobius():
+    # every [B, T], B != bottom and T != top included, on lattices with and
+    # without loops, and every [F, top] through the upper_charpoly cache
+    samples = random_matroids() + non_simple_gf3_matroids()
+    inner = 0
+    for i, m in enumerate(samples):
+        lat = enumerate_flats(m)
+        flats = brute_flats(m)
+        for b in lat.flats():
+            for t in lat.above(b):
+                assert (interval_charpoly(lat, b, t)
+                        == _brute_interval_charpoly(m, flats, b, t)), (i, b, t)
+                inner += b != lat.bottom and t != lat.top and lat.rank_of[t] - lat.rank_of[b] > 1
+            assert lat.upper_charpoly(b) == _brute_interval_charpoly(m, flats, b, lat.top), (i, b)
+    assert inner > 100
+
+
 def test_interval_requires_comparable_flats(corpus):
     _, lat = corpus("u23")
     with pytest.raises(NotAFlat):
@@ -198,6 +235,12 @@ def test_max_flats_guardrail(corpus):
     m, _ = corpus("fano")
     with pytest.raises(TooLarge):
         enumerate_flats(m, max_flats=5)
+    # the guardrail counts every flat: the exact count passes, one less raises
+    for name in ("u23", "fano", "k4", "example-7", "bn-3", "fish-sign", "ziegler-19"):
+        m, lat = corpus(name)
+        assert len(enumerate_flats(m, max_flats=len(lat))) == len(lat), name
+        with pytest.raises(TooLarge):
+            enumerate_flats(m, max_flats=len(lat) - 1)
 
 
 def test_charpoly_of_empty_and_single():
