@@ -4,9 +4,7 @@ All computations are exact; no floating point enters anywhere.  Rationals
 are `fractions.Fraction`, prime-field residues are plain ints in [0, p).
 Matrix ranks have three kernels: fraction-free (Bareiss) elimination over
 the integers for Q, a XOR basis over vectors packed into ints for GF(2),
-and modular elimination for GF(p) with p >= 3.  The XOR basis and its
-reduction (`gf2_basis`, `gf2_reduce`) also serve the GF(2) closure kernel
-in matroid.py.
+and modular elimination for GF(p) with p >= 3.
 """
 
 from __future__ import annotations
@@ -467,31 +465,20 @@ def gf2_pack(values) -> int:
     return sum(1 << i for i, x in enumerate(values) if x)
 
 
-def gf2_reduce(basis: dict, v: int) -> int:
-    """v reduced by a XOR basis keyed by leading bit: 0 iff v is in its span,
-    else a vector whose leading bit no basis vector holds."""
-    while v:
-        b = basis.get(v.bit_length())
-        if b is None:
-            return v
-        v ^= b
-    return 0
-
-
-def gf2_basis(vectors) -> dict:
-    """A XOR basis of vectors packed into ints, keyed by leading bit: each
-    vector joins it reduced, unless it reduces to 0."""
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) of vectors packed into ints: the size of a XOR basis
+    keyed by leading bit, which each vector joins reduced unless it
+    reduces to 0."""
     basis = {}
     for v in vectors:
-        v = gf2_reduce(basis, v)
-        if v:
-            basis[v.bit_length()] = v
-    return basis
-
-
-def gf2_rank(vectors) -> int:
-    """Rank over GF(2) of vectors packed into ints: the size of their XOR basis."""
-    return len(gf2_basis(vectors))
+        while v:
+            lead = v.bit_length()
+            b = basis.get(lead)
+            if b is None:
+                basis[lead] = v
+                break
+            v ^= b
+    return len(basis)
 
 
 def _clear_row_denominators(row) -> list:

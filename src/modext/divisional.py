@@ -42,7 +42,11 @@ def divisional_flag(m: Matroid, lattice: FlatLattice | None = None):
 
     Depth-first search upward through the lattice: from flat X try each
     cover Y (lexicographic) whose upper-interval charpoly divides that of
-    X; verdicts are memoized per flat.  The top two steps always divide
+    X; verdicts are memoized per flat.  The t^(k-1) coefficient of the
+    charpoly of a rank-k interval [X, top] is minus its atom count, the
+    number of covers of X, so a quotient chi_X / chi_Y can only be t - q
+    with q the difference of the two cover counts, and Y is tried only
+    when chi_X(q) = 0.  The top two steps always divide
     (chi = 1 and t - 1 there), so at corank <= 2 any saturated chain
     completes the flag.
     """
@@ -61,8 +65,10 @@ def divisional_flag(m: Matroid, lattice: FlatLattice | None = None):
         else:
             result = None
             chi_x = lat.upper_charpoly(x)
+            atoms_x = len(lat.covers[x])
             for y in lat.covers[x]:
-                if poly_exact_div(chi_x, lat.upper_charpoly(y)) is None:
+                if (chi_x(atoms_x - len(lat.covers[y]))
+                        or poly_exact_div(chi_x, lat.upper_charpoly(y)) is None):
                     continue
                 sub = search(y)
                 if sub is not None:

@@ -6,20 +6,23 @@ closure of their union (whose rank equals the rank of the plain union).
 
 Everything is driven by the covering relation:
 
-- Enumeration walks rank levels upward and closes each flat once.  The
-  covers of a flat F partition the atoms outside F (Oxley, Matroid Theory,
-  1.4), so F closes F | {a} only for the lowest atom a in none of its
-  covers made so far, testing only the atoms in none of them.  That
-  closure is one call of `Matroid.closure`, which hands the flat and its
-  candidates to the backend's closure kernel (one basis or one component
-  walk, no rank query per candidate) and asks the rank oracle per
-  candidate only for matroids built from a bare rank function.
-  The covers of F made so far are the flats of the next level that hold
-  every atom of F outside the bottom: one AND of the next level's atom
-  index over those atoms, stopping early at 0.  Walking that AND once
-  appends F to each cover's children.  The index is built as the level
-  is made, and the lattice keeps it (`atom_index`), from which the prover
-  decides modularity.
+- Enumeration walks rank levels upward and makes each flat once.  Each
+  flat F of the level walked keeps an independent set spanning it: its
+  maker's set plus the atom it was made at (the bottom's set is empty).
+  The covers of F partition the atoms outside F (Oxley, Matroid Theory,
+  1.4), so F asks `Matroid.covers` once, for its covers not made yet,
+  handing over its span and the atoms in none of its covers made so far.
+  Graphs and matrices answer from one basis of the span, reducing each
+  atom once and grouping the atoms by residue; other backends close one
+  cover at a time, F | closure(span | a) at the lowest atom a left, by
+  their closure kernel (one component walk) or, for matroids built from
+  a bare rank function, by one rank query per candidate.  The covers of
+  F made so far are the flats of the next level that hold F, that is,
+  hold its span: one AND of the next level's atom index over the span's
+  atoms, stopping early at 0.  Walking that AND once appends F to each
+  cover's children.  The index is built as the level is made, and the
+  lattice keeps it (`atom_index`), from which the prover decides
+  modularity.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y, one pass over cover
@@ -38,8 +41,9 @@ lex-least child of c: the first atom e at which another child g differs
 from m(c) lies in m(c), for an e in g - m(c) lies in c, so e >= beta,
 and then g holds c & [0, beta), so g = m(c).  So c is made exactly
 once, by m(c), at atom beta(c): when m(c) is walked no other child of c
-has been, so c is not made yet, and the first atom of c that m(c)
-closes on is min(c - m(c)).  A flat makes its covers in ascending beta.
+has been, so c is not made yet, and `Matroid.covers` returns it among
+the covers of m(c), whose lowest new atom min(c - m(c)) it is made at.
+A flat makes its covers in ascending beta, the order `covers` returns.
 Now take c1 <lex c2 and e = min(c1 ^ c2), which lies in c1.
 - If beta1 < e or beta2 < e, the two initial segments agree through that
   beta, have rank k+1, and span both flats, so c1 = c2: impossible.
@@ -236,9 +240,9 @@ def _chi_from_mobius(mu: dict, rank_of: dict, top_rank: int, shift: int = 0) -> 
 def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLattice:
     """Enumerate the lattice of flats of a matroid.
 
-    Closes each flat of rank k+1 once, from its lex-least child, and makes
-    each level in lex order; raises TooLarge when the flat count exceeds
-    `max_flats`.
+    Makes each flat of rank k+1 once, from its lex-least child, with one
+    `Matroid.covers` call per such child, and makes each level in lex
+    order; raises TooLarge when the flat count exceeds `max_flats`.
     """
     bottom = m.closure(0)
     full = m.full_mask
@@ -249,15 +253,17 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
     idx = [bottom >> a & 1 for a in range(m.n)]
     total = 1
     current = [bottom]
+    spans = [0]               # spans[p]: an independent set spanning current[p]
     while current[0] != full:
         atom_index.append(idx)
         made = []             # the next level, in lex order
+        made_spans = []
         kids = []             # kids[p]: the children of made[p] found so far
         idx = [0] * m.n
-        for f in current:
-            # the covers of f made so far hold every atom of f
+        for f, span in zip(current, spans):
+            # the covers of f made so far hold every atom of its span
             known = (1 << len(made)) - 1
-            atoms = f & ~bottom
+            atoms = span
             while atoms and known:
                 low = atoms & -atoms
                 known &= idx[low.bit_length() - 1]
@@ -269,11 +275,13 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
                 kids[p].append(f)
                 rest &= ~made[p]
                 known ^= low
-            while rest:
-                c = m.closure(f | (rest & -rest), rest)
-                rest &= ~c
+            if not rest:
+                continue
+            for c in m.covers(f, span, rest):
+                new = c & ~f
                 bit = 1 << len(made)
                 made.append(c)
+                made_spans.append(span | (new & -new))
                 kids.append([f])
                 while c:
                     low = c & -c
@@ -284,7 +292,7 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
             raise TooLarge(f"flat count exceeds the guardrail of {max_flats}")
         levels.append(made)
         children.update(zip(made, map(tuple, kids)))
-        current = made
+        current, spans = made, made_spans
     return FlatLattice(m, levels, children, atom_index)
 
 

@@ -1,15 +1,22 @@
-"""Simple matroids given by exact oracles: a rank function and a closure kernel.
+"""Simple matroids given by exact oracles: a rank function and kernels.
 
 Ground sets are atoms 0..n-1 and subsets are plain Python ints used as
 bitmasks (bit a set <=> atom a in the subset), which keeps subset algebra
 to single machine operations at desk scale.  A Matroid wraps a pure rank
-function with a memo table, and optionally a closure kernel that decides
-which candidate atoms lie in the closure of a subset from one pass over
-the subset: one XOR basis over GF(2), one fraction-free echelon basis over
-Q and GF(p), one component walk for gain graphs.  Without a kernel,
-closure asks the rank of the subset plus each candidate.  Derived
-matroids (restrictions, simplified contractions) delegate their rank
-queries to the parent oracle, so memoized ranks are shared.
+function with a memo table, and optionally two kernels.  A closure kernel
+decides which candidate atoms lie in the closure of a subset from one
+pass over the subset: one component walk for gain graphs, one basis for
+graphs and matrices.  A cover kernel, which graphs and matrices have,
+groups candidate atoms outside a flat by the cover of the flat they lie
+in, from one basis of a set spanning the flat: each candidate is reduced
+once, to a canonical residue (fully reduced against a reduced echelon
+XOR basis over GF(2), against a fraction-free echelon basis over GF(p)
+and Q), and atoms with equal residues lie in one cover.  Closure reads
+the zero residues of the same routine.  Without a closure kernel,
+closure asks the rank of the subset plus each candidate; without a cover
+kernel, covers are closed one at a time.  Derived matroids (restrictions,
+simplified contractions) delegate their rank queries to the parent
+oracle, so memoized ranks are shared.
 """
 
 from __future__ import annotations
@@ -17,8 +24,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from .algebra import (Field, FieldMatrix, gf2_basis, gf2_pack, gf2_reduce, gf2_rank, gf_row_rank,
-                      integer_row_rank, _clear_row_denominators)
+from .algebra import (Field, FieldMatrix, gf2_pack, gf2_rank, gf_row_rank, integer_row_rank,
+                      _clear_row_denominators)
 from .errors import InvalidInput, NotAFlat, NotSimple, TooLarge, reading
 
 DEFAULT_MAX_ATOMS = 24
@@ -80,13 +87,15 @@ class Matroid:
     `rank_fn` must be a pure function of the subset bitmask satisfying the
     rank axioms; constructors in this module validate simplicity before
     handing one over.  `closure_fn(subset, candidates)`, when given, returns
-    the subset plus those candidates that lie in its closure under the same
-    rank function.  `backend` records where the oracle came from
-    ("linear", "graphic", "frame", "lift", or "explicit").
+    the subset plus the candidates in its closure under the same rank
+    function; the subset need not be a flat (enumeration hands over a set
+    spanning one plus an atom).  `covers_fn(flat, span, rest)`, when given,
+    returns what `covers` does.  `backend` records where the oracle came
+    from ("linear", "graphic", "frame", "lift", or "explicit").
     """
 
-    def __init__(self, n, rank_fn, *, closure_fn=None, labels=None, backend="explicit",
-                 max_atoms=DEFAULT_MAX_ATOMS):
+    def __init__(self, n, rank_fn, *, closure_fn=None, covers_fn=None, labels=None,
+                 backend="explicit", max_atoms=DEFAULT_MAX_ATOMS):
         check_atom_count(n, max_atoms)
         if n < 0:
             raise InvalidInput("negative ground-set size")
@@ -103,6 +112,7 @@ class Matroid:
         self.full_mask = (1 << n) - 1
         self._rank_fn = rank_fn
         self._closure_fn = closure_fn
+        self._covers_fn = covers_fn
         self._memo = {0: 0}
         self._circuit_cache = None
 
@@ -126,16 +136,14 @@ class Matroid:
     def closure(self, subset: int, candidates: int | None = None) -> int:
         """Smallest flat containing the subset.
 
-        With `candidates`, only those atoms are tested for membership; the
-        caller vouches that no other atom outside the subset lies in the
-        closure.  The closure kernel decides them when the matroid has one;
-        otherwise each is tested by a rank query.
+        With `candidates`, returns the subset plus the candidates in its
+        closure; the caller vouches that no other atom outside the subset
+        lies in the closure.  The closure kernel decides them when the
+        matroid has one; otherwise each is tested by a rank query.
         """
         if candidates is None:
             candidates = self.full_mask
-        if (subset | candidates) & ~self.full_mask:
-            raise InvalidInput(f"subset {bin(subset | candidates)} outside ground set "
-                               f"of size {self.n}")
+        self._check_inside(subset | candidates)
         rest = candidates & ~subset
         if self._closure_fn is not None:
             return self._closure_fn(subset, rest)
@@ -147,6 +155,32 @@ class Matroid:
             if self.rank(subset | low) == r:
                 out |= low
         return out
+
+    def covers(self, flat: int, span: int, rest: int) -> list:
+        """The flats covering `flat` whose atoms outside it lie in `rest`,
+        in lex order.
+
+        `span` is a subset of the flat that spans it, and `rest`, outside
+        the flat, is a union of the parts outside it of some of its covers.
+        The cover kernel groups the atoms of `rest` by cover in one pass
+        when the matroid has one; otherwise each cover is
+        `flat | closure(span | a, rest)` at the lowest atom a of `rest`
+        left, so covers come in ascending lowest new atom: lex order, as
+        every cover holds the flat.
+        """
+        self._check_inside(flat | span | rest)
+        if self._covers_fn is not None:
+            return self._covers_fn(flat, span, rest)
+        out = []
+        while rest:
+            c = flat | self.closure(span | (rest & -rest), rest)
+            rest &= ~c
+            out.append(c)
+        return out
+
+    def _check_inside(self, subset: int) -> None:
+        if subset & ~self.full_mask:
+            raise InvalidInput(f"subset {bin(subset)} outside ground set of size {self.n}")
 
     def is_flat(self, subset: int) -> bool:
         return self.closure(subset) == subset
@@ -196,11 +230,7 @@ class Matroid:
         if not self.is_flat(flat):
             raise NotAFlat(f"contraction requires a flat, got {sorted(atom_tuple(flat))}")
         base = self.rank(flat)
-        covers = []
-        rest = self.full_mask & ~flat
-        while rest:
-            covers.append(self.closure(flat | (rest & -rest), rest))
-            rest &= ~covers[-1]
+        covers = self.covers(flat, flat, self.full_mask & ~flat)
         atom_map = dict(sorted((a, i) for i, c in enumerate(covers)
                                for a in iter_atoms(c & ~flat)))
 
@@ -239,17 +269,18 @@ def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS
 
         def rank_fn(mask, _cols=int_cols):
             return integer_row_rank([list(_cols[a]) for a in iter_atoms(mask)])
-        closure_fn = _echelon_closure_fn(int_cols, 0)
+        closure_fn, covers_fn = _echelon_kernels(int_cols, 0)
     elif field.p == 2:
         vectors = [gf2_pack(c) for c in cols]
-        rank_fn, closure_fn = _gf2_rank_fn(vectors), _gf2_closure_fn(vectors)
+        rank_fn = _gf2_rank_fn(vectors)
+        closure_fn, covers_fn = _gf2_kernels(vectors)
     else:
         def rank_fn(mask, _cols=cols, _p=field.p):
             return gf_row_rank([_cols[a] for a in iter_atoms(mask)], _p)
-        closure_fn = _echelon_closure_fn(cols, field.p)
+        closure_fn, covers_fn = _echelon_kernels(cols, field.p)
 
-    return Matroid(ncols, rank_fn, closure_fn=closure_fn, labels=labels, backend="linear",
-                   max_atoms=max_atoms)
+    return Matroid(ncols, rank_fn, closure_fn=closure_fn, covers_fn=covers_fn, labels=labels,
+                   backend="linear", max_atoms=max_atoms)
 
 
 def _gf2_rank_fn(vectors):
@@ -260,22 +291,62 @@ def _gf2_rank_fn(vectors):
     return rank_fn
 
 
-def _gf2_closure_fn(vectors):
-    """Closure kernel of the same vectors: one XOR basis of the subset's
-    vectors, and a candidate lies in the closure iff its vector reduces to 0."""
+def _kernels(classes):
+    """Closure and cover kernels from one routine `classes(subset, candidates)`
+    that reduces each candidate once against a basis of the subset and maps
+    each canonical residue to the candidates having it, in first-atom order,
+    keying the zero residue by 0.  The candidates in the closure are the
+    zero class; over a flat spanned by the subset, each other class is the
+    part outside the flat of one cover, for two atoms lie in one cover iff
+    their residues are proportional, that is, equal once canonical."""
     def closure_fn(subset, candidates):
-        basis = gf2_basis([vectors[a] for a in iter_atoms(subset)])
-        out = subset
+        return subset | classes(subset, candidates).get(0, 0)
+
+    def covers_fn(flat, span, rest):
+        groups = classes(span, rest)
+        groups.pop(0, None)
+        return [flat | c for c in groups.values()]
+
+    return closure_fn, covers_fn
+
+
+def _gf2_kernels(vectors):
+    """Kernels of the same vectors: one reduced echelon XOR basis of the
+    subset's vectors, each basis vector the only one holding its pivot bit,
+    so XORing in the basis vector of each pivot bit a vector holds leaves
+    the residue that is zero at every pivot: 0 iff the vector lies in the
+    span, and one vector per coset of it."""
+    def residue(v, basis, pivots):
+        held = v & pivots
+        while held:
+            low = held & -held
+            v ^= basis[low]
+            held ^= low
+        return v
+
+    def classes(subset, candidates):
+        basis = {}      # pivot bit -> the basis vector holding it
+        pivots = 0
+        for a in iter_atoms(subset):
+            v = residue(vectors[a], basis, pivots)
+            if v:
+                low = v & -v
+                for piv, b in basis.items():
+                    if b & low:
+                        basis[piv] = b ^ v
+                basis[low] = v
+                pivots |= low
+        groups = {}
         for a in iter_atoms(candidates):
-            if not gf2_reduce(basis, vectors[a]):
-                out |= 1 << a
-        return out
+            v = residue(vectors[a], basis, pivots)
+            groups[v] = groups.get(v, 0) | 1 << a
+        return groups
 
-    return closure_fn
+    return _kernels(classes)
 
 
-def _echelon_closure_fn(cols, p):
-    """Closure kernel of integer columns over GF(p), or over Q when p is 0.
+def _echelon_kernels(cols, p):
+    """Kernels of integer columns over GF(p), or over Q when p is 0.
 
     One fraction-free echelon basis of the subset's columns: a column is
     reduced by each basis vector b with pivot piv in turn, by the step
@@ -283,8 +354,11 @@ def _echelon_closure_fn(cols, p):
     the columns are cleared of denominators, divided by its content gcd so
     that entries stay bounded.  Each basis vector is zero at the earlier
     pivots, so a reduced column is zero at every pivot; it joins the basis,
-    pivoting at its first nonzero entry, unless it is zero.  A candidate
-    lies in the closure iff its column reduces to zero.
+    pivoting at its first nonzero entry, unless it is zero.  A reduced
+    column is a nonzero multiple of the column's residue that is zero at
+    every pivot; it is made canonical by scaling its leading entry to 1
+    over GF(p), and over Q by dividing by its gcd, signed so that the
+    leading entry is positive.
     """
     def reduce(v, basis):
         for piv, b in basis:
@@ -300,19 +374,28 @@ def _echelon_closure_fn(cols, p):
                         v = [s // g for s in v]
         return v
 
-    def closure_fn(subset, candidates):
+    def classes(subset, candidates):
         basis = []
         for a in iter_atoms(subset):
             v = reduce(cols[a], basis)
             if any(v):
                 basis.append((next(i for i, s in enumerate(v) if s), v))
-        out = subset
+        groups = {}
         for a in iter_atoms(candidates):
-            if not any(reduce(cols[a], basis)):
-                out |= 1 << a
-        return out
+            v = reduce(cols[a], basis)
+            lead = next((s for s in v if s), 0)
+            if not lead:
+                key = 0
+            elif p:
+                inv = pow(lead, -1, p)
+                key = tuple(s * inv % p for s in v)
+            else:
+                g = gcd(*v)
+                key = tuple(s // g for s in v) if lead > 0 else tuple(-s // g for s in v)
+            groups[key] = groups.get(key, 0) | 1 << a
+        return groups
 
-    return closure_fn
+    return _kernels(classes)
 
 
 def _proportional(field: Field, u, v) -> bool:
@@ -353,8 +436,9 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
         labels = tuple(f"{u}-{v}" for u, v in edge_list)
 
     vectors = [(1 << u) | (1 << v) for u, v in edge_list]
-    return Matroid(len(edge_list), _gf2_rank_fn(vectors), closure_fn=_gf2_closure_fn(vectors),
-                   labels=labels, backend="graphic", max_atoms=max_atoms)
+    closure_fn, covers_fn = _gf2_kernels(vectors)
+    return Matroid(len(edge_list), _gf2_rank_fn(vectors), closure_fn=closure_fn,
+                   covers_fn=covers_fn, labels=labels, backend="graphic", max_atoms=max_atoms)
 
 
 # ---------------------------------------------------------------------------

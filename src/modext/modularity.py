@@ -129,8 +129,8 @@ def is_modular_in_context(lat: FlatLattice, z: int, ctx: int) -> bool:
 
     Read off `lat.atom_index` at that rank: the flats below ctx that z
     misses are the positions set by no atom outside ctx and by no atom of
-    z outside the bottom (the loops lie in every flat).  No rank is
-    computed.
+    z outside the bottom (the loops lie in every flat), stopping once
+    none is left.  No rank is computed.
     """
     rank_of = lat.rank_of
     r = rank_of[lat.require(z)]
@@ -142,8 +142,11 @@ def is_modular_in_context(lat: FlatLattice, z: int, ctx: int) -> bool:
         return True
     has = lat.atom_index[k]
     missed = (1 << len(lat.levels[k])) - 1
-    for a in iter_atoms((lat.top & ~ctx) | (z & ~lat.bottom)):
-        missed &= ~has[a]
+    atoms = (lat.top & ~ctx) | (z & ~lat.bottom)
+    while atoms and missed:
+        low = atoms & -atoms
+        missed &= ~has[low.bit_length() - 1]
+        atoms ^= low
     return not missed
 
 

@@ -51,19 +51,39 @@ def test_flat_enumeration_matches_brute(corpus):
 
 
 def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
-    calls = []
-    closure = Matroid.closure
+    # One `covers` call per maker flat (the lex-least child of some flat)
+    # makes every flat but the bottom exactly once, at its maker.  Without a
+    # cover kernel (frame and lift gain graphs) each of those flats is one
+    # closure; with one (graphs, matrices) only the bottom is.
+    closures, cover_calls = [], []
+    closure, covers = Matroid.closure, Matroid.covers
 
-    def counted(m, *args):
-        calls.append(args)
+    def counted_closure(m, *args):
+        closures.append(args)
         return closure(m, *args)
 
-    monkeypatch.setattr(Matroid, "closure", counted)
+    def counted_covers(m, *args):
+        out = covers(m, *args)
+        cover_calls.append((args[0], out))
+        return out
+
+    monkeypatch.setattr(Matroid, "closure", counted_closure)
+    monkeypatch.setattr(Matroid, "covers", counted_covers)
+    kinds = set()
     for name in all_corpus_names:
         m = corpus_matroid(name)
-        calls.clear()
+        closures.clear()
+        cover_calls.clear()
         lat = enumerate_flats(m)
-        assert len(calls) == len(lat), name
+        made = [c for _, out in cover_calls for c in out]
+        assert sorted(made) == sorted(f for f in lat.flats() if f != lat.bottom), name
+        makers = [f for f, _ in cover_calls]
+        assert makers == list(dict.fromkeys(lat.children[c][0] for c in made)), name
+        assert all(lat.children[c][0] == f for f, out in cover_calls for c in out), name
+        kernel = m._covers_fn is not None
+        kinds.add(kernel)
+        assert len(closures) == (1 if kernel else len(lat)), name
+    assert kinds == {False, True}
 
 
 def test_covers_are_saturated(corpus):

@@ -187,22 +187,32 @@ def test_closure_kernels_match_rank_closure_on_every_subset():
 
 
 def test_closure_kernels_match_rank_closure_on_enumeration_calls():
-    # the (subset, candidates) pairs enumeration hands over, then random ones
+    # the (subset, candidates) pairs enumeration hands over, then random
+    # ones; and the (flat, span, rest) triples it hands a cover kernel
     rng = random.Random(12)
     for i, m in enumerate(_kernel_matroids()):
-        calls = []
-        kernel = m._closure_fn
+        calls, cover_calls = [], []
+        kernel, covers_kernel = m._closure_fn, m._covers_fn
 
         def recorded(subset, candidates, _kernel=kernel):
             calls.append((subset, candidates))
             return _kernel(subset, candidates)
 
+        def recorded_covers(*args, _kernel=covers_kernel):
+            cover_calls.append(args)
+            return _kernel(*args)
+
         m._closure_fn = recorded
+        if covers_kernel is not None:
+            m._covers_fn = recorded_covers
         enumerate_flats(m)
-        m._closure_fn = kernel
+        m._closure_fn, m._covers_fn = kernel, covers_kernel
         calls += [(rng.randrange(1 << m.n), rng.randrange(1 << m.n)) for _ in range(60)]
         for s, cand in calls:
             assert kernel(s, cand) == s | (brute_closure(m, s) & cand), (i, m, s, cand)
+        loop = Matroid(m.n, m.rank)
+        for args in cover_calls:
+            assert covers_kernel(*args) == loop.covers(*args), (i, m, args)
 
 
 def test_kernel_and_rank_closure_enumerate_the_same_lattice(all_corpus_names):
@@ -215,12 +225,37 @@ def test_kernel_and_rank_closure_enumerate_the_same_lattice(all_corpus_names):
         assert lat.atom_index == ref.atom_index, name
 
 
+def test_cover_kernels_match_the_closure_loop(corpus, all_corpus_names):
+    # Matroid(n, rank) has neither kernel, so its covers come from the
+    # rank-closure loop; the span is the flat itself or a basis of it
+    ms = [corpus(name) for name in all_corpus_names]
+    ms += [(m, enumerate_flats(m)) for m in random_matroids()]
+    kinds = set()
+    for i, (m, lat) in enumerate(ms):
+        loop = Matroid(m.n, m.rank)
+        kinds.add((m.backend, m._covers_fn is not None))
+        for f in lat.flats():
+            basis = 0
+            for a in atom_tuple(f):
+                if m.rank(basis | 1 << a) > m.rank(basis):
+                    basis |= 1 << a
+            rest = m.full_mask & ~f
+            expected = loop.covers(f, basis, rest)
+            assert expected == list(lat.covers[f]), (i, m, f)
+            assert m.covers(f, basis, rest) == expected, (i, m, f)
+            assert m.covers(f, f, rest) == expected, (i, m, f)
+    assert {("graphic", True), ("linear", True), ("frame", False), ("lift", False)} <= kinds
+    assert {m.backend for m, _ in ms if m._covers_fn is None} == {"frame", "lift"}
+
+
 def test_closure_rejects_atoms_outside_the_ground_set():
     for m in _kernel_matroids() + [Matroid(3, lambda s: min(2, s.bit_count()))]:
         with pytest.raises(InvalidInput):
             m.closure(1 << m.n)
         with pytest.raises(InvalidInput):
             m.closure(0, m.full_mask | 1 << m.n)
+        with pytest.raises(InvalidInput):
+            m.covers(0, 0, m.full_mask | 1 << m.n)
 
 
 def test_is_chordal_matches_brute_force():

@@ -7,22 +7,45 @@ ROOT = str(Path(__file__).resolve().parents[1])
 if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
+from modext.corpus import corpus_matroid  # noqa: E402
 from modext.generators import named_input  # noqa: E402
+from modext.lattice import enumerate_flats  # noqa: E402
 from modext.matroid import Matroid  # noqa: E402
 from perfbench.job import certify  # noqa: E402
 from perfbench.trace import Tracer  # noqa: E402
 
 
-def test_traced_certify_closes_each_flat_once():
-    m = named_input("braid-4").dependence_matroid()
+def _traced_certify(m, monkeypatch=None):
+    """Certify under the benchmark's tracer; with `monkeypatch`, calls of
+    `Matroid.covers` are counted too."""
     closure = Matroid.closure
     tracer = Tracer()
     api = tracer.install()
+    if monkeypatch is not None:
+        monkeypatch.setattr(Matroid, "covers",
+                            tracer.wrap("matroid.covers", Matroid.covers, span=False))
     try:
         verdict = certify(m, api, tamper=True)
     finally:
         tracer.uninstall()
     assert Matroid.closure is closure
     assert verdict.failures == ()
-    assert verdict.flats == 15
+    return verdict, tracer
+
+
+def test_traced_certify_closes_each_flat_once(monkeypatch):
+    # a frame matroid has no cover kernel: enumeration closes each flat once
+    m = corpus_matroid("q3-z3")
+    assert m._covers_fn is None
+    verdict, tracer = _traced_certify(m)
+    assert verdict.flats == 35
     assert tracer.by_parent["matroid.closure", "lattice.enumerate_flats"] == verdict.flats
+    # a linear one closes only the bottom and asks each maker flat (the
+    # lex-least child of some flat) for its covers once
+    m = named_input("braid-4").dependence_matroid()
+    verdict, tracer = _traced_certify(m, monkeypatch)
+    assert verdict.flats == 15
+    assert tracer.by_parent["matroid.closure", "lattice.enumerate_flats"] == 1
+    lat = enumerate_flats(m)
+    makers = {lat.children[c][0] for c in lat.flats() if c != lat.bottom}
+    assert tracer.by_parent["matroid.covers", "lattice.enumerate_flats"] == len(makers) < verdict.flats - 1
