@@ -4,7 +4,7 @@ Subcommands: charpoly, flats, modular-flats, round, supersolvable,
 divflag, me-cert, joins, realize, verify, corpus.  Inputs are files or
 named generators; results go to standard output (or --output) as one
 JSON object per run with sorted keys.  Exit codes: 0 success, 2 invalid
-input, 3 guardrail breach, 4 certificate verification failure.
+input or unwritable --output, 3 guardrail breach, 4 failed verification.
 """
 
 from __future__ import annotations
@@ -254,8 +254,11 @@ def run_corpus(args) -> tuple:
 def emit(report: dict, output: str | None):
     text = json.dumps(report, sort_keys=True, separators=(",", ":")) + "\n"
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidInput(f"cannot write {output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -272,21 +275,21 @@ def main(argv=None) -> int:
             obj = load_input(args.input, args.max_atoms)
             result, code = run_analysis(args, obj)
             input_desc = args.input
+        report = {
+            "command": args.command,
+            "input": input_desc,
+            "result": result,
+            "tool_version": __version__,
+        }
+        if args.timing:
+            report["timing"] = {"seconds": round(time.monotonic() - started, 6)}
+        emit(report, args.output)
     except TooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ModextError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {
-        "command": args.command,
-        "input": input_desc,
-        "result": result,
-        "tool_version": __version__,
-    }
-    if args.timing:
-        report["timing"] = {"seconds": round(time.monotonic() - started, 6)}
-    emit(report, args.output)
     return code
 
 

@@ -33,7 +33,7 @@ def atom_quotient(chi: IntPolynomial, chi_upper: IntPolynomial):
 def is_divisional_atom(m: Matroid, e: int, lattice: FlatLattice | None = None):
     """Whether atom e is divisional; returns (verdict, linear quotient or None)."""
     lat = lattice if lattice is not None else enumerate_flats(m)
-    q = atom_quotient(lat.charpoly(), lat.upper_charpoly(m.closure(1 << e)))
+    q = atom_quotient(lat.charpoly(), lat.upper_charpoly(m.closure(m.atom_bit(e))))
     return q is not None, q
 
 

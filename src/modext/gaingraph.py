@@ -522,15 +522,37 @@ def _check_no_repeated_edges(g: GainGraph) -> None:
         seen[key] = i
 
 
-def _component_map(g: GainGraph, atoms: int):
-    """One `_components` walk of an atom subset: (vertex -> component
-    index, vertex -> potential, per component whether it is unbalanced)."""
-    comp, pot, unbalanced = {}, {}, []
-    for k, (order, pot, _, _, bad) in enumerate(_components(g, atoms)):
-        for v in order:
-            comp[v] = k
-        unbalanced.append(bool(bad))
-    return comp, pot, unbalanced
+def _atom_reader(g: GainGraph):
+    """read(subset, candidates): one `_components` walk of the subset, giving
+    the roots of its unbalanced components and, per candidate atom i in
+    ascending order, (i, r, s, shift): r <= s are the roots (lowest vertices)
+    of its ends' components, an untouched vertex being its own balanced one
+    at potential 0, and shift = pot(u)*h*pot(v)^-1 reads edge {u,v}_h from
+    the end u on r's side: 0 iff the edge agrees, inside one component; the
+    switch g*pot of s's side that makes it agree, between two.  A loop reads
+    as a disagreeing edge inside its vertex's component (shift None)."""
+    table, inv = g.group.table, g.group.inverse
+    ends = [(e.u, e.v, e.gain) for e in g.edges] + [(w, w, None) for w in g.loops]
+
+    def read(subset, candidates):
+        root, pot, unbalanced = {}, {}, set()
+        for order, pot, _, _, bad in _components(g, subset):
+            for v in order:
+                root[v] = order[0]
+            if bad:
+                unbalanced.add(order[0])
+        out = []
+        for i in iter_atoms(candidates):
+            u, v, h = ends[i]
+            r, s = root.get(u, u), root.get(v, v)
+            if h is not None:
+                if r > s:
+                    r, s, u, v, h = s, r, v, u, inv[h]
+                h = table[table[pot.get(u, 0)][h]][inv[pot.get(v, 0)]]
+            out.append((i, r, s, h))
+        return unbalanced, out
+
+    return read
 
 
 def frame_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
@@ -541,42 +563,33 @@ def frame_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     Repeated identical edges would be parallel atoms, so they raise
     NotSimpleFrame.
 
-    Closure follows from the formula and one component walk of the subset.
-    An edge with both ends in one component is in the closure iff that
-    component is unbalanced or the edge agrees with its potentials; an
-    edge between two components iff both are unbalanced; a loop iff its
-    vertex's component is unbalanced.  An edge or loop at a vertex the
-    subset does not touch adds a vertex, so it is never in the closure.
+    Closure and covers read one `_atom_reader` walk of the subset.  An atom
+    is in the closure when both its components are unbalanced, or it is an
+    edge inside one that agrees with the potentials.  Otherwise its cover
+    is keyed (c,) when it unbalances the balanced component c, and
+    (c1, c2, shift) when it joins two balanced ones.
     """
     _check_no_repeated_edges(g)
-    ne, table = len(g.edges), g.group.table
-    ends = [(e.u, e.v, e.gain) for e in g.edges]
+    read = _atom_reader(g)
 
     def rank_fn(mask):
         return sum(len(order) - 1 + (1 if bad else 0)
                    for order, _, _, _, bad in _components(g, mask))
 
-    def closure_fn(subset, candidates):
-        comp, pot, unbalanced = _component_map(g, subset)
-        out = subset
-        for i in iter_atoms(candidates):
-            if i < ne:
-                u, v, h = ends[i]
-                cu, cv = comp.get(u), comp.get(v)
-                if cu is None or cv is None:
-                    continue
-                if cu == cv:
-                    inside = unbalanced[cu] or table[pot[u]][h] == pot[v]
-                else:
-                    inside = unbalanced[cu] and unbalanced[cv]
+    def classes_fn(subset, candidates):
+        unbalanced, readings = read(subset, candidates)
+        groups = {}
+        for i, r, s, shift in readings:
+            if r in unbalanced:
+                key = 0 if s in unbalanced else (s,)
+            elif r == s:
+                key = 0 if shift == 0 else (r,)
             else:
-                c = comp.get(g.loops[i - ne])
-                inside = c is not None and unbalanced[c]
-            if inside:
-                out |= 1 << i
-        return out
+                key = (r,) if s in unbalanced else (r, s, shift)
+            groups[key] = groups.get(key, 0) | 1 << i
+        return groups
 
-    return Matroid(g.num_atoms, rank_fn, closure_fn=closure_fn,
+    return Matroid(g.num_atoms, rank_fn, classes_fn=classes_fn,
                    labels=g.atom_labels() or None, backend="frame", max_atoms=max_atoms)
 
 
@@ -588,18 +601,18 @@ def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     (Zaslavsky, "Biased graphs II: the three matroids", JCTB 1991).
     Loops are rejected, and repeated identical edges raise NotSimpleFrame.
 
-    Closure follows from the formula and one component walk of the subset,
-    which is lifted when it holds inf or an unbalanced cycle.  inf is in
-    the closure iff the subset is lifted; an edge iff both its ends lie in
-    one component and the subset is lifted or the edge agrees with the
-    potentials.
+    Closure and covers read one `_atom_reader` walk of the subset, which is
+    lifted when it holds inf or an unbalanced cycle.  inf and each edge
+    inside one component are in the closure when the subset is lifted or
+    the edge agrees, and otherwise share the lifting class, keyed ().  An
+    edge joining two components is keyed (c1, c2, shift), or (c1, c2) when
+    the subset is lifted.
     """
     if g.loops:
         raise HasLoops("the extended lift matroid is defined for loopless gain graphs")
     _check_no_repeated_edges(g)
     labels = ("inf",) + tuple(g.atom_label(i) for i in range(len(g.edges)))
-    table = g.group.table
-    ends = [(e.u, e.v, e.gain) for e in g.edges]
+    read = _atom_reader(g)
 
     def rank_fn(mask):
         rank, lifted = 0, mask & 1
@@ -608,18 +621,19 @@ def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
             lifted = lifted or bad
         return rank + (1 if lifted else 0)
 
-    def closure_fn(subset, candidates):
-        comp, pot, unbalanced = _component_map(g, subset >> 1)
-        lifted = subset & 1 or any(unbalanced)
-        out = subset | (candidates & 1 if lifted else 0)
-        for i in iter_atoms(candidates >> 1):
-            u, v, h = ends[i]
-            c = comp.get(u)
-            if c is not None and c == comp.get(v) and (lifted or table[pot[u]][h] == pot[v]):
-                out |= 2 << i
-        return out
+    def classes_fn(subset, candidates):
+        unbalanced, readings = read(subset >> 1, candidates >> 1)
+        lifted = subset & 1 or unbalanced
+        groups = {0 if lifted else (): 1} if candidates & 1 else {}
+        for i, r, s, shift in readings:
+            if r == s:
+                key = 0 if lifted or shift == 0 else ()
+            else:
+                key = (r, s) if lifted else (r, s, shift)
+            groups[key] = groups.get(key, 0) | 2 << i
+        return groups
 
-    return Matroid(len(g.edges) + 1, rank_fn, closure_fn=closure_fn, labels=labels,
+    return Matroid(len(g.edges) + 1, rank_fn, classes_fn=classes_fn, labels=labels,
                    backend="lift", max_atoms=max_atoms)
 
 

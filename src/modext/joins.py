@@ -149,7 +149,7 @@ def join_divisional_lift_check(m: Matroid, d: JoinDecomposition, e: int) -> bool
     [e, top], chi(si((M|E1)/e)) is [e, E1], chi(M|X) is [0, X] and
     chi(M|E2) is [0, E2].
     """
-    bit = 1 << e
+    bit = m.atom_bit(e)
     if not (d.e1 & bit) or (d.x & bit):
         raise InvalidInput(f"atom {e} is not in E1 minus X")
     lat = enumerate_flats(m)

@@ -12,17 +12,15 @@ Everything is driven by the covering relation:
   The covers of F partition the atoms outside F (Oxley, Matroid Theory,
   1.4), so F asks `Matroid.covers` once, for its covers not made yet,
   handing over its span and the atoms in none of its covers made so far.
-  Graphs and matrices answer from one basis of the span, reducing each
-  atom once and grouping the atoms by residue; other backends close one
-  cover at a time, F | closure(span | a) at the lowest atom a left, by
-  their closure kernel (one component walk) or, for matroids built from
-  a bare rank function, by one rank query per candidate.  The covers of
-  F made so far are the flats of the next level that hold F, that is,
-  hold its span: one AND of the next level's atom index over the span's
-  atoms, stopping early at 0.  Walking that AND once appends F to each
-  cover's children.  The index is built as the level is made, and the
-  lattice keeps it (`atom_index`), from which the prover decides
-  modularity.
+  The kernel groups those atoms by cover from one pass over the span (one
+  basis for graphs and matrices, one component walk for gain graphs); a
+  bare rank function closes one cover at a time, a rank query per
+  candidate.  The covers of F made so far are the flats of the next level
+  that hold F, that is, hold its span: one AND of the next level's atom
+  index over the span's atoms, stopping early at 0.  Walking that AND
+  once appends F to each cover's children.  The index is built as the
+  level is made, and the lattice keeps it (`atom_index`), from which the
+  prover decides modularity.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y, one pass over cover

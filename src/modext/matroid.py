@@ -1,20 +1,20 @@
-"""Simple matroids given by exact oracles: a rank function and kernels.
+"""Simple matroids given by exact oracles: a rank function and a kernel.
 
 Ground sets are atoms 0..n-1 and subsets are plain Python ints used as
 bitmasks (bit a set <=> atom a in the subset), which keeps subset algebra
 to single machine operations at desk scale.  A Matroid wraps a pure rank
-function with a memo table, and optionally two kernels.  A closure kernel
-decides which candidate atoms lie in the closure of a subset from one
-pass over the subset: one component walk for gain graphs, one basis for
-graphs and matrices.  A cover kernel, which graphs and matrices have,
-groups candidate atoms outside a flat by the cover of the flat they lie
-in, from one basis of a set spanning the flat: each candidate is reduced
-once, to a canonical residue (fully reduced against a reduced echelon
-XOR basis over GF(2), against a fraction-free echelon basis over GF(p)
-and Q), and atoms with equal residues lie in one cover.  Closure reads
-the zero residues of the same routine.  Without a closure kernel,
-closure asks the rank of the subset plus each candidate; without a cover
-kernel, covers are closed one at a time.  Derived matroids (restrictions,
+function with a memo table, and optionally one kernel,
+`classes(subset, candidates)`, which every public constructor hands over.
+From one pass over the subset (one basis for graphs and matrices, one
+component walk for gain graphs) it groups the candidates outside cl(subset)
+by the cover of cl(subset) they lie in, in first-atom order, keying the
+candidates in cl(subset) by 0: closure reads class 0 and covers the
+others.  Graphs and matrices reduce each candidate once, to a canonical
+residue (fully reduced against a reduced echelon XOR basis over GF(2),
+against a fraction-free echelon basis over GF(p) and Q), and atoms with
+equal residues lie in one cover.  Without a kernel, as for a bare rank
+function, closure asks the rank of the subset plus each candidate and
+covers are closed one at a time.  Derived matroids (restrictions,
 simplified contractions) delegate their rank queries to the parent
 oracle, so memoized ranks are shared.
 """
@@ -86,15 +86,16 @@ class Matroid:
 
     `rank_fn` must be a pure function of the subset bitmask satisfying the
     rank axioms; constructors in this module validate simplicity before
-    handing one over.  `closure_fn(subset, candidates)`, when given, returns
-    the subset plus the candidates in its closure under the same rank
-    function; the subset need not be a flat (enumeration hands over a set
-    spanning one plus an atom).  `covers_fn(flat, span, rest)`, when given,
-    returns what `covers` does.  `backend` records where the oracle came
-    from ("linear", "graphic", "frame", "lift", or "explicit").
+    handing one over.  `classes_fn(subset, candidates)`, when given, maps
+    each key to the candidates it holds, in first-atom order: key 0 to
+    those in cl(subset), and one key per cover of cl(subset) to those in
+    that cover, under the same rank function.  The subset need not be a
+    flat (enumeration hands over a set spanning one).  `backend` records
+    where the oracle came from ("linear", "graphic", "frame", "lift", or
+    "explicit").
     """
 
-    def __init__(self, n, rank_fn, *, closure_fn=None, covers_fn=None, labels=None,
+    def __init__(self, n, rank_fn, *, classes_fn=None, labels=None,
                  backend="explicit", max_atoms=DEFAULT_MAX_ATOMS):
         check_atom_count(n, max_atoms)
         if n < 0:
@@ -111,8 +112,7 @@ class Matroid:
         self.max_atoms = max_atoms
         self.full_mask = (1 << n) - 1
         self._rank_fn = rank_fn
-        self._closure_fn = closure_fn
-        self._covers_fn = covers_fn
+        self._classes_fn = classes_fn
         self._memo = {0: 0}
         self._circuit_cache = None
 
@@ -123,8 +123,7 @@ class Matroid:
         memo = self._memo
         r = memo.get(subset)
         if r is None:
-            if subset & ~self.full_mask:
-                raise InvalidInput(f"subset {bin(subset)} outside ground set of size {self.n}")
+            self._check_inside(subset)
             r = self._rank_fn(subset)
             memo[subset] = r
         return r
@@ -138,15 +137,15 @@ class Matroid:
 
         With `candidates`, returns the subset plus the candidates in its
         closure; the caller vouches that no other atom outside the subset
-        lies in the closure.  The closure kernel decides them when the
+        lies in the closure.  The kernel's class 0 holds them when the
         matroid has one; otherwise each is tested by a rank query.
         """
         if candidates is None:
             candidates = self.full_mask
         self._check_inside(subset | candidates)
         rest = candidates & ~subset
-        if self._closure_fn is not None:
-            return self._closure_fn(subset, rest)
+        if self._classes_fn is not None:
+            return subset | self._classes_fn(subset, rest).get(0, 0)
         r = self.rank(subset)
         out = subset
         while rest:
@@ -162,15 +161,15 @@ class Matroid:
 
         `span` is a subset of the flat that spans it, and `rest`, outside
         the flat, is a union of the parts outside it of some of its covers.
-        The cover kernel groups the atoms of `rest` by cover in one pass
-        when the matroid has one; otherwise each cover is
+        The kernel's classes other than 0, when the matroid has one, are
+        the covers' parts in `rest`; otherwise each cover is
         `flat | closure(span | a, rest)` at the lowest atom a of `rest`
-        left, so covers come in ascending lowest new atom: lex order, as
-        every cover holds the flat.
+        left.  Either way covers come in ascending lowest new atom: lex
+        order, as every cover holds the flat.
         """
         self._check_inside(flat | span | rest)
-        if self._covers_fn is not None:
-            return self._covers_fn(flat, span, rest)
+        if self._classes_fn is not None:
+            return [flat | c for k, c in self._classes_fn(span, rest).items() if k != 0]
         out = []
         while rest:
             c = flat | self.closure(span | (rest & -rest), rest)
@@ -181,6 +180,12 @@ class Matroid:
     def _check_inside(self, subset: int) -> None:
         if subset & ~self.full_mask:
             raise InvalidInput(f"subset {bin(subset)} outside ground set of size {self.n}")
+
+    def atom_bit(self, atom: int) -> int:
+        """1 << atom; InvalidInput naming the atom when it is not in the ground set."""
+        if not 0 <= atom < self.n:
+            raise InvalidInput(f"atom {atom} outside ground set of size {self.n}")
+        return 1 << atom
 
     def is_flat(self, subset: int) -> bool:
         return self.closure(subset) == subset
@@ -269,18 +274,18 @@ def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS
 
         def rank_fn(mask, _cols=int_cols):
             return integer_row_rank([list(_cols[a]) for a in iter_atoms(mask)])
-        closure_fn, covers_fn = _echelon_kernels(int_cols, 0)
+        classes_fn = _echelon_classes(int_cols, 0)
     elif field.p == 2:
         vectors = [gf2_pack(c) for c in cols]
         rank_fn = _gf2_rank_fn(vectors)
-        closure_fn, covers_fn = _gf2_kernels(vectors)
+        classes_fn = _gf2_classes(vectors)
     else:
         def rank_fn(mask, _cols=cols, _p=field.p):
             return gf_row_rank([_cols[a] for a in iter_atoms(mask)], _p)
-        closure_fn, covers_fn = _echelon_kernels(cols, field.p)
+        classes_fn = _echelon_classes(cols, field.p)
 
-    return Matroid(ncols, rank_fn, closure_fn=closure_fn, covers_fn=covers_fn, labels=labels,
-                   backend="linear", max_atoms=max_atoms)
+    return Matroid(ncols, rank_fn, classes_fn=classes_fn, labels=labels, backend="linear",
+                   max_atoms=max_atoms)
 
 
 def _gf2_rank_fn(vectors):
@@ -291,31 +296,12 @@ def _gf2_rank_fn(vectors):
     return rank_fn
 
 
-def _kernels(classes):
-    """Closure and cover kernels from one routine `classes(subset, candidates)`
-    that reduces each candidate once against a basis of the subset and maps
-    each canonical residue to the candidates having it, in first-atom order,
-    keying the zero residue by 0.  The candidates in the closure are the
-    zero class; over a flat spanned by the subset, each other class is the
-    part outside the flat of one cover, for two atoms lie in one cover iff
-    their residues are proportional, that is, equal once canonical."""
-    def closure_fn(subset, candidates):
-        return subset | classes(subset, candidates).get(0, 0)
-
-    def covers_fn(flat, span, rest):
-        groups = classes(span, rest)
-        groups.pop(0, None)
-        return [flat | c for c in groups.values()]
-
-    return closure_fn, covers_fn
-
-
-def _gf2_kernels(vectors):
-    """Kernels of the same vectors: one reduced echelon XOR basis of the
-    subset's vectors, each basis vector the only one holding its pivot bit,
-    so XORing in the basis vector of each pivot bit a vector holds leaves
-    the residue that is zero at every pivot: 0 iff the vector lies in the
-    span, and one vector per coset of it."""
+def _gf2_classes(vectors):
+    """Classes kernel of the same vectors: one reduced echelon XOR basis of
+    the subset's vectors, each basis vector the only one holding its pivot
+    bit, so XORing in the basis vector of each pivot bit a vector holds
+    leaves the residue that is zero at every pivot: 0 iff the vector lies
+    in the span, and one vector per coset of it."""
     def residue(v, basis, pivots):
         held = v & pivots
         while held:
@@ -342,11 +328,11 @@ def _gf2_kernels(vectors):
             groups[v] = groups.get(v, 0) | 1 << a
         return groups
 
-    return _kernels(classes)
+    return classes
 
 
-def _echelon_kernels(cols, p):
-    """Kernels of integer columns over GF(p), or over Q when p is 0.
+def _echelon_classes(cols, p):
+    """Classes kernel of integer columns over GF(p), or over Q when p is 0.
 
     One fraction-free echelon basis of the subset's columns: a column is
     reduced by each basis vector b with pivot piv in turn, by the step
@@ -395,7 +381,7 @@ def _echelon_kernels(cols, p):
             groups[key] = groups.get(key, 0) | 1 << a
         return groups
 
-    return _kernels(classes)
+    return classes
 
 
 def _proportional(field: Field, u, v) -> bool:
@@ -436,9 +422,8 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
         labels = tuple(f"{u}-{v}" for u, v in edge_list)
 
     vectors = [(1 << u) | (1 << v) for u, v in edge_list]
-    closure_fn, covers_fn = _gf2_kernels(vectors)
-    return Matroid(len(edge_list), _gf2_rank_fn(vectors), closure_fn=closure_fn,
-                   covers_fn=covers_fn, labels=labels, backend="graphic", max_atoms=max_atoms)
+    return Matroid(len(edge_list), _gf2_rank_fn(vectors), classes_fn=_gf2_classes(vectors),
+                   labels=labels, backend="graphic", max_atoms=max_atoms)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,34 @@ def random_matroids(seed=8):
     return out
 
 
+def s3_group():
+    """The symmetric group S3 as a multiplication table, the identity first:
+    element i is the permutation PERMS[i] of (0, 1, 2), and i * j is the
+    permutation k -> PERMS[i][PERMS[j][k]]."""
+    perms = ((0, 1, 2), (1, 0, 2), (0, 2, 1), (2, 1, 0), (1, 2, 0), (2, 0, 1))
+    index = {p: i for i, p in enumerate(perms)}
+    table = [[index[tuple(p[q[k]] for k in range(3))] for q in perms] for p in perms]
+    return FiniteGroup(("e", "(01)", "(12)", "(02)", "(012)", "(021)"), table)
+
+
+def s3_gain_matroids(seed=3, count=8):
+    """Frame matroids (with loops) and lift matroids of seeded gain graphs
+    over the non-abelian group S3, on at most 12 atoms: where the order of
+    the factors of a gain product shows, which it cannot over sign or Z3."""
+    group = s3_group()
+    assert any(group.op(a, b) != group.op(b, a) for a in range(6) for b in range(6))
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        nv = rng.randint(3, 5)
+        pool = [(u, v, k) for u, v in combinations(range(nv), 2) for k in range(6)]
+        edges = rng.sample(pool, rng.randint(5, 10))
+        loops = [v for v in range(nv) if rng.random() < 0.4][:2]
+        out.append(frame_matroid(GainGraph(nv, group, edges, loops)))
+        out.append(lift_matroid(GainGraph(nv, group, edges)))
+    return out
+
+
 def non_simple_gf3_matroids(seed=5, count=30):
     """Matroids of explicit GF(3) columns, each with a zero column (a loop,
     which joins the bottom flat) and two columns parallel to others."""

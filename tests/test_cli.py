@@ -307,6 +307,13 @@ class TestExitCodes:
         data.write_text("[" * 5000 + "]" * 5000)
         assert_invalid_input(run_cli("charpoly", "--input", str(data)))
 
+    def test_unwritable_output(self, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        proc = run_cli("flats", "--input", "braid-4", "--output", str(target))
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert proc.stderr == f"error: cannot write {target}: No such file or directory\n"
+        assert not target.parent.exists()
+
     @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
     def test_malformed_input(self, tmp_path, case):
         f = tmp_path / "input.json"

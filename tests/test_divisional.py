@@ -1,8 +1,11 @@
 """Divisional atoms, flags, and the division theorem bookkeeping."""
 
+import pytest
+
 from modext.algebra import IntPolynomial, poly_exact_div
 from modext.divisional import (divisional_flag, flag_quotient_product,
                                is_divisional_atom, stanley_division_check)
+from modext.errors import InvalidInput
 from modext.lattice import charpoly, interval_charpoly
 from modext.modularity import modular_flats, supersolvable_chain
 
@@ -15,6 +18,14 @@ def test_stanley_division_on_modular_flats(corpus):
             assert stanley_division_check(m, x, lattice=lat)
             quotient = poly_exact_div(chi, interval_charpoly(lat, lat.bottom, x))
             assert quotient is not None, name
+
+
+def test_divisional_atom_rejects_atoms_outside_the_ground_set(corpus):
+    m, lat = corpus("k4")
+    for e in (-1, m.n, m.n + 3):
+        for kwargs in ({}, {"lattice": lat}):
+            with pytest.raises(InvalidInput, match=f"^atom {e} outside ground set of size 6$"):
+                is_divisional_atom(m, e, **kwargs)
 
 
 def test_divisional_atom_definition(corpus, all_corpus_names):

@@ -158,6 +158,9 @@ def test_join_divisional_lift_rejects_bad_atoms(corpus):
         join_divisional_lift_check(m, d, 11)  # on the E2 side
     with pytest.raises(InvalidInput):
         join_divisional_lift_check(m, d, 3)  # in E1 - X but not divisional
+    for e in (-1, m.n):  # outside the ground set
+        with pytest.raises(InvalidInput, match=f"^atom {e} outside ground set of size 19$"):
+            join_divisional_lift_check(m, d, e)
 
 
 def test_join_construction_from_pieces(corpus):

@@ -12,7 +12,7 @@ from modext.matroid import Matroid, atom_tuple
 
 from oracles import (brute_flats, brute_mobius, popcount, reference_lattice,
                      whitney_charpoly_coeffs)
-from samples import non_simple_gf3_matroids, random_matroids
+from samples import non_simple_gf3_matroids, random_matroids, s3_gain_matroids
 
 SMALL_FLATS = 250  # members with at most this many flats get pairwise checks
 
@@ -52,9 +52,9 @@ def test_flat_enumeration_matches_brute(corpus):
 
 def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
     # One `covers` call per maker flat (the lex-least child of some flat)
-    # makes every flat but the bottom exactly once, at its maker.  Without a
-    # cover kernel (frame and lift gain graphs) each of those flats is one
-    # closure; with one (graphs, matrices) only the bottom is.
+    # makes every flat but the bottom exactly once, at its maker.  With the
+    # classes kernel every public constructor hands over, only the bottom is
+    # a closure; without one (a bare rank function) each flat is one.
     closures, cover_calls = [], []
     closure, covers = Matroid.closure, Matroid.covers
 
@@ -69,21 +69,19 @@ def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
 
     monkeypatch.setattr(Matroid, "closure", counted_closure)
     monkeypatch.setattr(Matroid, "covers", counted_covers)
-    kinds = set()
     for name in all_corpus_names:
-        m = corpus_matroid(name)
-        closures.clear()
-        cover_calls.clear()
-        lat = enumerate_flats(m)
-        made = [c for _, out in cover_calls for c in out]
-        assert sorted(made) == sorted(f for f in lat.flats() if f != lat.bottom), name
-        makers = [f for f, _ in cover_calls]
-        assert makers == list(dict.fromkeys(lat.children[c][0] for c in made)), name
-        assert all(lat.children[c][0] == f for f, out in cover_calls for c in out), name
-        kernel = m._covers_fn is not None
-        kinds.add(kernel)
-        assert len(closures) == (1 if kernel else len(lat)), name
-    assert kinds == {False, True}
+        kernel = corpus_matroid(name)
+        assert kernel._classes_fn is not None, name
+        for m in (kernel, Matroid(kernel.n, kernel.rank)):
+            closures.clear()
+            cover_calls.clear()
+            lat = enumerate_flats(m)
+            made = [c for _, out in cover_calls for c in out]
+            assert sorted(made) == sorted(f for f in lat.flats() if f != lat.bottom), name
+            makers = [f for f, _ in cover_calls]
+            assert makers == list(dict.fromkeys(lat.children[c][0] for c in made)), name
+            assert all(lat.children[c][0] == f for f, out in cover_calls for c in out), name
+            assert len(closures) == (1 if m is kernel else len(lat)), name
 
 
 def test_covers_are_saturated(corpus):
@@ -143,6 +141,8 @@ def test_enumeration_matches_reference_order_included(corpus, all_corpus_names):
         _assert_matches_reference(name, m, lat)
     for i, m in enumerate(random_matroids()):
         _assert_matches_reference(("random", i), m, enumerate_flats(m))
+    for i, m in enumerate(s3_gain_matroids()):
+        _assert_matches_reference(("s3", i), m, enumerate_flats(m))
     for i, m in enumerate(non_simple_gf3_matroids()):
         _assert_matches_reference(("non-simple", i), m, enumerate_flats(m))
 

@@ -15,7 +15,7 @@ from modext.matroid import (Matroid, atom_tuple, circuits, graphic_matroid,
                             is_chordal, linear_matroid, load_matroid, mask_of)
 
 from oracles import brute_chordal, brute_closure
-from samples import random_matroids
+from samples import random_matroids, s3_gain_matroids
 
 
 def u23():
@@ -162,18 +162,36 @@ def test_closure_matches_brute(corpus):
 
 
 def _kernel_matroids():
-    """Matroids with a closure kernel: graphs, matrices over Q, GF(2) and
-    GF(3), frame matroids with loops and lift matroids with inf, from the
+    """Matroids of every public constructor, each with its classes kernel:
+    graphs, matrices over Q, GF(2) and GF(3), frame matroids with loops and
+    lift matroids with inf, over sign, Z3 and the non-abelian S3, from the
     random samples, the corpus and two larger gain graphs."""
-    ms = random_matroids() + [corpus_matroid(name) for name in
-                              ("k5", "fano", "pg-2-3", "bn-3", "example-13", "ziegler-19",
-                               "q3-z3", "bowtie-frame", "bowtie-lift")]
+    ms = random_matroids() + s3_gain_matroids() + [
+        corpus_matroid(name) for name in ("k5", "fano", "pg-2-3", "bn-3", "example-13",
+                                          "ziegler-19", "q3-z3", "bowtie-frame", "bowtie-lift")]
     ms += [frame_matroid(named_input("kl-4-z3")), lift_matroid(named_input("k-5-sign"))]
     kinds = {(m.backend, m.labels is not None and any(
         x.startswith("loop") or x == "inf" for x in m.labels)) for m in ms}
     assert {("graphic", False), ("linear", False), ("frame", True), ("lift", True)} <= kinds
-    assert all(m._closure_fn is not None for m in ms)
+    assert all(m._classes_fn is not None for m in ms)
     return ms
+
+
+def _brute_classes(m, subset, candidates):
+    """The candidates in cl(subset), then, in first-atom order, those in
+    each cover of cl(subset), from rank closures alone."""
+    flat = brute_closure(m, subset)
+    rest, out = candidates & ~flat, []
+    while rest:
+        c = brute_closure(m, subset | (rest & -rest)) & rest
+        rest &= ~c
+        out.append(c)
+    return candidates & flat, out
+
+
+def _kernel_classes(m, subset, candidates):
+    groups = dict(m._classes_fn(subset, candidates))
+    return groups.pop(0, 0), list(groups.values())
 
 
 def test_closure_kernels_match_rank_closure_on_every_subset():
@@ -181,38 +199,30 @@ def test_closure_kernels_match_rank_closure_on_every_subset():
         if m.n > 10:
             continue
         for s in range(1 << m.n):
-            expected = brute_closure(m, s)
-            assert m._closure_fn(s, m.full_mask) == expected, (i, m, s)
-            assert m.closure(s) == expected, (i, m, s)
+            expected = _brute_classes(m, s, m.full_mask)
+            assert _kernel_classes(m, s, m.full_mask) == expected, (i, m, s)
+            assert m.closure(s) == s | expected[0], (i, m, s)
 
 
 def test_closure_kernels_match_rank_closure_on_enumeration_calls():
-    # the (subset, candidates) pairs enumeration hands over, then random
-    # ones; and the (flat, span, rest) triples it hands a cover kernel
+    # the (subset, candidates) pairs enumeration hands the kernel, for the
+    # bottom's closure and each maker flat's covers, then random ones
     rng = random.Random(12)
     for i, m in enumerate(_kernel_matroids()):
-        calls, cover_calls = [], []
-        kernel, covers_kernel = m._closure_fn, m._covers_fn
+        calls = []
+        kernel = m._classes_fn
 
         def recorded(subset, candidates, _kernel=kernel):
             calls.append((subset, candidates))
             return _kernel(subset, candidates)
 
-        def recorded_covers(*args, _kernel=covers_kernel):
-            cover_calls.append(args)
-            return _kernel(*args)
-
-        m._closure_fn = recorded
-        if covers_kernel is not None:
-            m._covers_fn = recorded_covers
+        m._classes_fn = recorded
         enumerate_flats(m)
-        m._closure_fn, m._covers_fn = kernel, covers_kernel
+        m._classes_fn = kernel
+        assert len(calls) > 1, (i, m)
         calls += [(rng.randrange(1 << m.n), rng.randrange(1 << m.n)) for _ in range(60)]
         for s, cand in calls:
-            assert kernel(s, cand) == s | (brute_closure(m, s) & cand), (i, m, s, cand)
-        loop = Matroid(m.n, m.rank)
-        for args in cover_calls:
-            assert covers_kernel(*args) == loop.covers(*args), (i, m, args)
+            assert _kernel_classes(m, s, cand) == _brute_classes(m, s, cand), (i, m, s, cand)
 
 
 def test_kernel_and_rank_closure_enumerate_the_same_lattice(all_corpus_names):
@@ -226,14 +236,16 @@ def test_kernel_and_rank_closure_enumerate_the_same_lattice(all_corpus_names):
 
 
 def test_cover_kernels_match_the_closure_loop(corpus, all_corpus_names):
-    # Matroid(n, rank) has neither kernel, so its covers come from the
-    # rank-closure loop; the span is the flat itself or a basis of it
+    # Matroid(n, rank) has no kernel, so its covers come from the
+    # rank-closure loop; the span is the flat itself or a basis of it, and
+    # the rest all atoms outside it or the outside parts of every other cover
     ms = [corpus(name) for name in all_corpus_names]
-    ms += [(m, enumerate_flats(m)) for m in random_matroids()]
-    kinds = set()
+    ms += [(m, enumerate_flats(m)) for m in random_matroids() + s3_gain_matroids()]
+    backends = set()
     for i, (m, lat) in enumerate(ms):
         loop = Matroid(m.n, m.rank)
-        kinds.add((m.backend, m._covers_fn is not None))
+        backends.add(m.backend)
+        assert m._classes_fn is not None, (i, m)
         for f in lat.flats():
             basis = 0
             for a in atom_tuple(f):
@@ -242,10 +254,13 @@ def test_cover_kernels_match_the_closure_loop(corpus, all_corpus_names):
             rest = m.full_mask & ~f
             expected = loop.covers(f, basis, rest)
             assert expected == list(lat.covers[f]), (i, m, f)
-            assert m.covers(f, basis, rest) == expected, (i, m, f)
-            assert m.covers(f, f, rest) == expected, (i, m, f)
-    assert {("graphic", True), ("linear", True), ("frame", False), ("lift", False)} <= kinds
-    assert {m.backend for m, _ in ms if m._covers_fn is None} == {"frame", "lift"}
+            some = lat.covers[f][::2]
+            part = sum(c & ~f for c in some)  # the parts are disjoint
+            assert loop.covers(f, basis, part) == list(some), (i, m, f)
+            for span in (basis, f):
+                assert m.covers(f, span, rest) == expected, (i, m, f)
+                assert m.covers(f, span, part) == list(some), (i, m, f)
+    assert backends == {"graphic", "linear", "frame", "lift"}
 
 
 def test_closure_rejects_atoms_outside_the_ground_set():

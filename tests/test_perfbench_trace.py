@@ -28,24 +28,28 @@ def _traced_certify(m, monkeypatch=None):
         verdict = certify(m, api, tamper=True)
     finally:
         tracer.uninstall()
+        if monkeypatch is not None:
+            monkeypatch.undo()
     assert Matroid.closure is closure
     assert verdict.failures == ()
     return verdict, tracer
 
 
 def test_traced_certify_closes_each_flat_once(monkeypatch):
-    # a frame matroid has no cover kernel: enumeration closes each flat once
-    m = corpus_matroid("q3-z3")
-    assert m._covers_fn is None
-    verdict, tracer = _traced_certify(m)
+    # a bare rank function has no kernel: enumeration closes each flat once
+    q3 = corpus_matroid("q3-z3")
+    verdict, tracer = _traced_certify(Matroid(q3.n, q3.rank))
     assert verdict.flats == 35
     assert tracer.by_parent["matroid.closure", "lattice.enumerate_flats"] == verdict.flats
-    # a linear one closes only the bottom and asks each maker flat (the
-    # lex-least child of some flat) for its covers once
-    m = named_input("braid-4").dependence_matroid()
-    verdict, tracer = _traced_certify(m, monkeypatch)
-    assert verdict.flats == 15
-    assert tracer.by_parent["matroid.closure", "lattice.enumerate_flats"] == 1
-    lat = enumerate_flats(m)
-    makers = {lat.children[c][0] for c in lat.flats() if c != lat.bottom}
-    assert tracer.by_parent["matroid.covers", "lattice.enumerate_flats"] == len(makers) < verdict.flats - 1
+    # every public constructor hands over a kernel, so enumeration closes
+    # only the bottom and asks each maker flat (the lex-least child of some
+    # flat) for its covers once: a frame and a linear matroid
+    for m, flats in ((q3, 35), (named_input("braid-4").dependence_matroid(), 15)):
+        assert m._classes_fn is not None
+        verdict, tracer = _traced_certify(m, monkeypatch)
+        assert verdict.flats == flats
+        assert tracer.by_parent["matroid.closure", "lattice.enumerate_flats"] == 1
+        lat = enumerate_flats(m)
+        makers = {lat.children[c][0] for c in lat.flats() if c != lat.bottom}
+        assert (tracer.by_parent["matroid.covers", "lattice.enumerate_flats"]
+                == len(makers) < verdict.flats - 1)
