@@ -96,10 +96,6 @@ class IntPolynomial:
                     out[i + j] += a * b
         return IntPolynomial(out)
 
-    def exact_div(self, den: "IntPolynomial"):
-        """Exact quotient self/den over Z, or None when not divisible."""
-        return poly_exact_div(self, den)
-
     # -- constructors
 
     @classmethod

@@ -107,10 +107,3 @@ def stanley_division_check(m: Matroid, x: int, lattice: FlatLattice | None = Non
     chi_lower = lat.interval_charpoly(lat.bottom, x)
     return poly_exact_div(lat.charpoly(), chi_lower) is not None
 
-
-def flag_quotient_product(flag: DivisionalFlag) -> IntPolynomial:
-    """Product of all step quotients of a flag (telescopes to chi(M))."""
-    out = IntPolynomial.one()
-    for q in flag.quotients():
-        out = out * q
-    return out

@@ -19,8 +19,18 @@ Everything is driven by the covering relation:
   that hold F, that is, hold its span: one AND of the next level's atom
   index over the span's atoms, stopping early at 0.  Walking that AND
   once appends F to each cover's children.  The index is built as the
-  level is made, and the lattice keeps it (`atom_index`), from which the
-  prover decides modularity.
+  level is made, and the lattice keeps it (`atom_index`).
+- The atom index answers "which flats of level k hold these atoms?" by
+  one AND per atom.  `above(X)` ANDs it, at each level from r(X) up to
+  the one below the top, over the atoms of X outside the bottom (the
+  loops lie in every flat), walks the positions left in lex order and
+  appends the top.  The prover's meet test
+  (`modularity.is_modular_in_context`) reads it too, and keeps its state
+  per ctx on the lattice (`_meet`): per level, the positions of the flats
+  below ctx, and the flats it found disjoint from some z, each a ready
+  proof against any other z it misses.  `below(X)` stays a containment
+  scan: the verifier's rank-equation scan walks it, and must not rest on
+  the index that the prover's meet test reads.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y, one pass over cover
@@ -76,8 +86,9 @@ class FlatLattice:
     `atom_index[k][a]`, for every level k below the top, has bit i set when
     `levels[k][i]` holds atom a: it is the index enumeration built while it
     made level k.  The flats of rank k below a flat X are the positions
-    that no atom outside X sets, and those a flat Z meets are the
-    positions its atoms outside the bottom set.
+    that no atom outside X sets, those above X the positions that every
+    atom of X outside the bottom sets (`above`), and those a flat Z meets
+    are the positions its atoms outside the bottom set.
     """
 
     def __init__(self, matroid: Matroid, levels, children, atom_index):
@@ -100,6 +111,7 @@ class FlatLattice:
         self._charpoly = None
         self._upper = {}
         self._modular = {}  # ctx -> modular flats within it, filled by modularity
+        self._meet = {}     # (ctx, k) -> meet-test state, filled by modularity
 
     # -- basic structure
 
@@ -132,7 +144,13 @@ class FlatLattice:
         return flat
 
     def below(self, flat: int):
-        """Flats contained in `flat`, ordered by rank then lex (cached)."""
+        """Flats contained in `flat`, ordered by rank then lex (cached).
+
+        A containment scan over every flat, not a read of `atom_index`:
+        the verifier's rank-equation scan (`violating_flat_in_context`)
+        walks these flats, and it must not depend on the index that the
+        prover's meet test reads, or it would re-check nothing.
+        """
         cached = self._below.get(flat)
         if cached is None:
             self.require(flat)
@@ -141,11 +159,28 @@ class FlatLattice:
         return cached
 
     def above(self, flat: int):
-        """Flats containing `flat`, ordered by rank then lex (cached)."""
+        """Flats containing `flat`, ordered by rank then lex (cached).
+
+        At each level from the flat's rank up, the flats holding it are
+        the positions set in `atom_index` by all its atoms outside the
+        bottom; the top holds every flat.
+        """
         cached = self._above.get(flat)
         if cached is None:
-            self.require(flat)
-            cached = tuple(f for f in self.flats() if f & flat == flat)
+            k = self.rank_of[self.require(flat)]
+            atoms = atom_tuple(flat & ~self.bottom)
+            out = []
+            # the index stops at the level below the top
+            for level, has in zip(self.levels[k:], self.atom_index[k:]):
+                held = (1 << len(level)) - 1
+                for a in atoms:
+                    held &= has[a]
+                while held:
+                    low = held & -held
+                    out.append(level[low.bit_length() - 1])
+                    held ^= low
+            out.append(self.top)
+            cached = tuple(out)
             self._above[flat] = cached
         return cached
 
@@ -268,11 +303,10 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
                 atoms ^= low
             rest = full & ~f
             while known:
-                low = known & -known
-                p = low.bit_length() - 1
+                p = known.bit_length() - 1
                 kids[p].append(f)
                 rest &= ~made[p]
-                known ^= low
+                known ^= 1 << p
             if not rest:
                 continue
             for c in m.covers(f, span, rest):

@@ -127,10 +127,16 @@ def is_modular_in_context(lat: FlatLattice, z: int, ctx: int) -> bool:
     r(Y) > r(ctx) - r(z): some flat of rank r(ctx) - r(z) + 1 below Y
     misses z.  Atoms and the bottom are always modular.
 
-    Read off `lat.atom_index` at that rank: the flats below ctx that z
-    misses are the positions set by no atom outside ctx and by no atom of
-    z outside the bottom (the loops lie in every flat), stopping once
-    none is left.  No rank is computed.
+    Read off `lat.atom_index` at level k = r(ctx) - r(z) + 1: the flats
+    below ctx that z misses are the positions set by no atom outside ctx
+    and by no atom of z outside the bottom (the loops lie in every flat).
+    State is kept per (ctx, k) in `lat._meet`: the positions of the flats
+    below ctx, ANDed over the atoms outside ctx once, and the flats Y
+    found missed by some z, most recently used first.  Each such Y proves
+    any other z of rank r(z) that misses it non-modular, so one AND
+    `y & (z & ~bottom)` per remembered Y is tried first; only then are
+    the atoms of z ANDed in, stopping once no position is left, and a
+    position left names a new Y to remember.  No rank is computed.
     """
     rank_of = lat.rank_of
     r = rank_of[lat.require(z)]
@@ -141,13 +147,32 @@ def is_modular_in_context(lat: FlatLattice, z: int, ctx: int) -> bool:
     if r <= 1:
         return True
     has = lat.atom_index[k]
-    missed = (1 << len(lat.levels[k])) - 1
-    atoms = (lat.top & ~ctx) | (z & ~lat.bottom)
-    while atoms and missed:
+    state = lat._meet.get((ctx, k))
+    if state is None:
+        below = _unset(has, (1 << len(lat.levels[k])) - 1, lat.top & ~ctx)
+        state = lat._meet[ctx, k] = (below, [])
+    below, disjoint = state
+    inside = z & ~lat.bottom
+    for i, y in enumerate(disjoint):
+        if not y & inside:
+            if i:
+                disjoint.insert(0, disjoint.pop(i))
+            return False
+    missed = _unset(has, below, inside)
+    if missed:
+        disjoint.insert(0, lat.levels[k][(missed & -missed).bit_length() - 1])
+        return False
+    return True
+
+
+def _unset(has, positions: int, atoms: int) -> int:
+    """`positions` less those that some atom of `atoms` sets in the level
+    index `has`, stopping once none is left."""
+    while atoms and positions:
         low = atoms & -atoms
-        missed &= ~has[low.bit_length() - 1]
+        positions &= ~has[low.bit_length() - 1]
         atoms ^= low
-    return not missed
+    return positions
 
 
 def modular_flats_in_context(lat: FlatLattice, ctx: int) -> tuple:

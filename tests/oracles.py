@@ -8,6 +8,8 @@ products) and share no code with the package at all.
 
 from itertools import combinations, permutations
 
+from modext.algebra import IntPolynomial
+
 
 def popcount(mask: int) -> int:
     return bin(mask).count("1")
@@ -151,6 +153,15 @@ def brute_supersolvable(m, flats=None) -> bool:
         return ok
 
     return peel((1 << m.n) - 1)
+
+
+def flag_quotient_product(flag) -> IntPolynomial:
+    """Product of all step quotients of a divisional flag (telescopes to
+    chi(M))."""
+    out = IntPolynomial.one()
+    for q in flag.quotients():
+        out = out * q
+    return out
 
 
 # ---------------------------------------------------------------------------

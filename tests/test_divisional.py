@@ -3,11 +3,12 @@
 import pytest
 
 from modext.algebra import IntPolynomial, poly_exact_div
-from modext.divisional import (divisional_flag, flag_quotient_product,
-                               is_divisional_atom, stanley_division_check)
+from modext.divisional import divisional_flag, is_divisional_atom, stanley_division_check
 from modext.errors import InvalidInput
 from modext.lattice import charpoly, interval_charpoly
 from modext.modularity import modular_flats, supersolvable_chain
+
+from oracles import flag_quotient_product
 
 
 def test_stanley_division_on_modular_flats(corpus):

@@ -245,6 +245,17 @@ def test_interval_charpolys_of_samples_match_brute_mobius():
     assert inner > 100
 
 
+def test_above_matches_a_containment_scan_order_included(corpus, all_corpus_names):
+    # the interval tests iterate above(), so a flat it dropped would
+    # silently shrink what they check; the samples' loops lie in every flat
+    lattices = [(name, corpus(name)[1]) for name in all_corpus_names]
+    lattices += [(i, enumerate_flats(m))
+                 for i, m in enumerate(random_matroids() + non_simple_gf3_matroids())]
+    for label, lat in lattices:
+        for x in lat.flats():
+            assert lat.above(x) == tuple(f for f in lat.flats() if f & x == x), (label, x)
+
+
 def test_interval_requires_comparable_flats(corpus):
     _, lat = corpus("u23")
     with pytest.raises(NotAFlat):

@@ -1,5 +1,7 @@
 """Modularity criteria, roundness, supersolvable chains."""
 
+import random
+
 import pytest
 
 from modext.errors import EmptyFlat, NotACoatom, NotAFlat, NotComparable
@@ -58,6 +60,25 @@ def test_meet_test_matches_rank_scan_on_random_matroids():
     # count the bottom's atoms as a meet
     for i, m in enumerate(random_matroids() + non_simple_gf3_matroids()):
         _assert_meet_test_matches_rank_scan(i, enumerate_flats(m))
+
+
+def test_meet_test_matches_rank_scan_in_scrambled_order(corpus, all_corpus_names):
+    # the meet test keeps state per context and level on the lattice, so
+    # verdicts asked with contexts and levels interleaved, or in reverse,
+    # must not let one context's remembered flats decide another's verdict
+    rng = random.Random(16)
+    samples = [(name, corpus(name)[0]) for name in all_corpus_names
+               if len(corpus(name)[1]) <= 250]
+    samples += list(enumerate(random_matroids() + non_simple_gf3_matroids()))
+    for label, m in samples:
+        lat = enumerate_flats(m)
+        expected = {(z, ctx): violating_flat_in_context(lat, z, ctx) is None
+                    for ctx in lat.flats() for z in lat.below(ctx)}
+        pairs = list(expected)
+        for order in (pairs[::-1], rng.sample(pairs, len(pairs))):
+            fresh = enumerate_flats(m)
+            for z, ctx in order:
+                assert is_modular_in_context(fresh, z, ctx) == expected[z, ctx], (label, z, ctx)
 
 
 def test_modularity_verdicts_require_flats(corpus):
