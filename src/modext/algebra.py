@@ -391,10 +391,10 @@ class FieldMatrix:
 
 
 def integer_row_rank(rows) -> int:
-    """Rank of an integer matrix (list of row lists) by Bareiss elimination.
+    """Rank of an integer matrix (a sequence of rows) by Bareiss elimination.
 
     Fraction-free: every division is exact, so the computation stays in Z.
-    The input rows are consumed.
+    The rows, any sequences of ints, are copied and left unmodified.
     """
     rows = [list(r) for r in rows]
     nrows = len(rows)
@@ -426,7 +426,8 @@ def integer_row_rank(rows) -> int:
 
 
 def gf_row_rank(rows, p: int) -> int:
-    """Rank of a matrix over GF(p); rows are lists of ints, consumed."""
+    """Rank of a matrix over GF(p); rows are sequences of ints, copied and
+    left unmodified."""
     rows = [[x % p for x in r] for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -478,13 +479,14 @@ def gf2_rank(vectors) -> int:
 
 
 def _clear_row_denominators(row) -> list:
-    """Scale a row of Fractions to integers (rank-preserving)."""
+    """Scale a row of Fractions to integers by the lcm of their
+    denominators (rank-preserving)."""
     lcm = 1
     for x in row:
         d = x.denominator
         g = gcd(lcm, d)
         lcm = lcm // g * d
-    return [int(x * lcm) for x in row]
+    return [x.numerator * (lcm // x.denominator) for x in row]
 
 
 def matrix_rank(m: FieldMatrix) -> int:
@@ -495,5 +497,5 @@ def matrix_rank(m: FieldMatrix) -> int:
         return integer_row_rank([_clear_row_denominators(r) for r in m.rows])
     if m.field.p == 2:
         return gf2_rank([gf2_pack(r) for r in m.rows])
-    return gf_row_rank([list(r) for r in m.rows], m.field.p)
+    return gf_row_rank(m.rows, m.field.p)
 

@@ -37,7 +37,8 @@ Everything is driven by the covering relation:
   edges.  mu(bottom, X) depends on nothing above X, so `mobius()` computes
   it once for the whole lattice and an interval [bottom, T] sums it over
   the flats below T; any other interval [B, T] runs one Weisner pass over
-  the flats above B and below T, skipping the children not above B.
+  the flats above B and below T (all of `above(B)` when T is the top),
+  skipping the children not above B.
 
 Order: levels, covers and children list flats in lexicographic order of
 their ascending atom tuples (`atom_tuple`), and nothing is sorted:
@@ -219,7 +220,9 @@ class FlatLattice:
             outside = ~top
             return IntPolynomial([sum(mu[f] for f in self.levels[k] if not f & outside)
                                   for k in range(top_rank, -1, -1)])
-        flats = [f for f in self.above(bottom) if f & top == f]
+        flats = self.above(bottom)
+        if top != self.top:
+            flats = [f for f in flats if f & top == f]
         mu = self._weisner(flats, bottom)
         return _chi_from_mobius(mu, self.rank_of, top_rank, shift=self.rank_of[bottom])
 

@@ -11,12 +11,14 @@ by the cover of cl(subset) they lie in, in first-atom order, keying the
 candidates in cl(subset) by 0: closure reads class 0 and covers the
 others.  Graphs and matrices reduce each candidate once, to a canonical
 residue (fully reduced against a reduced echelon XOR basis over GF(2),
-against a fraction-free echelon basis over GF(p) and Q), and atoms with
-equal residues lie in one cover.  Without a kernel, as for a bare rank
-function, closure asks the rank of the subset plus each candidate and
-covers are closed one at a time.  Derived matroids (restrictions,
-simplified contractions) delegate their rank queries to the parent
-oracle, so memoized ranks are shared.
+against a fraction-free echelon basis over GF(p) and Q, where columns and
+residues stay primitive so that a residue is its own key up to sign), and
+atoms with equal residues lie in one cover.  The same kernel on the
+empty subset finds a matrix's zero and parallel columns.  Without a
+kernel, as for a bare rank function, closure asks the rank of the subset
+plus each candidate and covers are closed one at a time.  Derived
+matroids (restrictions, simplified contractions) delegate their rank
+queries to the parent oracle, so memoized ranks are shared.
 """
 
 from __future__ import annotations
@@ -257,23 +259,26 @@ def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS
     """Matroid of the columns of an exact matrix; atom i is column i.
 
     Raises NotSimple (listing the offending columns) on zero or pairwise
-    proportional columns.
+    proportional columns: the lowest zero column, else the lex-first
+    proportional pair.  Both come from one call of the classes kernel on
+    the empty subset: class 0 holds the zero columns, and every other
+    class the columns that are nonzero multiples of one another, in
+    first-atom order, so the first class of two or more atoms starts with
+    the lex-first pair.  Over Q each column is cleared of denominators and
+    divided by its content, once.
     """
     field = matrix.field
     ncols = matrix.ncols
     cols = [matrix.column(j) for j in range(ncols)]
-    for j, col in enumerate(cols):
-        if all(field.is_zero(x) for x in col):
-            raise NotSimple([j], f"column {j} is zero")
-    for i, j in combinations(range(ncols), 2):
-        if _proportional(field, cols[i], cols[j]):
-            raise NotSimple([i, j], f"columns {i} and {j} are proportional")
-
     if field.is_rational:
-        int_cols = [tuple(_clear_row_denominators(list(c))) for c in cols]
+        int_cols = []
+        for c in cols:
+            c = _clear_row_denominators(c)
+            g = gcd(*c)
+            int_cols.append(tuple([s // g for s in c] if g > 1 else c))
 
         def rank_fn(mask, _cols=int_cols):
-            return integer_row_rank([list(_cols[a]) for a in iter_atoms(mask)])
+            return integer_row_rank([_cols[a] for a in iter_atoms(mask)])
         classes_fn = _echelon_classes(int_cols, 0)
     elif field.p == 2:
         vectors = [gf2_pack(c) for c in cols]
@@ -283,6 +288,16 @@ def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS
         def rank_fn(mask, _cols=cols, _p=field.p):
             return gf_row_rank([_cols[a] for a in iter_atoms(mask)], _p)
         classes_fn = _echelon_classes(cols, field.p)
+
+    groups = classes_fn(0, (1 << ncols) - 1)
+    zero = groups.pop(0, 0)
+    if zero:
+        j = (zero & -zero).bit_length() - 1
+        raise NotSimple([j], f"column {j} is zero")
+    for c in groups.values():
+        if c & (c - 1):
+            i, j = atom_tuple(c)[:2]
+            raise NotSimple([i, j], f"columns {i} and {j} are proportional")
 
     return Matroid(ncols, rank_fn, classes_fn=classes_fn, labels=labels, backend="linear",
                    max_atoms=max_atoms)
@@ -336,15 +351,15 @@ def _echelon_classes(cols, p):
 
     One fraction-free echelon basis of the subset's columns: a column is
     reduced by each basis vector b with pivot piv in turn, by the step
-    v <- b[piv]*v - v[piv]*b, taken mod p over GF(p) and, over Q, where
-    the columns are cleared of denominators, divided by its content gcd so
-    that entries stay bounded.  Each basis vector is zero at the earlier
-    pivots, so a reduced column is zero at every pivot; it joins the basis,
-    pivoting at its first nonzero entry, unless it is zero.  A reduced
-    column is a nonzero multiple of the column's residue that is zero at
-    every pivot; it is made canonical by scaling its leading entry to 1
-    over GF(p), and over Q by dividing by its gcd, signed so that the
-    leading entry is positive.
+    v <- b[piv]*v - v[piv]*b, taken mod p over GF(p) and, over Q, divided
+    by its content gcd so that entries stay bounded.  Each basis vector is
+    zero at the earlier pivots, so a reduced column is zero at every pivot;
+    it joins the basis, pivoting at its first nonzero entry, unless it is
+    zero.  A reduced column is a nonzero multiple of the column's residue
+    that is zero at every pivot; it is made canonical over GF(p) by scaling
+    its leading entry to 1.  Over Q the columns come primitive (content 1)
+    and every step divides by the content, so the residue is already
+    primitive: negated when its leading entry is negative, it is the key.
     """
     def reduce(v, basis):
         for piv, b in basis:
@@ -364,33 +379,28 @@ def _echelon_classes(cols, p):
         basis = []
         for a in iter_atoms(subset):
             v = reduce(cols[a], basis)
-            if any(v):
-                basis.append((next(i for i, s in enumerate(v) if s), v))
+            for piv, s in enumerate(v):
+                if s:
+                    basis.append((piv, v))
+                    break
         groups = {}
         for a in iter_atoms(candidates):
             v = reduce(cols[a], basis)
-            lead = next((s for s in v if s), 0)
+            lead = 0
+            for lead in v:
+                if lead:
+                    break
             if not lead:
                 key = 0
             elif p:
                 inv = pow(lead, -1, p)
                 key = tuple(s * inv % p for s in v)
             else:
-                g = gcd(*v)
-                key = tuple(s // g for s in v) if lead > 0 else tuple(-s // g for s in v)
+                key = tuple(v) if lead > 0 else tuple([-s for s in v])
             groups[key] = groups.get(key, 0) | 1 << a
         return groups
 
     return classes
-
-
-def _proportional(field: Field, u, v) -> bool:
-    """Whether two nonzero vectors over the field differ by a scalar."""
-    pivot = next(i for i, x in enumerate(u) if not field.is_zero(x))
-    if field.is_zero(v[pivot]):
-        return False
-    lam = field.mul(v[pivot], field.inv(u[pivot]))
-    return all(field.is_zero(field.sub(field.mul(lam, a), b)) for a, b in zip(u, v))
 
 
 def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_ATOMS) -> Matroid:

@@ -165,6 +165,32 @@ def flag_quotient_product(flag) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
+# matrix oracles (use only the field's scalar arithmetic)
+# ---------------------------------------------------------------------------
+
+def _proportional(field, u, v) -> bool:
+    """Whether two nonzero vectors over the field differ by a scalar."""
+    pivot = next(i for i, x in enumerate(u) if not field.is_zero(x))
+    if field.is_zero(v[pivot]):
+        return False
+    lam = field.mul(v[pivot], field.inv(u[pivot]))
+    return all(field.is_zero(field.sub(field.mul(lam, a), b)) for a, b in zip(u, v))
+
+
+def simplicity_violation(field, cols):
+    """(columns, message) of the NotSimple a matrix with these columns must
+    raise, by a pairwise scan: the lowest zero column, else the lex-first
+    pair of proportional columns; None when the columns are simple."""
+    for j, col in enumerate(cols):
+        if all(field.is_zero(x) for x in col):
+            return [j], f"column {j} is zero"
+    for i, j in combinations(range(len(cols)), 2):
+        if _proportional(field, cols[i], cols[j]):
+            return [i, j], f"columns {i} and {j} are proportional"
+    return None
+
+
+# ---------------------------------------------------------------------------
 # graph oracles
 # ---------------------------------------------------------------------------
 

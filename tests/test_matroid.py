@@ -1,6 +1,7 @@
 """Matroid construction, rank/closure behaviour, minors, circuits."""
 
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,7 @@ from modext.lattice import enumerate_flats
 from modext.matroid import (Matroid, atom_tuple, circuits, graphic_matroid,
                             is_chordal, linear_matroid, load_matroid, mask_of)
 
-from oracles import brute_chordal, brute_closure
+from oracles import brute_chordal, brute_closure, simplicity_violation
 from samples import random_matroids, s3_gain_matroids
 
 
@@ -42,6 +43,77 @@ def test_simplicity_rejected():
         graphic_matroid(2, [(0, 1), (0, 1)])
     with pytest.raises(InvalidInput):  # graphic: loop edge
         graphic_matroid(2, [(0, 0)])
+
+
+def _planted_columns(field, rng):
+    """Random columns over the field, some of them planted: zero columns,
+    and multiples of earlier columns (over Q negated, non-primitive integer
+    and rational multiples), each put at a random position."""
+    nrows, n = rng.randint(1, 4), rng.randint(1, 7)
+    if field.is_rational:
+        def entry():
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        scalars = [Fraction(-1), Fraction(2), Fraction(-3), Fraction(4),
+                   Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
+    else:
+        def entry():
+            return rng.randrange(field.p)
+        scalars = list(range(1, field.p))
+    cols = [[entry() for _ in range(nrows)] for _ in range(n)]
+    for _ in range(rng.choice((0, 0, 1, 1, 2))):
+        scale = rng.choice(scalars)
+        col = [field.mul(scale, x) for x in rng.choice(cols)]
+        cols.insert(rng.randint(0, len(cols)), col)
+    if rng.random() < 0.2:
+        cols.insert(rng.randint(0, len(cols)), [field.zero()] * nrows)
+    return cols
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.gf(2), Field.gf(3), Field.gf(5)],
+                         ids=repr)
+def test_simplicity_check_matches_the_pairwise_scan(field):
+    rng = random.Random(23 + (field.p or 0))
+    outcomes = set()
+    for _ in range(300):
+        cols = _planted_columns(field, rng)
+        matrix = FieldMatrix(field, list(zip(*cols)))
+        expected = simplicity_violation(field, cols)
+        if expected is None:
+            assert linear_matroid(matrix).n == len(cols), cols
+            outcomes.add("simple")
+            continue
+        with pytest.raises(NotSimple) as info:
+            linear_matroid(matrix)
+        assert (list(info.value.columns), str(info.value)) == expected, cols
+        outcomes.add("zero" if len(expected[0]) == 1 else "parallel")
+    assert outcomes == {"simple", "zero", "parallel"}
+
+
+def test_rescaled_rational_columns_give_the_same_lattice():
+    # every column scaled by its own nonzero rational, three times over
+    rng = random.Random(29)
+    field = Field.rational()
+    columns = [list(corpus_member(name)["arrangement"]().forms)
+               for name in ("bn-3", "braid-4", "dn-4", "example-7", "example-13")]
+    while len(columns) < 20:
+        cols = _planted_columns(field, rng)
+        if len(cols) > 2 and simplicity_violation(field, cols) is None:
+            columns.append(cols)
+
+    def lattice(cols):
+        return enumerate_flats(linear_matroid(FieldMatrix(field, list(zip(*cols)))))
+
+    for cols in columns:
+        ref = lattice(cols)
+        for _ in range(3):
+            scaled = []
+            for col in cols:
+                scale = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                scaled.append([scale * x for x in col])
+            lat = lattice(scaled)
+            assert lat.levels == ref.levels, cols
+            assert list(lat.children.items()) == list(ref.children.items()), cols
+            assert lat.atom_index == ref.atom_index, cols
 
 
 def test_guardrail():
