@@ -56,12 +56,6 @@ class IntPolynomial:
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    @property
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise DivisionByZeroPolynomial("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __call__(self, x):
         """Evaluate by Horner's rule; accepts int or Fraction."""
         acc = 0

@@ -27,11 +27,6 @@ class DivisionalFlag:
     flats: tuple
     quotient_roots: tuple
 
-    def quotients(self):
-        from .algebra import IntPolynomial
-
-        return tuple(IntPolynomial((-a, 1)) for a in self.quotient_roots)
-
     def to_json(self) -> dict:
         return {
             "kind": "divisional-flag",

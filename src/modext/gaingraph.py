@@ -36,12 +36,10 @@ class FiniteGroup:
     """A finite group given by its multiplication table.
 
     Elements are indices 0..order-1 with 0 the identity; `names` are their
-    display strings.  Optional embeddings map elements injectively and
-    homomorphically into the multiplicative or additive group of a field;
-    both are validated at construction.
+    display strings.
     """
 
-    def __init__(self, names, table, *, mult_embedding=None, add_embedding=None):
+    def __init__(self, names, table):
         self.names = tuple(str(x) for x in names)
         n = len(self.names)
         if len(set(self.names)) != n or n == 0:
@@ -65,27 +63,6 @@ class FiniteGroup:
                 for c in range(n):
                     if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                         raise InvalidInput("group table is not associative")
-        self.mult_embedding = self._check_embedding(mult_embedding, additive=False)
-        self.add_embedding = self._check_embedding(add_embedding, additive=True)
-
-    def _check_embedding(self, emb, additive: bool):
-        if emb is None:
-            return None
-        field, values = emb
-        values = tuple(field.of(v) for v in values)
-        if len(values) != self.order or len(set(values)) != self.order:
-            raise InvalidInput("embedding must be injective over all elements")
-        for a in range(self.order):
-            for b in range(self.order):
-                image = field.add(values[a], values[b]) if additive \
-                    else field.mul(values[a], values[b])
-                if image != values[self.table[a][b]]:
-                    raise InvalidInput("embedding is not a homomorphism")
-        if not additive and any(field.is_zero(v) for v in values):
-            raise InvalidInput("multiplicative embedding hits zero")
-        if additive and not field.is_zero(values[0]):
-            raise InvalidInput("additive embedding must send identity to zero")
-        return field, values
 
     @property
     def order(self) -> int:
@@ -175,8 +152,6 @@ def multiplicative_embedding(group: FiniteGroup, field: Field):
     of unity in the field: n <= 2 over Q, n dividing p-1 over GF(p).
     Returns the tuple of images indexed by element.
     """
-    if group.mult_embedding is not None and group.mult_embedding[0] == field:
-        return group.mult_embedding[1]
     n = group.order
     if n == 1:
         return (field.one(),)
@@ -209,8 +184,6 @@ def additive_embedding(group: FiniteGroup, field: Field):
     Over Q only the trivial group embeds; over GF(p) the group must be
     cyclic of order p (or trivial).
     """
-    if group.add_embedding is not None and group.add_embedding[0] == field:
-        return group.add_embedding[1]
     n = group.order
     if n == 1:
         return (field.zero(),)

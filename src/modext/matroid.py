@@ -3,22 +3,19 @@
 Ground sets are atoms 0..n-1 and subsets are plain Python ints used as
 bitmasks (bit a set <=> atom a in the subset), which keeps subset algebra
 to single machine operations at desk scale.  A Matroid wraps a pure rank
-function with a memo table, and optionally one kernel,
-`classes(subset, candidates)`, which every public constructor hands over.
-From one pass over the subset (one basis for graphs and matrices, one
-component walk for gain graphs) it groups the candidates outside cl(subset)
-by the cover of cl(subset) they lie in, in first-atom order, keying the
-candidates in cl(subset) by 0: closure reads class 0 and covers the
-others.  Graphs and matrices reduce each candidate once, to a canonical
+function with a memo table, and one kernel, `classes(subset, candidates)`:
+it groups the candidates outside cl(subset) by the cover of cl(subset)
+they lie in, in first-atom order, keying the candidates in cl(subset) by
+0, so that closure reads class 0 and covers the others.  Every public
+constructor hands over a kernel that does this in one pass over the
+subset (one basis for graphs and matrices, one component walk for gain
+graphs).  Graphs and matrices reduce each candidate once, to a canonical
 residue (fully reduced against a reduced echelon XOR basis over GF(2),
 against a fraction-free echelon basis over GF(p) and Q, where columns and
 residues stay primitive so that a residue is its own key up to sign), and
 atoms with equal residues lie in one cover.  The same kernel on the
-empty subset finds a matrix's zero and parallel columns.  Without a
-kernel, as for a bare rank function, closure asks the rank of the subset
-plus each candidate and covers are closed one at a time.  Derived
-matroids (restrictions, simplified contractions) delegate their rank
-queries to the parent oracle, so memoized ranks are shared.
+empty subset finds a matrix's zero and parallel columns.  A bare rank
+function gets `_rank_classes`, which reads the classes off rank queries.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ from math import gcd
 
 from .algebra import (Field, FieldMatrix, gf2_pack, gf2_rank, gf_row_rank, integer_row_rank,
                       _clear_row_denominators)
-from .errors import InvalidInput, NotAFlat, NotSimple, TooLarge, reading
+from .errors import InvalidInput, NotSimple, TooLarge, reading
 
 DEFAULT_MAX_ATOMS = 24
 
@@ -88,13 +85,13 @@ class Matroid:
 
     `rank_fn` must be a pure function of the subset bitmask satisfying the
     rank axioms; constructors in this module validate simplicity before
-    handing one over.  `classes_fn(subset, candidates)`, when given, maps
-    each key to the candidates it holds, in first-atom order: key 0 to
-    those in cl(subset), and one key per cover of cl(subset) to those in
-    that cover, under the same rank function.  The subset need not be a
-    flat (enumeration hands over a set spanning one).  `backend` records
-    where the oracle came from ("linear", "graphic", "frame", "lift", or
-    "explicit").
+    handing one over.  `classes_fn(subset, candidates)` maps each key to
+    the candidates it holds, in first-atom order: key 0 to those in
+    cl(subset), and one key per cover of cl(subset) to those in that
+    cover, under the same rank function; without one, `_rank_classes`
+    asks the memoized rank.  The subset need not be a flat (enumeration
+    hands over a set spanning one).  `backend` records where the oracle
+    came from ("linear", "graphic", "frame", "lift", or "explicit").
     """
 
     def __init__(self, n, rank_fn, *, classes_fn=None, labels=None,
@@ -114,7 +111,7 @@ class Matroid:
         self.max_atoms = max_atoms
         self.full_mask = (1 << n) - 1
         self._rank_fn = rank_fn
-        self._classes_fn = classes_fn
+        self._classes_fn = classes_fn if classes_fn is not None else _rank_classes(self.rank)
         self._memo = {0: 0}
         self._circuit_cache = None
 
@@ -134,28 +131,11 @@ class Matroid:
     def full_rank(self) -> int:
         return self.rank(self.full_mask)
 
-    def closure(self, subset: int, candidates: int | None = None) -> int:
-        """Smallest flat containing the subset.
-
-        With `candidates`, returns the subset plus the candidates in its
-        closure; the caller vouches that no other atom outside the subset
-        lies in the closure.  The kernel's class 0 holds them when the
-        matroid has one; otherwise each is tested by a rank query.
-        """
-        if candidates is None:
-            candidates = self.full_mask
-        self._check_inside(subset | candidates)
-        rest = candidates & ~subset
-        if self._classes_fn is not None:
-            return subset | self._classes_fn(subset, rest).get(0, 0)
-        r = self.rank(subset)
-        out = subset
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            if self.rank(subset | low) == r:
-                out |= low
-        return out
+    def closure(self, subset: int) -> int:
+        """Smallest flat containing the subset: the subset plus the
+        kernel's class 0 of the atoms outside it."""
+        self._check_inside(subset)
+        return subset | self._classes_fn(subset, self.full_mask & ~subset).get(0, 0)
 
     def covers(self, flat: int, span: int, rest: int) -> list:
         """The flats covering `flat` whose atoms outside it lie in `rest`,
@@ -163,21 +143,12 @@ class Matroid:
 
         `span` is a subset of the flat that spans it, and `rest`, outside
         the flat, is a union of the parts outside it of some of its covers.
-        The kernel's classes other than 0, when the matroid has one, are
-        the covers' parts in `rest`; otherwise each cover is
-        `flat | closure(span | a, rest)` at the lowest atom a of `rest`
-        left.  Either way covers come in ascending lowest new atom: lex
-        order, as every cover holds the flat.
+        The kernel's classes other than 0 are the covers' parts in `rest`.
+        They come in ascending lowest new atom: lex order, as every cover
+        holds the flat.
         """
         self._check_inside(flat | span | rest)
-        if self._classes_fn is not None:
-            return [flat | c for k, c in self._classes_fn(span, rest).items() if k != 0]
-        out = []
-        while rest:
-            c = flat | self.closure(span | (rest & -rest), rest)
-            rest &= ~c
-            out.append(c)
-        return out
+        return [flat | c for k, c in self._classes_fn(span, rest).items() if k != 0]
 
     def _check_inside(self, subset: int) -> None:
         if subset & ~self.full_mask:
@@ -206,49 +177,38 @@ class Matroid:
             if self.rank((1 << a) | (1 << b)) < 2:
                 raise NotSimple([a, b], f"atoms {a} and {b} are parallel")
 
-    # -- minors
-
-    def restrict(self, flat: int) -> "Matroid":
-        """Restriction to a flat, reindexed to atoms 0..|flat|-1.
-
-        The rank oracle delegates to the parent, so memoized ranks are
-        shared.  Labels are inherited.
-        """
-        if not self.is_flat(flat):
-            raise NotAFlat(f"restriction requires a flat, got {sorted(atom_tuple(flat))}")
-        atoms = atom_tuple(flat)
-        bits = [1 << a for a in atoms]
-
-        def rank_fn(sub, _bits=bits, _parent=self):
-            return _parent.rank(remap_mask(sub, _bits))
-
-        labels = tuple(self.label_of(a) for a in atoms) if self.labels else None
-        return Matroid(len(atoms), rank_fn, labels=labels, backend=self.backend,
-                       max_atoms=self.max_atoms)
-
-    def contract_simplify(self, flat: int):
-        """Simplification of the contraction by a flat.
-
-        Returns (matroid, atom_map).  The atoms of the result are the flats
-        covering `flat`; original atom a outside the flat maps through
-        atom_map to the index of its cover closure(flat | {a}).  The rank
-        oracle evaluates r(union of covers) - r(flat) on the parent.
-        """
-        if not self.is_flat(flat):
-            raise NotAFlat(f"contraction requires a flat, got {sorted(atom_tuple(flat))}")
-        base = self.rank(flat)
-        covers = self.covers(flat, flat, self.full_mask & ~flat)
-        atom_map = dict(sorted((a, i) for i, c in enumerate(covers)
-                               for a in iter_atoms(c & ~flat)))
-
-        def rank_fn(sub, _covers=covers, _flat=flat, _base=base, _parent=self):
-            return _parent.rank(_flat | remap_mask(sub, _covers)) - _base
-
-        m = Matroid(len(covers), rank_fn, backend="explicit", max_atoms=self.max_atoms)
-        return m, atom_map
-
     def __repr__(self):
         return f"Matroid(n={self.n}, backend={self.backend!r})"
+
+
+def _rank_classes(rank):
+    """Classes kernel of a bare rank function, from rank queries alone.
+
+    A candidate a lies in cl(subset) iff r(subset + a) = r(subset).  Any
+    other lies in the cover cl(subset + a), which holds each candidate b
+    outside cl(subset) with r(subset + a + b) = r(subset) + 1; the covers
+    are keyed by their lowest candidate bit, taken in ascending order.
+    """
+    def classes(subset, candidates):
+        r = rank(subset)
+        groups = {}
+        rest = 0
+        for a in iter_atoms(candidates):
+            if rank(subset | 1 << a) == r:
+                groups[0] = groups.get(0, 0) | 1 << a
+            else:
+                rest |= 1 << a
+        while rest:
+            low = rest & -rest
+            cover = low
+            for b in iter_atoms(rest ^ low):
+                if rank(subset | low | 1 << b) == r + 1:
+                    cover |= 1 << b
+            groups[low] = cover
+            rest ^= cover
+        return groups
+
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -461,30 +421,6 @@ def circuits(m: Matroid):
                 out.append(mask)
     m._circuit_cache = tuple(out)
     return m._circuit_cache
-
-
-# ---------------------------------------------------------------------------
-# graph utilities
-
-
-def is_chordal(n_vertices: int, edges) -> bool:
-    """Whether a simple graph is chordal, by simplicial-vertex peeling."""
-    adj = {v: set() for v in range(n_vertices)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    alive = set(range(n_vertices))
-    while alive:
-        simplicial = None
-        for v in sorted(alive):
-            nb = adj[v] & alive
-            if all(w in adj[u] for u, w in combinations(sorted(nb), 2)):
-                simplicial = v
-                break
-        if simplicial is None:
-            return False
-        alive.discard(simplicial)
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,7 @@ class ModularityWitness:
 
     On failure exactly one kind of evidence is set: `violating_flat` for the
     rank equation, `pair` for the coatom triangle test, or `circuit`+`atom`
-    for the short-circuit axiom.  On success under the coatom test,
-    `pairing` maps each outside pair to a triangle-closing atom.
+    for the short-circuit axiom.
     """
 
     modular: bool
@@ -47,28 +46,9 @@ class ModularityWitness:
     pair: tuple | None = None
     circuit: int | None = None
     atom: int | None = None
-    pairing: tuple | None = None
 
     def __bool__(self) -> bool:
         return self.modular
-
-    def to_json(self) -> dict:
-        out = {
-            "criterion": self.criterion,
-            "modular": self.modular,
-            "flat": list(atom_tuple(self.flat)),
-        }
-        if self.violating_flat is not None:
-            out["violating_flat"] = list(atom_tuple(self.violating_flat))
-        if self.pair is not None:
-            out["pair"] = list(self.pair)
-        if self.circuit is not None:
-            out["circuit"] = list(atom_tuple(self.circuit))
-        if self.atom is not None:
-            out["atom"] = self.atom
-        if self.pairing is not None:
-            out["pairing"] = [[list(pair), f] for pair, f in self.pairing]
-        return out
 
 
 @dataclass(frozen=True)
@@ -248,13 +228,10 @@ def is_modular_coatom_triangle(m: Matroid, x: int,
     outside x must hold an atom of x (`lines_outside`)."""
     lat = _lattice_for(m, lattice)
     _require_coatom(lat, x)
-    pairing = []
     for pair, hits in lines_outside(lat, x, lat.top):
-        hit = next(hits, None)
-        if hit is None:
+        if next(hits, None) is None:
             return ModularityWitness(False, "coatom-triangle", x, pair=pair)
-        pairing.append((pair, hit))
-    return ModularityWitness(True, "coatom-triangle", x, pairing=tuple(pairing))
+    return ModularityWitness(True, "coatom-triangle", x)
 
 
 def coatom_pairing(m: Matroid, x: int, lattice: FlatLattice | None = None) -> dict:

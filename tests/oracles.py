@@ -1,14 +1,17 @@
 """Brute-force reference implementations used to cross-check the package.
 
 Everything here recomputes results from first definitions.  The matroid
-oracles only touch the rank function of the matroid under test; the gain
-graph oracles rebuild independence from scratch (cycle enumeration plus gain
-products) and share no code with the package at all.
+oracles only touch the rank function of the matroid under test, and the
+minors are bare matroids over it; the gain graph oracles rebuild
+independence from scratch (cycle enumeration plus gain products) and share
+no code with the package at all.
 """
 
 from itertools import combinations, permutations
 
 from modext.algebra import IntPolynomial
+from modext.errors import NotAFlat
+from modext.matroid import Matroid, atom_tuple, remap_mask
 
 
 def popcount(mask: int) -> int:
@@ -155,12 +158,51 @@ def brute_supersolvable(m, flats=None) -> bool:
     return peel((1 << m.n) - 1)
 
 
+def brute_covers(m, flat: int) -> list:
+    """The flats covering a flat, in lex order: the closures of flat | {a}
+    over the atoms a outside it, in ascending lowest new atom."""
+    out, seen = [], flat
+    for a in range(m.n):
+        if not seen >> a & 1:
+            c = brute_closure(m, flat | 1 << a)
+            seen |= c
+            out.append(c)
+    return out
+
+
+def restrict(m, flat: int):
+    """M|flat as a bare matroid on atoms 0..|flat|-1, ranks asked of m (so
+    its memo is shared), labels and atom cap inherited."""
+    if brute_closure(m, flat) != flat:
+        raise NotAFlat(f"restriction requires a flat, got {sorted(atom_tuple(flat))}")
+    bits = [1 << a for a in atom_tuple(flat)]
+    labels = tuple(m.label_of(a) for a in atom_tuple(flat)) if m.labels else None
+    return Matroid(len(bits), lambda sub: m.rank(remap_mask(sub, bits)), labels=labels,
+                   max_atoms=m.max_atoms)
+
+
+def contract_simplify(m, flat: int):
+    """(si(M/flat), atom_map): a bare matroid whose atoms are the flats
+    covering `flat`, in lex order, ranked by r(flat | union of covers) -
+    r(flat) on m; atom_map sends each atom of m outside the flat to the
+    index of its cover."""
+    if brute_closure(m, flat) != flat:
+        raise NotAFlat(f"contraction requires a flat, got {sorted(atom_tuple(flat))}")
+    base = m.rank(flat)
+    covers = brute_covers(m, flat)
+    atom_map = dict(sorted((a, i) for i, c in enumerate(covers)
+                           for a in atom_tuple(c & ~flat)))
+    q = Matroid(len(covers), lambda sub: m.rank(flat | remap_mask(sub, covers)) - base,
+                max_atoms=m.max_atoms)
+    return q, atom_map
+
+
 def flag_quotient_product(flag) -> IntPolynomial:
-    """Product of all step quotients of a divisional flag (telescopes to
-    chi(M))."""
+    """Product of all step quotients t - a of a divisional flag (telescopes
+    to chi(M))."""
     out = IntPolynomial.one()
-    for q in flag.quotients():
-        out = out * q
+    for a in flag.quotient_roots:
+        out = out * IntPolynomial((-a, 1))
     return out
 
 

@@ -10,6 +10,12 @@ from modext.gaingraph import FiniteGroup, GainGraph, frame_matroid, lift_matroid
 from modext.matroid import Matroid, graphic_matroid, iter_atoms, linear_matroid
 
 
+def has_backend_kernel(m):
+    """Whether m reads its classes off a backend kernel handed over by its
+    constructor, not off the rank-query kernel of a bare rank function."""
+    return "_rank_classes" not in m._classes_fn.__qualname__
+
+
 def random_matroids(seed=8):
     """Simple matroids of every backend on at most 12 atoms: matrices over Q,
     GF(2) and GF(3), graphs, and frame and lift matroids of gain graphs."""

@@ -28,7 +28,7 @@ from modext.modularity import (is_modular_coatom_triangle, is_modular_flat,
                                supersolvable_chain, violating_flat_in_context)
 
 from oracles import (brute_chordal, brute_flats, brute_mobius, brute_modular,
-                     popcount, whitney_charpoly_coeffs)
+                     popcount, restrict, whitney_charpoly_coeffs)
 
 # The bowtie lift as a graph on P, Q, R, S, R', S' (vertices 0..5), edge i
 # carrying atom i of bowtie-lift-9: two copies of K4 minus an edge glued
@@ -95,7 +95,7 @@ def test_criterion_02_nineteen_hyperplane_ziegler():
     d = [j for j in find_modular_joins(m, lattice=lat)
          if atom_tuple(j.x) == (0, 1, 2)][0]
     for side in (d.e1, d.e2):
-        half = m.restrict(side)
+        half = restrict(m, side)
         assert supersolvable_chain(half) is not None
     half = corpus_matroid("ziegler-11")
     half_lat = enumerate_flats(half)

@@ -87,20 +87,6 @@ class TestFiniteGroup:
         with pytest.raises(InvalidInput):
             FiniteGroup.from_json({"kind": "table", "names": ["e"]})
 
-    def test_embedding_validation(self):
-        q = Field.rational()
-        FiniteGroup(("+1", "-1"), ((0, 1), (1, 0)), mult_embedding=(q, (1, -1)))
-        with pytest.raises(InvalidInput):  # not injective
-            FiniteGroup(("+1", "-1"), ((0, 1), (1, 0)), mult_embedding=(q, (1, 1)))
-        with pytest.raises(InvalidInput):  # hits zero
-            FiniteGroup(("+1", "-1"), ((0, 1), (1, 0)), mult_embedding=(q, (1, 0)))
-        with pytest.raises(InvalidInput):  # not a homomorphism
-            FiniteGroup(("+1", "-1"), ((0, 1), (1, 0)), mult_embedding=(q, (1, 2)))
-        gf2 = Field.gf(2)
-        FiniteGroup(("+1", "-1"), ((0, 1), (1, 0)), add_embedding=(gf2, (0, 1)))
-        with pytest.raises(InvalidInput):  # identity must map to zero
-            FiniteGroup(("+1", "-1"), ((0, 1), (1, 0)), add_embedding=(gf2, (1, 0)))
-
 
 class TestGainGraph:
     def test_edge_canonicalization(self):
@@ -398,14 +384,6 @@ class TestEmbeddings:
             for a in range(group.order):
                 for b in range(group.order):
                     assert field.add(values[a], values[b]) == values[group.op(a, b)]
-
-    def test_prevalidated_embedding_is_reused(self):
-        gf5 = Field.gf(5)
-        group = FiniteGroup(("+1", "-1"), ((0, 1), (1, 0)),
-                            mult_embedding=(gf5, (1, 4)),
-                            add_embedding=(Field.gf(2), (0, 1)))
-        assert multiplicative_embedding(group, gf5) == (1, 4)
-        assert additive_embedding(group, Field.gf(2)) == (0, 1)
 
 
 def _normal_forms(arrangement):

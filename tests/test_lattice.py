@@ -10,9 +10,10 @@ from modext.errors import NotAFlat, TooLarge
 from modext.lattice import charpoly, enumerate_flats, interval_charpoly, mobius
 from modext.matroid import Matroid, atom_tuple
 
-from oracles import (brute_flats, brute_mobius, popcount, reference_lattice,
-                     whitney_charpoly_coeffs)
-from samples import non_simple_gf3_matroids, random_matroids, s3_gain_matroids
+from oracles import (brute_flats, brute_mobius, contract_simplify, popcount, reference_lattice,
+                     restrict, whitney_charpoly_coeffs)
+from samples import (has_backend_kernel, non_simple_gf3_matroids, random_matroids,
+                     s3_gain_matroids)
 
 SMALL_FLATS = 250  # members with at most this many flats get pairwise checks
 
@@ -52,9 +53,10 @@ def test_flat_enumeration_matches_brute(corpus):
 
 def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
     # One `covers` call per maker flat (the lex-least child of some flat)
-    # makes every flat but the bottom exactly once, at its maker.  With the
-    # classes kernel every public constructor hands over, only the bottom is
-    # a closure; without one (a bare rank function) each flat is one.
+    # makes every flat but the bottom exactly once, at its maker, so only
+    # the bottom is a closure: with the classes kernel every public
+    # constructor hands over, and with the rank-query kernel of a bare rank
+    # function alike.
     closures, cover_calls = [], []
     closure, covers = Matroid.closure, Matroid.covers
 
@@ -71,8 +73,9 @@ def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
     monkeypatch.setattr(Matroid, "covers", counted_covers)
     for name in all_corpus_names:
         kernel = corpus_matroid(name)
-        assert kernel._classes_fn is not None, name
-        for m in (kernel, Matroid(kernel.n, kernel.rank)):
+        bare = Matroid(kernel.n, kernel.rank)
+        assert has_backend_kernel(kernel) and not has_backend_kernel(bare), name
+        for m in (kernel, bare):
             closures.clear()
             cover_calls.clear()
             lat = enumerate_flats(m)
@@ -81,7 +84,7 @@ def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
             makers = [f for f, _ in cover_calls]
             assert makers == list(dict.fromkeys(lat.children[c][0] for c in made)), name
             assert all(lat.children[c][0] == f for f, out in cover_calls for c in out), name
-            assert len(closures) == (1 if m is kernel else len(lat)), name
+            assert len(closures) == 1, name
 
 
 def test_covers_are_saturated(corpus):
@@ -151,7 +154,7 @@ def _assert_contraction_atoms_are_the_covers(name, m, lat):
     # the atoms of si(M/f) are f's covers, in lex order, each the class of
     # the atoms outside f that atom_map sends to it
     for f in lat.flats():
-        q, atom_map = m.contract_simplify(f)
+        q, atom_map = contract_simplify(m, f)
         classes = [f] * q.n
         for a, i in atom_map.items():
             classes[i] |= 1 << a
@@ -208,14 +211,14 @@ def test_charpoly_known_values(corpus):
 def test_interval_charpoly_is_restriction_charpoly(corpus):
     m, lat = corpus("example-7")
     for f in lat.flats():
-        sub = m.restrict(f)
+        sub = restrict(m, f)
         assert interval_charpoly(lat, lat.bottom, f) == charpoly(sub)
 
 
 def test_interval_charpoly_is_contraction_charpoly(corpus):
     m, lat = corpus("example-7")
     for f in lat.flats():
-        q, _ = m.contract_simplify(f)
+        q, _ = contract_simplify(m, f)
         assert lat.upper_charpoly(f) == charpoly(q)
 
 

@@ -12,11 +12,11 @@ from modext.errors import InvalidInput, NotAFlat, NotSimple, TooLarge
 from modext.gaingraph import frame_matroid, lift_matroid
 from modext.generators import named_input
 from modext.lattice import enumerate_flats
-from modext.matroid import (Matroid, atom_tuple, circuits, graphic_matroid,
-                            is_chordal, linear_matroid, load_matroid, mask_of)
+from modext.matroid import (Matroid, atom_tuple, circuits, graphic_matroid, linear_matroid,
+                            load_matroid, mask_of)
 
-from oracles import brute_chordal, brute_closure, simplicity_violation
-from samples import random_matroids, s3_gain_matroids
+from oracles import brute_closure, contract_simplify, restrict, simplicity_violation
+from samples import has_backend_kernel, non_simple_gf3_matroids, random_matroids, s3_gain_matroids
 
 
 def u23():
@@ -184,11 +184,11 @@ def test_random_binary_ranks_match_modular_elimination():
 def test_restrict_and_contract():
     m = u23()
     flat = m.closure(0b001)
-    sub = m.restrict(flat)
+    sub = restrict(m, flat)
     assert sub.n == 1 and sub.full_rank == 1
     with pytest.raises(NotAFlat):
-        m.restrict(0b011)
-    q, atom_map = m.contract_simplify(0b001)
+        restrict(m, 0b011)
+    q, atom_map = contract_simplify(m, 0b001)
     # contracting an atom of a 3-point line leaves a single parallel class
     assert q.full_rank == 1 and q.n == 1
     assert set(atom_map) == {1, 2} and set(atom_map.values()) == {0}
@@ -197,15 +197,15 @@ def test_restrict_and_contract():
 def test_minors_keep_the_atom_cap():
     edges = list(combinations(range(8), 2))
     m = graphic_matroid(8, edges, max_atoms=28)
-    sub = m.restrict(m.full_mask)
+    sub = restrict(m, m.full_mask)
     assert sub.n == 28 and sub.max_atoms == 28 and sub.full_rank == 7
-    q, _ = m.contract_simplify(0)
+    q, _ = contract_simplify(m, 0)
     assert q.n == 28 and q.max_atoms == 28 and q.full_rank == 7
 
 
 def test_contract_simplify_of_fano_atom(corpus):
     m, _ = corpus("fano")
-    q, _ = m.contract_simplify(0b1)
+    q, _ = contract_simplify(m, 0b1)
     assert q.full_rank == 2 and q.n == 3  # PG(2,2)/point = 3-point line
 
 
@@ -245,7 +245,7 @@ def _kernel_matroids():
     kinds = {(m.backend, m.labels is not None and any(
         x.startswith("loop") or x == "inf" for x in m.labels)) for m in ms}
     assert {("graphic", False), ("linear", False), ("frame", True), ("lift", True)} <= kinds
-    assert all(m._classes_fn is not None for m in ms)
+    assert all(has_backend_kernel(m) for m in ms)
     return ms
 
 
@@ -267,13 +267,17 @@ def _kernel_classes(m, subset, candidates):
 
 
 def test_closure_kernels_match_rank_closure_on_every_subset():
-    for i, m in enumerate(_kernel_matroids()):
-        if m.n > 10:
-            continue
+    # every sample on at most 10 atoms through its backend kernel, if it
+    # has one, and as a bare rank function through the rank-query kernel;
+    # the non-simple GF(3) samples bring loops and parallel atoms
+    samples = [m for m in _kernel_matroids() + non_simple_gf3_matroids() if m.n <= 10]
+    for i, m in enumerate(samples):
+        bare = Matroid(m.n, m.rank)
         for s in range(1 << m.n):
             expected = _brute_classes(m, s, m.full_mask)
-            assert _kernel_classes(m, s, m.full_mask) == expected, (i, m, s)
-            assert m.closure(s) == s | expected[0], (i, m, s)
+            for k in (m, bare):
+                assert _kernel_classes(k, s, m.full_mask) == expected, (i, k, s)
+                assert k.closure(s) == s | expected[0], (i, k, s)
 
 
 def test_closure_kernels_match_rank_closure_on_enumeration_calls():
@@ -308,16 +312,16 @@ def test_kernel_and_rank_closure_enumerate_the_same_lattice(all_corpus_names):
 
 
 def test_cover_kernels_match_the_closure_loop(corpus, all_corpus_names):
-    # Matroid(n, rank) has no kernel, so its covers come from the
-    # rank-closure loop; the span is the flat itself or a basis of it, and
-    # the rest all atoms outside it or the outside parts of every other cover
+    # Matroid(n, rank) reads its covers off rank queries alone; the span is
+    # the flat itself or a basis of it, and the rest all atoms outside it or
+    # the outside parts of every other cover
     ms = [corpus(name) for name in all_corpus_names]
     ms += [(m, enumerate_flats(m)) for m in random_matroids() + s3_gain_matroids()]
     backends = set()
     for i, (m, lat) in enumerate(ms):
         loop = Matroid(m.n, m.rank)
         backends.add(m.backend)
-        assert m._classes_fn is not None, (i, m)
+        assert has_backend_kernel(m) and not has_backend_kernel(loop), (i, m)
         for f in lat.flats():
             basis = 0
             for a in atom_tuple(f):
@@ -340,23 +344,7 @@ def test_closure_rejects_atoms_outside_the_ground_set():
         with pytest.raises(InvalidInput):
             m.closure(1 << m.n)
         with pytest.raises(InvalidInput):
-            m.closure(0, m.full_mask | 1 << m.n)
-        with pytest.raises(InvalidInput):
             m.covers(0, 0, m.full_mask | 1 << m.n)
-
-
-def test_is_chordal_matches_brute_force():
-    for nv in range(0, 5):
-        pairs = list(combinations(range(nv), 2))
-        for mask in range(1 << len(pairs)):
-            edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-            assert is_chordal(nv, edges) == brute_chordal(nv, edges), edges
-    rng = random.Random(5)
-    pairs = list(combinations(range(5), 2))
-    for _ in range(120):
-        mask = rng.randrange(1 << len(pairs))
-        edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
-        assert is_chordal(5, edges) == brute_chordal(5, edges), edges
 
 
 def test_mask_helpers():

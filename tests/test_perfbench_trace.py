@@ -36,16 +36,13 @@ def _traced_certify(m, monkeypatch=None):
 
 
 def test_traced_certify_closes_each_flat_once(monkeypatch):
-    # a bare rank function has no kernel: enumeration closes each flat once
+    # enumeration closes only the bottom and asks each maker flat (the
+    # lex-least child of some flat) for its covers once: a bare rank
+    # function, read through the rank-query kernel, a frame and a linear
+    # matroid, each through its backend kernel
     q3 = corpus_matroid("q3-z3")
-    verdict, tracer = _traced_certify(Matroid(q3.n, q3.rank))
-    assert verdict.flats == 35
-    assert tracer.by_parent["matroid.closure", "lattice.enumerate_flats"] == verdict.flats
-    # every public constructor hands over a kernel, so enumeration closes
-    # only the bottom and asks each maker flat (the lex-least child of some
-    # flat) for its covers once: a frame and a linear matroid
-    for m, flats in ((q3, 35), (named_input("braid-4").dependence_matroid(), 15)):
-        assert m._classes_fn is not None
+    for m, flats in ((Matroid(q3.n, q3.rank), 35), (q3, 35),
+                     (named_input("braid-4").dependence_matroid(), 15)):
         verdict, tracer = _traced_certify(m, monkeypatch)
         assert verdict.flats == flats
         assert tracer.by_parent["matroid.closure", "lattice.enumerate_flats"] == 1
