@@ -104,6 +104,6 @@ def stanley_division_check(m: Matroid, x: int, lattice: FlatLattice | None = Non
         raise NotModular(
             f"{sorted(atom_tuple(x))} is not modular; rank equation fails "
             f"against {sorted(atom_tuple(bad))}")
-    chi_lower = lat.interval_charpoly(lat.bottom, x)
+    chi_lower = lat.lower_charpoly(x)
     return poly_exact_div(lat.charpoly(), chi_lower) is not None
 

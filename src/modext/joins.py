@@ -11,9 +11,9 @@ sides in the class; `me_certify` searches for such a certificate
 recursively over the lattice, memoized per flat.
 
 Both read the joins of a flat from `modular_joins_in_context`, whose
-verdicts come from `modularity.modular_flats_in_context`: a meet test over
-the lattice's atom index, with no rank-equation scan, decided once per
-flat and context and shared with `modular_flats`.
+verdicts come from `modularity.modular_flats_in_context`: read off the
+lattice's atom index, with no rank-equation scan, decided once per context
+and pair of levels and shared with `modular_flats`.
 """
 
 from __future__ import annotations
@@ -84,11 +84,10 @@ def brylawski_identity_check(m: Matroid, d: JoinDecomposition,
     Raises IdentityViolation carrying all four polynomials on failure.
     """
     lat = lattice if lattice is not None else enumerate_flats(m)
-    bottom = lat.bottom
     chi_m = lat.charpoly()
-    chi_x = lat.interval_charpoly(bottom, d.x)
-    chi_e1 = lat.interval_charpoly(bottom, d.e1)
-    chi_e2 = lat.interval_charpoly(bottom, d.e2)
+    chi_x = lat.lower_charpoly(d.x)
+    chi_e1 = lat.lower_charpoly(d.e1)
+    chi_e2 = lat.lower_charpoly(d.e2)
     if poly_mul(chi_m, chi_x) != poly_mul(chi_e1, chi_e2):
         raise IdentityViolation(chi_m, chi_x, chi_e1, chi_e2)
     return True
@@ -153,15 +152,14 @@ def join_divisional_lift_check(m: Matroid, d: JoinDecomposition, e: int) -> bool
     if not (d.e1 & bit) or (d.x & bit):
         raise InvalidInput(f"atom {e} is not in E1 minus X")
     lat = enumerate_flats(m)
-    bottom = lat.bottom
     chi_m1e = lat.interval_charpoly(bit, d.e1)
-    if atom_quotient(lat.interval_charpoly(bottom, d.e1), chi_m1e) is None:
+    if atom_quotient(lat.lower_charpoly(d.e1), chi_m1e) is None:
         raise InvalidInput(f"atom {e} is not divisional in the restriction to E1")
     chi_me = lat.upper_charpoly(bit)
     if atom_quotient(lat.charpoly(), chi_me) is None:
         raise LiftViolation(f"atom {e} is divisional in M|E1 but not in M")
-    chi_x = lat.interval_charpoly(bottom, d.x)
-    chi_e2 = lat.interval_charpoly(bottom, d.e2)
+    chi_x = lat.lower_charpoly(d.x)
+    chi_e2 = lat.lower_charpoly(d.e2)
     if poly_mul(chi_me, chi_x) != poly_mul(chi_m1e, chi_e2):
         raise LiftViolation(
             f"contraction charpoly of atom {e} does not factor through the join: "

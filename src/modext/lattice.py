@@ -24,21 +24,23 @@ Everything is driven by the covering relation:
   one AND per atom.  `above(X)` ANDs it, at each level from r(X) up to
   the one below the top, over the atoms of X outside the bottom (the
   loops lie in every flat), walks the positions left in lex order and
-  appends the top.  The prover's meet test
-  (`modularity.is_modular_in_context`) reads it too, and keeps its state
-  per ctx on the lattice (`_meet`): per level, the positions of the flats
-  below ctx, and the flats it found disjoint from some z, each a ready
-  proof against any other z it misses.  `below(X)` stays a containment
-  scan: the verifier's rank-equation scan walks it, and must not rest on
-  the index that the prover's meet test reads.
+  appends the top.  The prover's modular verdicts (`modularity`) read it
+  too: per ctx and pair of levels {r, k} with r + k = r(ctx) + 1, one
+  pass ANDs the atoms of each flat of the lower level below ctx into the
+  upper level's complement index (per atom, the flats not holding it),
+  and the verdicts stay on the lattice as one bitmask per ctx and level
+  (`_verdicts`).  `below(X)` stays a containment scan: the verifier's
+  rank-equation scan walks it, and must not rest on the index that the
+  prover's verdicts read.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y, one pass over cover
   edges.  mu(bottom, X) depends on nothing above X, so `mobius()` computes
   it once for the whole lattice and an interval [bottom, T] sums it over
-  the flats below T; any other interval [B, T] runs one Weisner pass over
-  the flats above B and below T (all of `above(B)` when T is the top),
-  skipping the children not above B.
+  the flats below T (`lower_charpoly` keeps it per T, as `upper_charpoly`
+  keeps [B, top] per B); any other interval [B, T] runs one Weisner pass
+  over the flats above B and below T (all of `above(B)` when T is the
+  top), skipping the children not above B.
 
 Order: levels, covers and children list flats in lexicographic order of
 their ascending atom tuples (`atom_tuple`), and nothing is sorted:
@@ -111,8 +113,13 @@ class FlatLattice:
         self._mobius = None
         self._charpoly = None
         self._upper = {}
-        self._modular = {}  # ctx -> modular flats within it, filled by modularity
-        self._meet = {}     # (ctx, k) -> meet-test state, filled by modularity
+        self._lower = {}
+        # filled by modularity: ctx -> the modular flats within it,
+        # (ctx, k) -> the positions of level k modular within ctx, and
+        # k -> atom_index[k] with each entry complemented
+        self._modular = {}
+        self._verdicts = {}
+        self._complement = {}
 
     # -- basic structure
 
@@ -233,6 +240,15 @@ class FlatLattice:
         if cached is None:
             cached = self.interval_charpoly(flat, self.top)
             self._upper[flat] = cached
+        return cached
+
+    def lower_charpoly(self, flat: int) -> IntPolynomial:
+        """Charpoly of [bottom, flat]; equals the charpoly of the restriction
+        to the flat.  Cached per flat."""
+        cached = self._lower.get(flat)
+        if cached is None:
+            cached = self.interval_charpoly(self.bottom, flat)
+            self._lower[flat] = cached
         return cached
 
     def _weisner(self, flats, bottom: int) -> dict:

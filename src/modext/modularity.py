@@ -9,13 +9,17 @@ object on failure.
 
 The prover's question "is z modular within ctx?" (modular flats, the
 coatom peel, the modular joins, and the verdict of `is_modular_flat`) is
-answered by `is_modular_in_context`, a meet test over the lattice's atom
-index that computes no rank; `modular_flats_in_context` keeps the
-verdicts for every flat below a ctx on the lattice.  The checkers
-re-derive modularity from the rank oracle instead: `verify` runs the
-triangle test (`lines_outside`) on each modular coatom and chain step,
-and the rank-equation scan `violating_flat_in_context` on join sides;
-`stanley_division_check` and the witness of a non-modular
+answered from the lattice's atom index, with no rank computed: z is
+modular within ctx iff it meets every flat below ctx of rank
+r(ctx) - r(z) + 1, a symmetric relation, so one pass per ctx and pair of
+levels {r, r(ctx) + 1 - r} decides both levels (`_decide_levels`).  The
+verdicts stay on the lattice as one bitmask per ctx and level:
+`is_modular_in_context` reads one bit, and `modular_flats_in_context` and
+`modular_coatoms_in_context` walk the positions the masks keep.  The
+checkers re-derive modularity from the rank oracle instead: `verify` runs
+the triangle test (`lines_outside`) on each modular coatom and chain
+step, and the rank-equation scan `violating_flat_in_context` on join
+sides; `stanley_division_check` and the witness of a non-modular
 `is_modular_flat` run the scan too.
 """
 
@@ -105,76 +109,138 @@ def is_modular_in_context(lat: FlatLattice, z: int, ctx: int) -> bool:
     atom b of z in Y join a would, by exchange, put a in Y join b <= z join
     Y) and keeps the defect, so Y grows until z join Y = ctx, where
     r(Y) > r(ctx) - r(z): some flat of rank r(ctx) - r(z) + 1 below Y
-    misses z.  Atoms and the bottom are always modular.
+    misses z.  Atoms, the bottom and ctx itself are always modular.
 
-    Read off `lat.atom_index` at level k = r(ctx) - r(z) + 1: the flats
-    below ctx that z misses are the positions set by no atom outside ctx
-    and by no atom of z outside the bottom (the loops lie in every flat).
-    State is kept per (ctx, k) in `lat._meet`: the positions of the flats
-    below ctx, ANDed over the atoms outside ctx once, and the flats Y
-    found missed by some z, most recently used first.  Each such Y proves
-    any other z of rank r(z) that misses it non-modular, so one AND
-    `y & (z & ~bottom)` per remembered Y is tried first; only then are
-    the atoms of z ANDed in, stopping once no position is left, and a
-    position left names a new Y to remember.  No rank is computed.
+    So the levels r = r(z) and k = r(ctx) - r + 1 are decided together:
+    z misses Y exactly when Y misses z, and r(ctx) - k + 1 = r, so a flat
+    of either level is modular within ctx iff it misses no flat of the
+    other level below ctx.  `_decide_levels` finds every such disjoint
+    pair in one pass and keeps the verdicts on the lattice, per ctx and
+    level, as a bitmask over the level's positions (`lat._verdicts`); this
+    reads z's bit by ANDing `lat.atom_index[r]` into the mask over z's
+    atoms outside the bottom (the loops lie in every flat): z is the only
+    flat of rank r holding them all, so its bit is all that can be left.
+    No rank is computed.
     """
     rank_of = lat.rank_of
     r = rank_of[lat.require(z)]
-    k = rank_of[lat.require(ctx)] - r + 1
+    r_ctx = rank_of[lat.require(ctx)]
     if z & ~ctx:
         raise NotComparable(
             f"{sorted(atom_tuple(z))} is not below {sorted(atom_tuple(ctx))}")
-    if r <= 1:
+    if r <= 1 or r == r_ctx:
         return True
-    has = lat.atom_index[k]
-    state = lat._meet.get((ctx, k))
-    if state is None:
-        below = _unset(has, (1 << len(lat.levels[k])) - 1, lat.top & ~ctx)
-        state = lat._meet[ctx, k] = (below, [])
-    below, disjoint = state
-    inside = z & ~lat.bottom
-    for i, y in enumerate(disjoint):
-        if not y & inside:
-            if i:
-                disjoint.insert(0, disjoint.pop(i))
-            return False
-    missed = _unset(has, below, inside)
-    if missed:
-        disjoint.insert(0, lat.levels[k][(missed & -missed).bit_length() - 1])
-        return False
-    return True
+    modular = _modular_positions(lat, ctx, r)
+    return bool(_and_over(lat.atom_index[r], modular, z & ~lat.bottom))
 
 
-def _unset(has, positions: int, atoms: int) -> int:
-    """`positions` less those that some atom of `atoms` sets in the level
-    index `has`, stopping once none is left."""
+def _and_over(index, positions: int, atoms: int) -> int:
+    """`positions` ANDed with `index[a]` for each atom a of `atoms`,
+    stopping once none is left."""
     while atoms and positions:
         low = atoms & -atoms
-        positions &= ~has[low.bit_length() - 1]
+        positions &= index[low.bit_length() - 1]
         atoms ^= low
     return positions
 
 
+def _complement(lat: FlatLattice, k: int) -> list:
+    """Per atom, the positions of the flats of level k not holding it: the
+    level's atom index, each entry XORed with the full mask (cached)."""
+    out = lat._complement.get(k)
+    if out is None:
+        full = (1 << len(lat.levels[k])) - 1
+        out = lat._complement[k] = [full ^ has for has in lat.atom_index[k]]
+    return out
+
+
+def _below_positions(lat: FlatLattice, ctx: int, k: int) -> int:
+    """The positions of the flats of level k below ctx: those holding no
+    atom outside ctx."""
+    return _and_over(_complement(lat, k), (1 << len(lat.levels[k])) - 1, lat.top & ~ctx)
+
+
+def _modular_positions(lat: FlatLattice, ctx: int, k: int) -> int:
+    """The positions of the flats of level k < r(ctx) below ctx that are
+    modular within it.  The bottom and the atoms all are; any other level
+    is decided with its partner level r(ctx) + 1 - k in one pass."""
+    if k <= 1:
+        return _below_positions(lat, ctx, k)
+    got = lat._verdicts.get((ctx, k))
+    if got is None:
+        pair = lat.rank_of[ctx] + 1 - k
+        _decide_levels(lat, ctx, min(k, pair), max(k, pair))
+        got = lat._verdicts[ctx, k]
+    return got
+
+
+def _decide_levels(lat: FlatLattice, ctx: int, lo: int, hi: int) -> None:
+    """Decide modularity within ctx for the flats below ctx of the levels
+    lo <= hi, where lo + hi = r(ctx) + 1, and keep both verdict masks.
+
+    One pass over the flats Y of level lo below ctx, in order: the flats
+    of level hi below ctx that Y misses are the positions left by ANDing
+    the complement index of level hi over the atoms of Y outside the
+    bottom.  If any is left, Y and each of them are non-modular.  At
+    lo = hi those flats are not walked again: their verdict is made, and
+    a flat that one of them misses finds it when that flat is walked.
+    """
+    comp = _complement(lat, hi)
+    below_hi = _below_positions(lat, ctx, hi)
+    below_lo = below_hi if lo == hi else _below_positions(lat, ctx, lo)
+    level = lat.levels[lo]
+    bottom = lat.bottom
+    bad_lo = bad_hi = 0
+    walk = below_lo
+    while walk:
+        low = walk & -walk
+        walk ^= low
+        missed = _and_over(comp, below_hi, level[low.bit_length() - 1] & ~bottom)
+        if missed:
+            bad_lo |= low
+            bad_hi |= missed
+            if lo == hi:
+                walk &= ~missed
+    if lo == hi:
+        bad_lo = bad_hi = bad_lo | bad_hi
+    lat._verdicts[ctx, lo] = below_lo & ~bad_lo
+    lat._verdicts[ctx, hi] = below_hi & ~bad_hi
+
+
+def _flats_at(level, positions: int):
+    """Yield the flats of a level at the given positions, in ascending
+    order, which is lex order."""
+    while positions:
+        low = positions & -positions
+        yield level[low.bit_length() - 1]
+        positions ^= low
+
+
 def modular_flats_in_context(lat: FlatLattice, ctx: int) -> tuple:
     """The flats of below(ctx), ctx included, that are modular within ctx,
-    in that order.  Cached per ctx on the lattice, so `modular_flats`, the
-    modular joins and the ME search decide each verdict once."""
+    in that order: per level, the positions the verdict masks keep, walked
+    in ascending order, with no scan of below(ctx).  Cached per ctx on the
+    lattice, so `modular_flats`, the modular joins and the ME search share
+    the tuple."""
     cached = lat._modular.get(ctx)
     if cached is None:
-        cached = tuple(f for f in lat.below(ctx) if is_modular_in_context(lat, f, ctx))
-        lat._modular[ctx] = cached
+        out = []
+        for k in range(lat.rank_of[lat.require(ctx)]):
+            out.extend(_flats_at(lat.levels[k], _modular_positions(lat, ctx, k)))
+        out.append(ctx)
+        cached = lat._modular[ctx] = tuple(out)
     return cached
 
 
 def modular_coatoms_in_context(lat: FlatLattice, ctx: int):
     """Yield the coatoms of ctx that are modular within it, lexicographically.
 
-    Lazy, so a search that stops at the first usable coatom tests no
-    further ones.
+    The first call for a ctx decides its coatoms together with its rank-2
+    flats (`_decide_levels`); later calls read the kept verdicts.
     """
-    for z in lat.children[lat.require(ctx)]:
-        if is_modular_in_context(lat, z, ctx):
-            yield z
+    r_ctx = lat.rank_of[lat.require(ctx)]
+    if r_ctx:
+        yield from _flats_at(lat.levels[r_ctx - 1], _modular_positions(lat, ctx, r_ctx - 1))
 
 
 def is_modular_flat(m: Matroid, x: int, lattice: FlatLattice | None = None) -> ModularityWitness:

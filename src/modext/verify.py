@@ -181,9 +181,10 @@ def _verify_flag(lat: FlatLattice, flag, ctx: int, path: str, failures: list):
             _fail(failures, path,
                   f"flag step {_flat_str(lo)} -> {_flat_str(hi)} is not a cover")
             return
-    # the raw interval charpoly, not the prover's upper_charpoly cache:
-    # [bottom, ctx] sums the lattice's mu(bottom, X), which the prover's
-    # charpoly shares, and every other step runs its own Weisner pass
+    # the raw interval charpoly, not the prover's upper_charpoly or
+    # lower_charpoly caches: [bottom, ctx] sums the lattice's mu(bottom, X),
+    # which the prover's charpoly shares, and every other step runs its own
+    # Weisner pass
     uppers = [lat.interval_charpoly(f, ctx) for f in flats]
     for i in range(len(flats) - 1):
         quotient = IntPolynomial((-roots[i], 1))

@@ -207,22 +207,31 @@ def test_the_prover_runs_no_rank_equation_scan(monkeypatch, name):
 def test_modular_verdicts_are_decided_once_per_context(monkeypatch, name):
     m = corpus_matroid(name)
     lat = enumerate_flats(m)
-    decided = Counter()
-    meet_test = modularity.is_modular_in_context
+    passes = Counter()
+    decide = modularity._decide_levels
 
-    def counting(lat_, z, ctx):
-        decided[z, ctx] += 1
-        return meet_test(lat_, z, ctx)
+    def counting(lat_, ctx, lo, hi):
+        passes[ctx, lo, hi] += 1
+        return decide(lat_, ctx, lo, hi)
 
-    monkeypatch.setattr(modularity, "is_modular_in_context", counting)
+    monkeypatch.setattr(modularity, "_decide_levels", counting)
     mods = modular_flats(m, lattice=lat)
-    assert all(decided[f, lat.top] == 1 for f in lat.flats())
-    decided.clear()
+    # one pass per level pair {lo, hi} at the top, lo + hi = rank + 1, 2 <= lo <= hi
+    assert passes == {(lat.top, lo, lat.rank + 1 - lo): 1
+                      for lo in range(2, (lat.rank + 1) // 2 + 1)}
+    before = Counter(passes)
     joins = find_modular_joins(m, lattice=lat)
-    assert not decided
-    # the ME search's lazy coatom peel is the only verdict it asks again
+    assert passes == before
     me_certify(m, lattice=lat)
-    assert {f for f, ctx in decided if ctx == lat.top} <= set(lat.coatoms())
-    assert mods == tuple(f for f in lat.flats() if meet_test(lat, f, lat.top))
+    supersolvable_chain(m, lattice=lat)
+    me_certify(m, lattice=lat)
+    assert set(passes.values()) == {1}
+    # the coatom peels of the ME and chain searches add only the pass of a
+    # context's coatom level, pairing it with its rank-2 flats
+    peeled = passes - before
+    assert peeled and all(ctx != lat.top and (lo, hi) == (2, lat.rank_of[ctx] - 1)
+                          for ctx, lo, hi in peeled)
+    assert mods == tuple(f for f in lat.flats()
+                         if modularity.violating_flat_in_context(lat, f, lat.top) is None)
     assert joins == find_modular_joins(m, lattice=enumerate_flats(m))
     assert modularity.modular_flats_in_context(lat, lat.top) is mods

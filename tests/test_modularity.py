@@ -7,12 +7,12 @@ import pytest
 from modext.errors import EmptyFlat, NotACoatom, NotAFlat, NotComparable
 from modext.joins import modular_joins_in_context
 from modext.lattice import enumerate_flats
-from modext.matroid import atom_tuple, mask_of
+from modext.matroid import Matroid, atom_tuple, mask_of
 from modext.modularity import (coatom_pairing, is_modular_coatom_triangle,
                                is_modular_flat, is_modular_in_context, is_round,
                                lines_outside, modular_coatoms_in_context, modular_flats,
-                               short_circuit_check, supersolvable_chain,
-                               violating_flat_in_context)
+                               modular_flats_in_context, short_circuit_check,
+                               supersolvable_chain, violating_flat_in_context)
 
 from oracles import brute_flats, brute_modular, brute_round, brute_supersolvable
 from samples import non_simple_gf3_matroids, random_matroids
@@ -63,9 +63,9 @@ def test_meet_test_matches_rank_scan_on_random_matroids():
 
 
 def test_meet_test_matches_rank_scan_in_scrambled_order(corpus, all_corpus_names):
-    # the meet test keeps state per context and level on the lattice, so
+    # the verdicts are kept per context and level on the lattice, so
     # verdicts asked with contexts and levels interleaved, or in reverse,
-    # must not let one context's remembered flats decide another's verdict
+    # must not let one context's masks decide another's verdict
     rng = random.Random(16)
     samples = [(name, corpus(name)[0]) for name in all_corpus_names
                if len(corpus(name)[1]) <= 250]
@@ -79,6 +79,36 @@ def test_meet_test_matches_rank_scan_in_scrambled_order(corpus, all_corpus_names
             fresh = enumerate_flats(m)
             for z, ctx in order:
                 assert is_modular_in_context(fresh, z, ctx) == expected[z, ctx], (label, z, ctx)
+
+
+def _assert_context_verdicts_match_checkers(label, lat, contexts, coatoms_first):
+    for ctx in contexts:
+        coatoms = tuple(z for z in lat.children[ctx]
+                        if all(next(hits, None) is not None
+                               for _, hits in lines_outside(lat, z, ctx)))
+        flats = tuple(f for f in lat.below(ctx) if violating_flat_in_context(lat, f, ctx) is None)
+        if coatoms_first:
+            assert tuple(modular_coatoms_in_context(lat, ctx)) == coatoms, (label, ctx)
+        assert modular_flats_in_context(lat, ctx) == flats, (label, ctx)
+        assert tuple(modular_coatoms_in_context(lat, ctx)) == coatoms, (label, ctx)
+
+
+def test_context_verdicts_match_the_checkers(corpus, all_corpus_names):
+    # every context, on a lattice that met its contexts in order and on a
+    # fresh one that meets them scrambled, coatoms first: the verdict
+    # masks kept per context and level pair must agree with the
+    # rank-equation scan and the triangle test on every one
+    rng = random.Random(19)
+    samples = [(name, corpus(name)[0]) for name in all_corpus_names]
+    randoms = random_matroids()
+    samples += list(enumerate(randoms + non_simple_gf3_matroids()))
+    samples += [(("bare", i), Matroid(m.n, m.rank)) for i, m in enumerate(randoms)]
+    for label, m in samples:
+        lat = enumerate_flats(m)
+        contexts = list(lat.flats())
+        _assert_context_verdicts_match_checkers(label, lat, contexts, False)
+        _assert_context_verdicts_match_checkers(
+            label, enumerate_flats(m), rng.sample(contexts, len(contexts)), True)
 
 
 def test_modularity_verdicts_require_flats(corpus):
