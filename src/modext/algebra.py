@@ -189,6 +189,52 @@ def poly_exact_div(num: IntPolynomial, den: IntPolynomial):
     return IntPolynomial(q)
 
 
+def integer_roots(p: IntPolynomial):
+    """The roots of p, ascending and with multiplicity, when p is a product
+    of monic linear factors t - a over Z; None otherwise.
+
+    Rational root test: an integer root of a monic integer polynomial
+    divides its constant term.  Zero roots are split off first; then the
+    candidates +-q are tried for q = 1, 2, ... among the divisors of the
+    constant term, each root found being deflated by synthetic division.
+    Once every root of magnitude below q is off, the d roots left all have
+    magnitude >= q, so p does not split when q^d exceeds the constant term.
+    When p's coefficients alternate in sign, as a charpoly's do, every term
+    of p(-q) has the sign of the leading one, so -q is not tried.
+    """
+    cs = p.coeffs
+    if not cs or cs[-1] != 1:
+        return None
+    d = len(cs) - 1
+    positive = all(c * (-1) ** (d - i) >= 0 for i, c in enumerate(cs))
+    zeros = 0
+    while not cs[zeros]:
+        zeros += 1
+    roots = [0] * zeros
+    cs = cs[zeros:]
+    q = 1
+    while len(cs) > 1:
+        c = cs[0]
+        if q ** (len(cs) - 1) > abs(c):
+            return None
+        if not c % q:
+            for r in (q,) if positive else (q, -q):
+                while True:
+                    # synthetic division by t - r: Horner's rule keeps the
+                    # quotient's coefficients, and leaves p(r) last
+                    acc = 0
+                    out = []
+                    for a in reversed(cs):
+                        acc = acc * r + a
+                        out.append(acc)
+                    if out.pop():
+                        break
+                    roots.append(r)
+                    cs = out[::-1]
+        q += 1
+    return sorted(roots)
+
+
 # ---------------------------------------------------------------------------
 # fields
 

@@ -9,11 +9,14 @@ telescopes back to chi(M).
 Both run on the lattice of flats: the lattice of si(M/X) is the interval
 [X, top], so chi(si(M/X)) is an interval charpoly and no minor is built.
 The test suite cross-checks the intervals against explicit contractions.
+The flag search starts only when chi(M) splits over Z: the rational root
+test (`algebra.integer_roots`) refutes every other flag at once, with no
+interval charpoly computed.
 """
 
 from __future__ import annotations
 
-from .algebra import IntPolynomial, poly_exact_div
+from .algebra import IntPolynomial, integer_roots, poly_exact_div
 from .certificates import DivisionalFlag
 from .errors import InternalInconsistency, NotModular
 from .lattice import FlatLattice, enumerate_flats
@@ -40,17 +43,25 @@ def is_divisional_atom(m: Matroid, e: int, lattice: FlatLattice | None = None):
 def divisional_flag(m: Matroid, lattice: FlatLattice | None = None):
     """A divisional flag of the matroid, or None when none exists.
 
-    Depth-first search upward through the lattice: from flat X try each
-    cover Y (lexicographic) whose upper-interval charpoly divides that of
-    X; verdicts are memoized per flat.  The t^(k-1) coefficient of the
-    charpoly of a rank-k interval [X, top] is minus its atom count, the
-    number of covers of X, so a quotient chi_X / chi_Y can only be t - q
-    with q the difference of the two cover counts, and Y is tried only
-    when chi_X(q) = 0.  The top two steps always divide
+    A flag's step quotients t - q multiply back to chi(M), so when chi(M)
+    does not split over Z (`integer_roots`) there is none and nothing is
+    searched.  Only chi(M) needs the test: each chi_X the search reaches
+    is chi(M) divided by the linear factors of the steps below X, so it
+    splits whenever chi(M) does.
+
+    Otherwise a depth-first search runs upward through the lattice: from
+    flat X try each cover Y (lexicographic) whose upper-interval charpoly
+    divides that of X; verdicts are memoized per flat.  The t^(k-1)
+    coefficient of the charpoly of a rank-k interval [X, top] is minus its
+    atom count, the number of covers of X, so a quotient chi_X / chi_Y can
+    only be t - q with q the difference of the two cover counts, and Y is
+    tried only when chi_X(q) = 0.  The top two steps always divide
     (chi = 1 and t - 1 there), so at corank <= 2 any saturated chain
     completes the flag.
     """
     lat = lattice if lattice is not None else enumerate_flats(m)
+    if integer_roots(lat.charpoly()) is None:
+        return None
     top = lat.top
     rank = lat.rank
     memo = {}

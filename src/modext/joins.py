@@ -101,6 +101,12 @@ def me_certify(m: Matroid, lattice: FlatLattice | None = None):
     restriction (lexicographic) whose own restriction certifies, then every
     modular join whose intersection is round with both sides certified.
     One memo table keyed by flat serves the whole search.
+
+    Unlike `supersolvable_chain` and `divisional_flag`, this search runs
+    even when chi(M) does not split over Z.  A non-split chi would refute
+    ME only through "ME implies a divisional flag", which is the paper's
+    theorem; the search is what tests that theorem, on every input,
+    against the flag's verdict.
     """
     lat = lattice if lattice is not None else enumerate_flats(m)
     memo = {}

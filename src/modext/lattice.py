@@ -19,7 +19,10 @@ Everything is driven by the covering relation:
   that hold F, that is, hold its span: one AND of the next level's atom
   index over the span's atoms, stopping early at 0.  Walking that AND
   once appends F to each cover's children.  The index is built as the
-  level is made, and the lattice keeps it (`atom_index`).
+  level is made, and the lattice keeps it (`atom_index`): the covers F
+  makes take consecutive positions, so each atom of F is written once
+  with that whole block of bits, and each new cover writes only its atoms
+  outside F.
 - The atom index answers "which flats of level k hold these atoms?" by
   one AND per atom.  `above(X)` ANDs it, at each level from r(X) up to
   the one below the top, over the atoms of X outside the bottom (the
@@ -34,13 +37,17 @@ Everything is driven by the covering relation:
   prover's verdicts read.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
-  flats Y covered by X with B <= Y and a not in Y, one pass over cover
-  edges.  mu(bottom, X) depends on nothing above X, so `mobius()` computes
-  it once for the whole lattice and an interval [bottom, T] sums it over
-  the flats below T (`lower_charpoly` keeps it per T, as `upper_charpoly`
-  keeps [B, top] per B); any other interval [B, T] runs one Weisner pass
-  over the flats above B and below T (all of `above(B)` when T is the
-  top), skipping the children not above B.
+  flats Y covered by X with B <= Y and a not in Y.  One routine
+  (`_weisner`) computes mu(B, X) over an interval [B, T] and sums it per
+  level as it goes, walking each level up from B: the whole level from
+  the bottom, else the positions left by ANDing the level's atom index
+  over B's atoms (`_holding`, which `above` reads too), skipping the
+  flats not below T; a child outside the interval counts 0.
+  mu(bottom, X) depends on nothing above X, so `mobius()` and
+  `charpoly()` share one pass over the whole lattice, and an interval
+  [bottom, T] sums the kept values over the flats below T
+  (`lower_charpoly` keeps it per T, as `upper_charpoly` keeps [B, top]
+  per B); any other interval runs its own pass.
 
 Order: levels, covers and children list flats in lexicographic order of
 their ascending atom tuples (`atom_tuple`), and nothing is sorted:
@@ -110,8 +117,7 @@ class FlatLattice:
         self.covers = {f: tuple(cs) for f, cs in covers.items()}
         self._below = {}
         self._above = {}
-        self._mobius = None
-        self._charpoly = None
+        self._full = None
         self._upper = {}
         self._lower = {}
         # filled by modularity: ctx -> the modular flats within it,
@@ -171,26 +177,35 @@ class FlatLattice:
 
         At each level from the flat's rank up, the flats holding it are
         the positions set in `atom_index` by all its atoms outside the
-        bottom; the top holds every flat.
+        bottom (`_holding`); the top holds every flat.
         """
         cached = self._above.get(flat)
         if cached is None:
-            k = self.rank_of[self.require(flat)]
-            atoms = atom_tuple(flat & ~self.bottom)
+            atoms = atom_tuple(self.require(flat) & ~self.bottom)
             out = []
-            # the index stops at the level below the top
-            for level, has in zip(self.levels[k:], self.atom_index[k:]):
-                held = (1 << len(level)) - 1
-                for a in atoms:
-                    held &= has[a]
-                while held:
-                    low = held & -held
-                    out.append(level[low.bit_length() - 1])
-                    held ^= low
+            for k in range(self.rank_of[flat], self.rank):
+                out.extend(self._holding(k, atoms))
             out.append(self.top)
             cached = tuple(out)
             self._above[flat] = cached
         return cached
+
+    def _holding(self, k: int, atoms):
+        """The flats of level k < rank holding the given atoms, in lex
+        order: the positions left by ANDing `atom_index[k]` over them."""
+        level = self.levels[k]
+        if not atoms:
+            return level
+        has = self.atom_index[k]
+        held = (1 << len(level)) - 1
+        for a in atoms:
+            held &= has[a]
+        out = []
+        while held:
+            low = held & -held
+            out.append(level[low.bit_length() - 1])
+            held ^= low
+        return out
 
     def coatoms(self):
         """Flats covered by the top flat."""
@@ -201,17 +216,18 @@ class FlatLattice:
     # -- Mobius function and characteristic polynomials
 
     def mobius(self) -> dict:
-        """Mobius values mu(bottom, X) for every flat X (cached)."""
-        if self._mobius is None:
-            self._mobius = self._weisner(list(self.flats()), self.bottom)
-        return self._mobius
+        """Mobius values mu(bottom, X) for every flat X (cached, with the
+        charpoly that the same Weisner pass sums)."""
+        if self._full is None:
+            mu, sums = self._weisner(self.bottom, self.top)
+            self._full = mu, IntPolynomial(sums[::-1])
+        return self._full[0]
 
     def charpoly(self) -> IntPolynomial:
         """Characteristic polynomial of the whole lattice (cached)."""
-        if self._charpoly is None:
-            mu = self.mobius()
-            self._charpoly = _chi_from_mobius(mu, self.rank_of, self.rank)
-        return self._charpoly
+        if self._full is None:
+            self.mobius()
+        return self._full[1]
 
     def interval_charpoly(self, bottom: int, top: int) -> IntPolynomial:
         """Characteristic polynomial of the interval [bottom, top]."""
@@ -220,18 +236,15 @@ class FlatLattice:
         if bottom & top != bottom:
             raise NotComparable(
                 f"{sorted(atom_tuple(bottom))} is not below {sorted(atom_tuple(top))}")
-        top_rank = self.rank_of[top]
-        if bottom == self.bottom:
-            # mu(bottom, X) does not depend on the top of the interval
-            mu = self.mobius()
-            outside = ~top
-            return IntPolynomial([sum(mu[f] for f in self.levels[k] if not f & outside)
-                                  for k in range(top_rank, -1, -1)])
-        flats = self.above(bottom)
-        if top != self.top:
-            flats = [f for f in flats if f & top == f]
-        mu = self._weisner(flats, bottom)
-        return _chi_from_mobius(mu, self.rank_of, top_rank, shift=self.rank_of[bottom])
+        if bottom != self.bottom:
+            return IntPolynomial(self._weisner(bottom, top)[1][::-1])
+        if top == self.top:
+            return self.charpoly()
+        # mu(bottom, X) does not depend on the top of the interval
+        mu = self.mobius()
+        outside = ~top
+        return IntPolynomial([sum(mu[f] for f in self.levels[k] if not f & outside)
+                              for k in range(self.rank_of[top], -1, -1)])
 
     def upper_charpoly(self, flat: int) -> IntPolynomial:
         """Charpoly of [flat, top]; equals the charpoly of the simplified
@@ -251,20 +264,39 @@ class FlatLattice:
             self._lower[flat] = cached
         return cached
 
-    def _weisner(self, flats, bottom: int) -> dict:
-        """mu(bottom, X) for the flats X of an interval [bottom, top], given
-        in rank order with bottom first, by Weisner's theorem."""
+    def _weisner(self, bottom: int, top: int):
+        """(mu, sums) for an interval [bottom, top]: mu(bottom, X) for each
+        flat X of it, and for each rank k from r(bottom) to r(top) the sum
+        of mu(bottom, X) over its flats of rank k, by Weisner's theorem.
+
+        From the lattice's bottom every level is walked whole; from any
+        other bottom, the flats of level k above it are those holding its
+        atoms outside the lattice's bottom (`_holding`).  Flats not below
+        top are skipped, so mu holds exactly the interval, and a child
+        outside it is read as 0.
+        """
         children = self.children
+        atoms = atom_tuple(bottom & ~self.bottom)
+        outside = ~top
         mu = {bottom: 1}
-        for x in flats[1:]:
-            a = x & ~bottom
-            a &= -a
+        sums = [1]
+        get = mu.get
+        for k in range(self.rank_of[bottom] + 1, self.rank_of[top] + 1):
+            flats = self._holding(k, atoms) if k < self.rank else (self.top,)
             s = 0
-            for y in children[x]:
-                if not y & a and y & bottom == bottom:
-                    s += mu[y]
-            mu[x] = -s
-        return mu
+            for x in flats:
+                if x & outside:
+                    continue
+                a = x & ~bottom
+                a &= -a
+                v = 0
+                for y in children[x]:
+                    if not y & a:
+                        v += get(y, 0)
+                mu[x] = -v
+                s -= v
+            sums.append(s)
+        return mu, sums
 
     # -- serialization
 
@@ -280,13 +312,6 @@ class FlatLattice:
 
     def __repr__(self):
         return f"FlatLattice(rank={self.rank}, flats={len(self)})"
-
-
-def _chi_from_mobius(mu: dict, rank_of: dict, top_rank: int, shift: int = 0) -> IntPolynomial:
-    coeffs = [0] * (top_rank - shift + 1)
-    for f, value in mu.items():
-        coeffs[top_rank - rank_of[f]] += value
-    return IntPolynomial(coeffs)
 
 
 def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLattice:
@@ -328,16 +353,25 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
                 known ^= 1 << p
             if not rest:
                 continue
+            first = len(made)
             for c in m.covers(f, span, rest):
                 new = c & ~f
                 bit = 1 << len(made)
                 made.append(c)
                 made_spans.append(span | (new & -new))
                 kids.append([f])
-                while c:
-                    low = c & -c
+                while new:
+                    low = new & -new
                     idx[low.bit_length() - 1] |= bit
-                    c ^= low
+                    new ^= low
+            # every cover just made holds f: one write per atom of f sets
+            # their whole block of positions
+            block = (1 << len(made)) - (1 << first)
+            atoms = f
+            while atoms:
+                low = atoms & -atoms
+                idx[low.bit_length() - 1] |= block
+                atoms ^= low
         total += len(made)
         if total > max_flats:
             raise TooLarge(f"flat count exceeds the guardrail of {max_flats}")

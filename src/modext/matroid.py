@@ -277,30 +277,36 @@ def _gf2_classes(vectors):
     bit, so XORing in the basis vector of each pivot bit a vector holds
     leaves the residue that is zero at every pivot: 0 iff the vector lies
     in the span, and one vector per coset of it."""
-    def residue(v, basis, pivots):
-        held = v & pivots
-        while held:
-            low = held & -held
-            v ^= basis[low]
-            held ^= low
-        return v
-
     def classes(subset, candidates):
         basis = {}      # pivot bit -> the basis vector holding it
         pivots = 0
-        for a in iter_atoms(subset):
-            v = residue(vectors[a], basis, pivots)
+        while subset:
+            low = subset & -subset
+            subset ^= low
+            v = vectors[low.bit_length() - 1]
+            held = v & pivots
+            while held:
+                bit = held & -held
+                v ^= basis[bit]
+                held ^= bit
             if v:
-                low = v & -v
+                pivot = v & -v
                 for piv, b in basis.items():
-                    if b & low:
+                    if b & pivot:
                         basis[piv] = b ^ v
-                basis[low] = v
-                pivots |= low
+                basis[pivot] = v
+                pivots |= pivot
         groups = {}
-        for a in iter_atoms(candidates):
-            v = residue(vectors[a], basis, pivots)
-            groups[v] = groups.get(v, 0) | 1 << a
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = vectors[low.bit_length() - 1]
+            held = v & pivots
+            while held:
+                bit = held & -held
+                v ^= basis[bit]
+                held ^= bit
+            groups[v] = groups.get(v, 0) | low
         return groups
 
     return classes

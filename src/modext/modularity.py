@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .algebra import integer_roots
 from .certificates import ChainCertificate
 from .errors import EmptyFlat, NotACoatom, NotAFlat, NotComparable, NotModularCoatom
 from .lattice import FlatLattice, enumerate_flats
@@ -390,11 +391,17 @@ def is_round(m: Matroid, lattice: FlatLattice | None = None) -> RoundnessVerdict
 def supersolvable_chain(m: Matroid, lattice: FlatLattice | None = None):
     """A saturated chain of modular flats from bottom to top, or None.
 
-    Depth-first search peeling modular coatoms of the current restriction,
+    A modular chain factors chi(M) into the linear factors t - e_i, e_i
+    the number of rank-1 flats below its i-th flat and not below the one
+    before (Stanley 1972), so when chi(M) does not split over Z
+    (`integer_roots`) there is none and nothing is searched.  Otherwise a
+    depth-first search peels modular coatoms of the current restriction,
     backtracking over all of them in lexicographic order; by the tower
     property every flat of the returned chain is modular in m itself.
     """
     lat = _lattice_for(m, lattice)
+    if integer_roots(lat.charpoly()) is None:
+        return None
     memo = {}
 
     def chain_for(ctx):

@@ -10,11 +10,12 @@ test: a modular coatom, and each cover step lo -> hi of a chain, by the
 triangle test of lo within hi (`modularity.lines_outside`), so by the
 tower property every chain member is modular within the chain's top; a
 join side by the rank-equation scan.  Flat membership, covers, `below`
-and interval charpolys are still read from the prover's lattice.  A
-flag's first interval, [bottom, ctx] (ctx is the top for a flag
-certificate), now reads the lattice's cached Mobius values mu(bottom, X),
-which the prover's charpoly shares; every other step runs its own
-Weisner pass over its interval.
+and interval charpolys are still read from the prover's lattice, whose
+one Weisner routine computes them all.  A flag's first interval,
+[bottom, ctx], reads that routine's pass from the bottom, which the
+prover's charpoly shares (ctx is the top for a flag certificate, so it
+is the charpoly itself); every other step runs its own pass over its
+interval.
 """
 
 from __future__ import annotations
@@ -182,9 +183,9 @@ def _verify_flag(lat: FlatLattice, flag, ctx: int, path: str, failures: list):
                   f"flag step {_flat_str(lo)} -> {_flat_str(hi)} is not a cover")
             return
     # the raw interval charpoly, not the prover's upper_charpoly or
-    # lower_charpoly caches: [bottom, ctx] sums the lattice's mu(bottom, X),
-    # which the prover's charpoly shares, and every other step runs its own
-    # Weisner pass
+    # lower_charpoly caches: [bottom, ctx] reads the lattice's Weisner pass
+    # from the bottom, which the prover's charpoly shares, and every other
+    # step runs its own pass
     uppers = [lat.interval_charpoly(f, ctx) for f in flats]
     for i in range(len(flats) - 1):
         quotient = IntPolynomial((-roots[i], 1))

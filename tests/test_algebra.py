@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from modext.algebra import (Field, FieldMatrix, IntPolynomial, gf_row_rank,
+from modext.algebra import (Field, FieldMatrix, IntPolynomial, gf_row_rank, integer_roots,
                             integer_row_rank, poly_exact_div)
 from modext.arrangement import Arrangement
 from modext.errors import DivisionByZeroPolynomial, InvalidInput, NotComparable
@@ -35,6 +35,29 @@ def test_exact_division():
     assert poly_exact_div(num, IntPolynomial.from_roots([3])) is None
     with pytest.raises(DivisionByZeroPolynomial):
         poly_exact_div(num, IntPolynomial.zero())
+
+
+def test_integer_roots_against_brute_force():
+    rng = random.Random(20)
+    irreducible = (IntPolynomial([1, 0, 1]), IntPolynomial([-2, 0, 1]),
+                   IntPolynomial([1, -1, 1]))
+    for _ in range(200):
+        roots = [rng.randint(1, 12) for _ in range(rng.randint(1, 7))]
+        roots += rng.sample(roots, rng.randint(0, len(roots)))   # repeats
+        p = IntPolynomial.from_roots(roots)
+        assert integer_roots(p) == sorted(roots), roots
+        for q in irreducible:
+            assert integer_roots(p * q) is None, (roots, q)
+        # a root at 0: the factor t
+        assert integer_roots(p * IntPolynomial.t()) == sorted(roots + [0])
+    assert integer_roots(IntPolynomial.one()) == []
+    assert integer_roots(IntPolynomial.t()) == [0]
+    assert integer_roots(IntPolynomial.from_roots([0, 0, -3, 5])) == [-3, 0, 0, 5]
+    for q in irreducible:
+        assert integer_roots(q) is None
+    # not monic: no product of factors t - a
+    assert integer_roots(IntPolynomial([-2, 2])) is None
+    assert integer_roots(IntPolynomial.zero()) is None
 
 
 def test_polynomial_json_roundtrip():

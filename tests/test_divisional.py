@@ -1,14 +1,25 @@
 """Divisional atoms, flags, and the division theorem bookkeeping."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
-from modext.algebra import IntPolynomial, poly_exact_div
+import modext.divisional
+import modext.modularity
+from modext.algebra import IntPolynomial, integer_roots, poly_exact_div
 from modext.divisional import divisional_flag, is_divisional_atom, stanley_division_check
 from modext.errors import InvalidInput
-from modext.lattice import charpoly, interval_charpoly
+from modext.lattice import FlatLattice, charpoly, enumerate_flats, interval_charpoly
 from modext.modularity import modular_flats, supersolvable_chain
 
 from oracles import contract_simplify, flag_quotient_product
+
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from perfbench import inputs  # noqa: E402
 
 
 def test_stanley_division_on_modular_flats(corpus):
@@ -99,3 +110,41 @@ def test_flag_json(corpus):
     assert data["kind"] == "divisional-flag"
     assert len(data["flats"]) == len(flag.flats)
     assert data["quotient_roots"] == list(flag.quotient_roots)
+
+
+def _verdicts(lattices):
+    return [(divisional_flag(m, lattice=lat), supersolvable_chain(m, lattice=lat))
+            for m, lat in lattices]
+
+
+def test_split_refutation_never_changes_a_verdict(monkeypatch, corpus, all_corpus_names):
+    # with every chi counted as split, both searches run on every input and
+    # must return what the refuted ones return
+    lattices = [corpus(name) for name in all_corpus_names]
+    for _, spec in inputs.generate("census", 1):
+        m = inputs.build(spec)
+        lattices.append((m, enumerate_flats(m)))
+    refuted = _verdicts(lattices)
+    assert sum(integer_roots(lat.charpoly()) is None for _, lat in lattices) >= 40
+    for module in (modext.divisional, modext.modularity):
+        monkeypatch.setattr(module, "integer_roots", lambda p: [])
+    # fresh lattices, so that no cached interval charpoly is shared
+    searched = _verdicts([(m, enumerate_flats(m)) for m, _ in lattices])
+    assert searched == refuted
+
+
+def test_no_interval_charpoly_when_chi_does_not_split(monkeypatch, corpus):
+    calls = []
+    plain = FlatLattice.interval_charpoly
+
+    def counted(lat, bottom, top):
+        calls.append((bottom, top))
+        return plain(lat, bottom, top)
+
+    monkeypatch.setattr(FlatLattice, "interval_charpoly", counted)
+    for name in ("c4", "c5", "u34", "fish-sign"):
+        m, _ = corpus(name)
+        lat = enumerate_flats(m)
+        assert integer_roots(lat.charpoly()) is None, name
+        assert divisional_flag(m, lattice=lat) is None, name
+        assert calls == [], name
