@@ -62,33 +62,7 @@ def divisional_flag(m: Matroid, lattice: FlatLattice | None = None):
     lat = lattice if lattice is not None else enumerate_flats(m)
     if integer_roots(lat.charpoly()) is None:
         return None
-    top = lat.top
-    rank = lat.rank
-    memo = {}
-
-    def search(x):
-        if x in memo:
-            return memo[x]
-        if x == top:
-            result = (x,)
-        elif rank - lat.rank_of[x] <= 2:
-            result = (x,) + search(lat.covers[x][0])
-        else:
-            result = None
-            chi_x = lat.upper_charpoly(x)
-            atoms_x = len(lat.covers[x])
-            for y in lat.covers[x]:
-                if (chi_x(atoms_x - len(lat.covers[y]))
-                        or poly_exact_div(chi_x, lat.upper_charpoly(y)) is None):
-                    continue
-                sub = search(y)
-                if sub is not None:
-                    result = (x,) + sub
-                    break
-        memo[x] = result
-        return result
-
-    flats = search(lat.bottom)
+    flats = _flag_search(lat, {}, lat.bottom)
     if flats is None:
         return None
     roots = []
@@ -100,6 +74,31 @@ def divisional_flag(m: Matroid, lattice: FlatLattice | None = None):
                 f"has non-linear quotient {q}")
         roots.append(-q.coeffs[0])
     return DivisionalFlag(tuple(flats), tuple(roots))
+
+
+def _flag_search(lat: FlatLattice, memo: dict, x: int):
+    """The flag from x up to the top that `divisional_flag` searches for,
+    as a tuple of flats, or None; verdicts are memoized per flat."""
+    if x in memo:
+        return memo[x]
+    if x == lat.top:
+        result = (x,)
+    elif lat.rank - lat.rank_of[x] <= 2:
+        result = (x,) + _flag_search(lat, memo, lat.covers[x][0])
+    else:
+        result = None
+        chi_x = lat.upper_charpoly(x)
+        atoms_x = len(lat.covers[x])
+        for y in lat.covers[x]:
+            if (chi_x(atoms_x - len(lat.covers[y]))
+                    or poly_exact_div(chi_x, lat.upper_charpoly(y)) is None):
+                continue
+            sub = _flag_search(lat, memo, y)
+            if sub is not None:
+                result = (x,) + sub
+                break
+    memo[x] = result
+    return result
 
 
 def stanley_division_check(m: Matroid, x: int, lattice: FlatLattice | None = None) -> bool:

@@ -102,46 +102,48 @@ def me_certify(m: Matroid, lattice: FlatLattice | None = None):
     modular join whose intersection is round with both sides certified.
     One memo table keyed by flat serves the whole search.
 
-    Unlike `supersolvable_chain` and `divisional_flag`, this search runs
-    even when chi(M) does not split over Z.  A non-split chi would refute
-    ME only through "ME implies a divisional flag", which is the paper's
-    theorem; the search is what tests that theorem, on every input,
-    against the flag's verdict.
+    Unlike `divisional_flag`, this search runs even when chi(M) does not
+    split over Z.  A non-split chi would refute ME only through "ME
+    implies a divisional flag", which is the paper's theorem; the search
+    is what tests that theorem, on every input, against the flag's
+    verdict.
     """
     lat = lattice if lattice is not None else enumerate_flats(m)
-    memo = {}
-
-    def cert(ctx):
-        if ctx in memo:
-            return memo[ctx]
-        if ctx == lat.bottom:
-            result = EmptyCertificate()
-        else:
-            result = None
-            for z in modular_coatoms_in_context(lat, ctx):
-                sub = cert(z)
-                if sub is not None:
-                    result = ModularCoatomCertificate(z, sub)
-                    break
-            if result is None:
-                for d in modular_joins_in_context(lat, ctx):
-                    if not d.x_round:
-                        continue
-                    c1 = cert(d.e1)
-                    if c1 is None:
-                        continue
-                    c2 = cert(d.e2)
-                    if c2 is None:
-                        continue
-                    result = ModularJoinCertificate(d.e1, d.e2, d.x, c1, c2)
-                    break
-        memo[ctx] = result
-        return result
-
-    return cert(lat.top)
+    return _cert(lat, {}, lat.top)
 
 
-def join_divisional_lift_check(m: Matroid, d: JoinDecomposition, e: int) -> bool:
+def _cert(lat: FlatLattice, memo: dict, ctx: int):
+    """The certificate `me_certify` searches for, for the restriction to
+    ctx, or None; verdicts are memoized per flat."""
+    if ctx in memo:
+        return memo[ctx]
+    if ctx == lat.bottom:
+        result = EmptyCertificate()
+    else:
+        result = None
+        for z in modular_coatoms_in_context(lat, ctx):
+            sub = _cert(lat, memo, z)
+            if sub is not None:
+                result = ModularCoatomCertificate(z, sub)
+                break
+        if result is None:
+            for d in modular_joins_in_context(lat, ctx):
+                if not d.x_round:
+                    continue
+                c1 = _cert(lat, memo, d.e1)
+                if c1 is None:
+                    continue
+                c2 = _cert(lat, memo, d.e2)
+                if c2 is None:
+                    continue
+                result = ModularJoinCertificate(d.e1, d.e2, d.x, c1, c2)
+                break
+    memo[ctx] = result
+    return result
+
+
+def join_divisional_lift_check(m: Matroid, d: JoinDecomposition, e: int,
+                               lattice: FlatLattice | None = None) -> bool:
     """Check that a divisional atom of the factor M|E1 stays divisional in M.
 
     `e` is an atom of m lying in E1 - X and divisional in the restriction
@@ -151,17 +153,19 @@ def join_divisional_lift_check(m: Matroid, d: JoinDecomposition, e: int) -> bool
     LiftViolation on either failure.
 
     Every charpoly is an interval of the one lattice of m: chi(si(M/e)) is
-    [e, top], chi(si((M|E1)/e)) is [e, E1], chi(M|X) is [0, X] and
-    chi(M|E2) is [0, E2].
+    [cl(e), top], chi(si((M|E1)/e)) is [cl(e), E1], chi(M|X) is [0, X] and
+    chi(M|E2) is [0, E2].  cl(e) also holds the loops and the atoms
+    parallel to e.
     """
     bit = m.atom_bit(e)
     if not (d.e1 & bit) or (d.x & bit):
         raise InvalidInput(f"atom {e} is not in E1 minus X")
-    lat = enumerate_flats(m)
-    chi_m1e = lat.interval_charpoly(bit, d.e1)
+    lat = lattice if lattice is not None else enumerate_flats(m)
+    flat = m.closure(bit)
+    chi_m1e = lat.interval_charpoly(flat, d.e1)
     if atom_quotient(lat.lower_charpoly(d.e1), chi_m1e) is None:
         raise InvalidInput(f"atom {e} is not divisional in the restriction to E1")
-    chi_me = lat.upper_charpoly(bit)
+    chi_me = lat.upper_charpoly(flat)
     if atom_quotient(lat.charpoly(), chi_me) is None:
         raise LiftViolation(f"atom {e} is divisional in M|E1 but not in M")
     chi_x = lat.lower_charpoly(d.x)

@@ -24,12 +24,10 @@ Everything is driven by the covering relation:
   with that whole block of bits, and each new cover writes only its atoms
   outside F.
 - The atom index answers "which flats of level k hold these atoms?" by
-  one AND per atom.  `above(X)` ANDs it, at each level from r(X) up to
-  the one below the top, over the atoms of X outside the bottom (the
-  loops lie in every flat), walks the positions left in lex order and
-  appends the top.  The prover's modular verdicts (`modularity`) read it
-  too: per ctx and pair of levels {r, k} with r + k = r(ctx) + 1, one
-  pass ANDs the atoms of each flat of the lower level below ctx into the
+  one AND per atom over the atoms outside the bottom (the loops lie in
+  every flat).  The prover's modular verdicts (`modularity`) read it:
+  per ctx and pair of levels {r, k} with r + k = r(ctx) + 1, one pass
+  ANDs the atoms of each flat of the lower level below ctx into the
   upper level's complement index (per atom, the flats not holding it),
   and the verdicts stay on the lattice as one bitmask per ctx and level
   (`_verdicts`).  `below(X)` stays a containment scan: the verifier's
@@ -41,8 +39,8 @@ Everything is driven by the covering relation:
   (`_weisner`) computes mu(B, X) over an interval [B, T] and sums it per
   level as it goes, walking each level up from B: the whole level from
   the bottom, else the positions left by ANDing the level's atom index
-  over B's atoms (`_holding`, which `above` reads too), skipping the
-  flats not below T; a child outside the interval counts 0.
+  over B's atoms (`_holding`), skipping the flats not below T; a child
+  outside the interval counts 0.
   mu(bottom, X) depends on nothing above X, so `mobius()` and
   `charpoly()` share one pass over the whole lattice, and an interval
   [bottom, T] sums the kept values over the flats below T
@@ -97,8 +95,8 @@ class FlatLattice:
     `levels[k][i]` holds atom a: it is the index enumeration built while it
     made level k.  The flats of rank k below a flat X are the positions
     that no atom outside X sets, those above X the positions that every
-    atom of X outside the bottom sets (`above`), and those a flat Z meets
-    are the positions its atoms outside the bottom set.
+    atom of X outside the bottom sets (`_holding`), and those a flat Z
+    meets are the positions its atoms outside the bottom set.
     """
 
     def __init__(self, matroid: Matroid, levels, children, atom_index):
@@ -116,7 +114,6 @@ class FlatLattice:
                 covers[f].append(c)
         self.covers = {f: tuple(cs) for f, cs in covers.items()}
         self._below = {}
-        self._above = {}
         self._full = None
         self._upper = {}
         self._lower = {}
@@ -170,24 +167,6 @@ class FlatLattice:
             self.require(flat)
             cached = tuple(f for f in self.flats() if f & flat == f)
             self._below[flat] = cached
-        return cached
-
-    def above(self, flat: int):
-        """Flats containing `flat`, ordered by rank then lex (cached).
-
-        At each level from the flat's rank up, the flats holding it are
-        the positions set in `atom_index` by all its atoms outside the
-        bottom (`_holding`); the top holds every flat.
-        """
-        cached = self._above.get(flat)
-        if cached is None:
-            atoms = atom_tuple(self.require(flat) & ~self.bottom)
-            out = []
-            for k in range(self.rank_of[flat], self.rank):
-                out.extend(self._holding(k, atoms))
-            out.append(self.top)
-            cached = tuple(out)
-            self._above[flat] = cached
         return cached
 
     def _holding(self, k: int, atoms):

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .algebra import integer_roots
 from .certificates import ChainCertificate
 from .errors import EmptyFlat, NotACoatom, NotAFlat, NotComparable, NotModularCoatom
 from .lattice import FlatLattice, enumerate_flats
@@ -391,35 +390,21 @@ def is_round(m: Matroid, lattice: FlatLattice | None = None) -> RoundnessVerdict
 def supersolvable_chain(m: Matroid, lattice: FlatLattice | None = None):
     """A saturated chain of modular flats from bottom to top, or None.
 
-    A modular chain factors chi(M) into the linear factors t - e_i, e_i
-    the number of rank-1 flats below its i-th flat and not below the one
-    before (Stanley 1972), so when chi(M) does not split over Z
-    (`integer_roots`) there is none and nothing is searched.  Otherwise a
-    depth-first search peels modular coatoms of the current restriction,
-    backtracking over all of them in lexicographic order; by the tower
-    property every flat of the returned chain is modular in m itself.
+    Peels from the top: at each flat ctx take its lex-first coatom
+    modular within ctx, and stop with None at the first ctx that has
+    none.  No search is needed.  Every lower interval [bottom, x] of a
+    supersolvable lattice is supersolvable (Stanley 1972): meeting a
+    modular chain with x gives one of [bottom, x].  So if the restriction
+    to ctx has a modular chain, the restriction to every modular coatom z
+    of ctx has one too, and when the first z fails, ctx fails as well.
+    By the tower property every flat of the returned chain is modular in
+    m itself.
     """
     lat = _lattice_for(m, lattice)
-    if integer_roots(lat.charpoly()) is None:
-        return None
-    memo = {}
-
-    def chain_for(ctx):
-        if ctx in memo:
-            return memo[ctx]
-        if ctx == lat.bottom:
-            result = (ctx,)
-        else:
-            result = None
-            for z in modular_coatoms_in_context(lat, ctx):
-                sub = chain_for(z)
-                if sub is not None:
-                    result = sub + (ctx,)
-                    break
-        memo[ctx] = result
-        return result
-
-    chain = chain_for(lat.top)
-    if chain is None:
-        return None
-    return ChainCertificate(chain)
+    chain = [lat.top]
+    while chain[-1] != lat.bottom:
+        z = next(modular_coatoms_in_context(lat, chain[-1]), None)
+        if z is None:
+            return None
+        chain.append(z)
+    return ChainCertificate(tuple(reversed(chain)))

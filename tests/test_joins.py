@@ -1,5 +1,7 @@
 """Modular joins, the product identity, and the certified class."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -9,12 +11,12 @@ from modext.algebra import IntPolynomial, poly_exact_div
 from modext.certificates import (EmptyCertificate, ModularCoatomCertificate,
                                  ModularJoinCertificate)
 from modext.corpus import corpus_matroid
-from modext.divisional import is_divisional_atom
+from modext.divisional import divisional_flag, is_divisional_atom
 from modext.errors import InvalidInput
 from modext.joins import (brylawski_identity_check, find_modular_joins,
                           join_divisional_lift_check, me_certify)
 from modext.lattice import FlatLattice, enumerate_flats, interval_charpoly
-from modext.matroid import atom_tuple, mask_of
+from modext.matroid import Matroid, atom_tuple, graphic_matroid, mask_of
 from modext.modularity import (is_modular_flat, is_round, modular_flats,
                                supersolvable_chain)
 from modext.verify import verify_certificate
@@ -79,7 +81,6 @@ def test_me_certificates_shape(corpus):
     cert = me_certify(m, lattice=lat)
     assert isinstance(cert, ModularCoatomCertificate)
 
-    from modext.matroid import graphic_matroid
     empty = graphic_matroid(0, [])
     assert isinstance(me_certify(empty), EmptyCertificate)
 
@@ -130,8 +131,8 @@ def test_join_divisional_lift(corpus, name, x_atoms, expected):
 
 
 def test_minor_charpolys_are_lattice_intervals(corpus, monkeypatch):
-    # is_divisional_atom reads the lattice it is given; the lift check
-    # builds only the lattice of m
+    # is_divisional_atom and the lift check read the lattice they are
+    # given; without one, the lift check builds only the lattice of m
     m, lat = corpus("ziegler-19")
     d = [j for j in find_modular_joins(m, lattice=lat)
          if atom_tuple(j.x) == (0, 1, 2)][0]
@@ -148,6 +149,8 @@ def test_minor_charpolys_are_lattice_intervals(corpus, monkeypatch):
     assert built == []
     assert join_divisional_lift_check(m, d, 8)
     assert len(built) == 1
+    assert join_divisional_lift_check(m, d, 8, lattice=lat)
+    assert len(built) == 1
 
 
 def test_join_divisional_lift_rejects_bad_atoms(corpus):
@@ -163,6 +166,41 @@ def test_join_divisional_lift_rejects_bad_atoms(corpus):
     for e in (-1, m.n):  # outside the ground set
         with pytest.raises(InvalidInput, match=f"^atom {e} outside ground set of size 19$"):
             join_divisional_lift_check(m, d, e)
+
+
+def test_join_divisional_lift_on_non_simple_matroids():
+    # K4 minus an edge is the parallel connection of the triangles 012 and
+    # 134 over edge 1; atom 5 is a loop, or an edge parallel to edge 0, so
+    # the bare atom 0 is not a flat and the check must contract cl(0)
+    k4e = graphic_matroid(4, [(0, 2), (0, 1), (1, 2), (0, 3), (1, 3)])
+    # label -> (atom 5 folded onto the graph, the atoms of E1 - X to check)
+    extras = {"loop": (lambda s: s & 31, (0,)),
+              "parallel": (lambda s: s & 31 | s >> 5 & 1, (0, 5))}
+    for label, (fold, atoms) in extras.items():
+        m = Matroid(6, lambda s, fold=fold: k4e.rank(fold(s)))
+        lat = enumerate_flats(m)
+        assert m.closure(m.atom_bit(0)) == mask_of([0, 5]), label
+        d = next(j for j in find_modular_joins(m, lattice=lat) if j.e1 & 1)
+        assert atom_tuple(d.x & ~lat.bottom) == (1,), label
+        for e in atoms:
+            assert join_divisional_lift_check(m, d, e), (label, e)
+            assert join_divisional_lift_check(m, d, e, lattice=lat), (label, e)
+
+
+def test_searches_leave_no_reference_cycle():
+    # with the cyclic collector off, the matroid and its lattice must be
+    # freed as soon as the last reference to them goes
+    for search in (supersolvable_chain, divisional_flag, me_certify):
+        gc.disable()
+        try:
+            m = corpus_matroid("example-13")
+            lat = enumerate_flats(m)
+            search(m, lattice=lat)
+            refs = weakref.ref(m), weakref.ref(lat)
+            del m, lat
+            assert [r() for r in refs] == [None, None], search.__name__
+        finally:
+            gc.enable()
 
 
 def test_join_construction_from_pieces(corpus):
