@@ -1,21 +1,19 @@
-"""Certificate data structures and their JSON forms.
+"""Certificate records and their JSON forms.
 
 Certificates are finite trees whose nodes cite the flats that witness a
-structural claim about a matroid.  They are pure data; replaying them
+structural claim about a matroid.  They are immutable values on the shared
+`errors.Frozen` base, compared and hashed by their fields; replaying them
 against a matroid lives in `verify`.  Flats serialize as sorted atom-index
 arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InvalidInput, reading
+from .errors import Frozen, InvalidInput, reading
 from .matroid import atom_tuple, mask_of
 
 
-@dataclass(frozen=True)
-class DivisionalFlag:
+class DivisionalFlag(Frozen):
     """A full flag of flats whose upward contraction charpolys divide in turn.
 
     `flats` runs from the empty flat to the full ground set, one rank at a
@@ -27,6 +25,9 @@ class DivisionalFlag:
     flats: tuple
     quotient_roots: tuple
 
+    def __init__(self, flats, quotient_roots):
+        self.__dict__.update(flats=flats, quotient_roots=quotient_roots)
+
     def to_json(self) -> dict:
         return {
             "kind": "divisional-flag",
@@ -35,20 +36,21 @@ class DivisionalFlag:
         }
 
 
-@dataclass(frozen=True)
-class EmptyCertificate:
+class EmptyCertificate(Frozen):
     """The empty matroid is modularly extended by definition."""
 
     def to_json(self) -> dict:
         return {"kind": "empty"}
 
 
-@dataclass(frozen=True)
-class ModularCoatomCertificate:
+class ModularCoatomCertificate(Frozen):
     """Membership via a modular coatom whose restriction is itself certified."""
 
     coatom: int
     child: "Certificate"
+
+    def __init__(self, coatom, child):
+        self.__dict__.update(coatom=coatom, child=child)
 
     def to_json(self) -> dict:
         return {
@@ -58,8 +60,7 @@ class ModularCoatomCertificate:
         }
 
 
-@dataclass(frozen=True)
-class ModularJoinCertificate:
+class ModularJoinCertificate(Frozen):
     """Membership via a modular join of two certified proper flats.
 
     `e1` and `e2` are proper modular flats covering the ground set, `x`
@@ -72,6 +73,9 @@ class ModularJoinCertificate:
     child1: "Certificate"
     child2: "Certificate"
 
+    def __init__(self, e1, e2, x, child1, child2):
+        self.__dict__.update(e1=e1, e2=e2, x=x, child1=child1, child2=child2)
+
     def to_json(self) -> dict:
         return {
             "kind": "modular-join",
@@ -83,21 +87,25 @@ class ModularJoinCertificate:
         }
 
 
-@dataclass(frozen=True)
-class FlagCertificate:
+class FlagCertificate(Frozen):
     """Wrapper presenting a divisional flag as a certificate."""
 
     flag: DivisionalFlag
+
+    def __init__(self, flag):
+        self.__dict__.update(flag=flag)
 
     def to_json(self) -> dict:
         return self.flag.to_json()
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(Frozen):
     """A saturated chain of modular flats from the empty flat to the top."""
 
     flats: tuple
+
+    def __init__(self, flats):
+        self.__dict__.update(flats=flats)
 
     def to_json(self) -> dict:
         return {

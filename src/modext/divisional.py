@@ -57,7 +57,8 @@ def divisional_flag(m: Matroid, lattice: FlatLattice | None = None):
     only be t - q with q the difference of the two cover counts, and Y is
     tried only when chi_X(q) = 0.  The top two steps always divide
     (chi = 1 and t - 1 there), so at corank <= 2 any saturated chain
-    completes the flag.
+    completes the flag.  Each step's root is that difference of cover
+    counts, so no quotient is divided out again once the flag is found.
     """
     lat = lattice if lattice is not None else enumerate_flats(m)
     if integer_roots(lat.charpoly()) is None:
@@ -65,15 +66,9 @@ def divisional_flag(m: Matroid, lattice: FlatLattice | None = None):
     flats = _flag_search(lat, {}, lat.bottom)
     if flats is None:
         return None
-    roots = []
-    for a, b in zip(flats, flats[1:]):
-        q = poly_exact_div(lat.upper_charpoly(a), lat.upper_charpoly(b))
-        if q is None or q.degree != 1 or not q.is_monic:
-            raise InternalInconsistency(
-                f"flag step {sorted(atom_tuple(a))} -> {sorted(atom_tuple(b))} "
-                f"has non-linear quotient {q}")
-        roots.append(-q.coeffs[0])
-    return DivisionalFlag(tuple(flats), tuple(roots))
+    covers = lat.covers
+    return DivisionalFlag(flats, tuple(len(covers[x]) - len(covers[y])
+                                       for x, y in zip(flats, flats[1:])))
 
 
 def _flag_search(lat: FlatLattice, memo: dict, x: int):

@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the base of its records.
 
 The CLI maps these onto exit codes: invalid input -> 2, guardrail
 breaches -> 3, certificate verification failures -> 4.
@@ -7,6 +7,51 @@ breaches -> 3, certificate verification failures -> 4.
 from __future__ import annotations
 
 from contextlib import contextmanager
+
+
+class Frozen:
+    """Base of the toolkit's immutable records: certificates, reports,
+    witnesses.
+
+    A subclass annotates its fields in order and writes them into
+    `self.__dict__` in its own `__init__`; the base reads the field order
+    from the annotations once, when the subclass is defined (after the
+    fields it inherits), and derives
+    from it value semantics: `==` only between instances of one class with
+    equal fields, the hash of the field tuple, the repr
+    `Name(field=value, ...)`, and an AttributeError on assignment or
+    deletion.  No method is generated or compiled, so defining a record
+    costs next to nothing at import.  Instances keep a `__dict__`, so
+    pickle and copy rebuild them without calling `__setattr__`.
+    """
+
+    _fields = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple(d[name] for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        body = ", ".join(f"{name}={d[name]!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ModextError(Exception):

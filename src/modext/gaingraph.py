@@ -11,13 +11,13 @@ vertex order; the extended lift matroid prepends an extra atom `inf`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 from .algebra import Field
 from .arrangement import Arrangement
 from .errors import (
+    Frozen,
     HasLoops,
     InvalidInput,
     NoAdditiveEmbedding,
@@ -219,13 +219,15 @@ def _gf_generator(p: int) -> int:
 # gain graphs
 
 
-@dataclass(frozen=True)
-class GainEdge:
+class GainEdge(Frozen):
     """An edge {u,v}_g in canonical orientation u < v."""
 
     u: int
     v: int
     gain: int
+
+    def __init__(self, u, v, gain):
+        self.__dict__.update(u=u, v=v, gain=gain)
 
     def endpoints(self):
         return self.u, self.v
@@ -351,8 +353,7 @@ class GainGraph:
 # balance analysis
 
 
-@dataclass(frozen=True)
-class ComponentReport:
+class ComponentReport(Frozen):
     """One connected component of a selected atom subset."""
 
     vertices: tuple
@@ -361,12 +362,19 @@ class ComponentReport:
     potentials: tuple
     unbalanced_witnesses: tuple
 
+    def __init__(self, vertices, atoms, balanced, potentials, unbalanced_witnesses):
+        self.__dict__.update(vertices=vertices, atoms=atoms, balanced=balanced,
+                             potentials=potentials,
+                             unbalanced_witnesses=unbalanced_witnesses)
 
-@dataclass(frozen=True)
-class BalanceReport:
+
+class BalanceReport(Frozen):
     """Balance analysis of a subset of edges and loops."""
 
     components: tuple
+
+    def __init__(self, components):
+        self.__dict__.update(components=components)
 
     @property
     def balanced(self) -> bool:

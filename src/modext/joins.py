@@ -18,8 +18,6 @@ and pair of levels and shared with `modular_flats`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import poly_mul
 from .certificates import (
     EmptyCertificate,
@@ -27,7 +25,7 @@ from .certificates import (
     ModularJoinCertificate,
 )
 from .divisional import atom_quotient
-from .errors import IdentityViolation, InvalidInput, LiftViolation
+from .errors import Frozen, IdentityViolation, InvalidInput, LiftViolation
 from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, atom_tuple
 from .modularity import modular_coatoms_in_context, modular_flats_in_context, round_in_context
@@ -36,14 +34,16 @@ from .modularity import modular_coatoms_in_context, modular_flats_in_context, ro
 from .modularity import violating_flat_in_context  # noqa: F401
 
 
-@dataclass(frozen=True)
-class JoinDecomposition:
+class JoinDecomposition(Frozen):
     """Two proper modular flats covering the ground set, with X = e1 & e2."""
 
     e1: int
     e2: int
     x: int
     x_round: bool
+
+    def __init__(self, e1, e2, x, x_round):
+        self.__dict__.update(e1=e1, e2=e2, x=x, x_round=x_round)
 
     def to_json(self) -> dict:
         return {

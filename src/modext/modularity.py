@@ -25,17 +25,16 @@ sides; `stanley_division_check` and the witness of a non-modular
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .certificates import ChainCertificate
-from .errors import EmptyFlat, NotACoatom, NotAFlat, NotComparable, NotModularCoatom
+from .errors import (EmptyFlat, Frozen, NotACoatom, NotAFlat, NotComparable,
+                     NotModularCoatom)
 from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, atom_tuple, circuits, iter_atoms
 
 
-@dataclass(frozen=True)
-class ModularityWitness:
+class ModularityWitness(Frozen):
     """Verdict of a modularity test plus the evidence behind it.
 
     On failure exactly one kind of evidence is set: `violating_flat` for the
@@ -46,21 +45,29 @@ class ModularityWitness:
     modular: bool
     criterion: str
     flat: int
-    violating_flat: int | None = None
-    pair: tuple | None = None
-    circuit: int | None = None
-    atom: int | None = None
+    violating_flat: int | None
+    pair: tuple | None
+    circuit: int | None
+    atom: int | None
+
+    def __init__(self, modular, criterion, flat, violating_flat=None, pair=None,
+                 circuit=None, atom=None):
+        self.__dict__.update(modular=modular, criterion=criterion, flat=flat,
+                             violating_flat=violating_flat, pair=pair,
+                             circuit=circuit, atom=atom)
 
     def __bool__(self) -> bool:
         return self.modular
 
 
-@dataclass(frozen=True)
-class RoundnessVerdict:
+class RoundnessVerdict(Frozen):
     """Roundness verdict; on failure, two proper flats covering the ground set."""
 
     round: bool
-    witness: tuple | None = None
+    witness: tuple | None
+
+    def __init__(self, round, witness=None):
+        self.__dict__.update(round=round, witness=witness)
 
     def __bool__(self) -> bool:
         return self.round

@@ -20,8 +20,6 @@ interval.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import IntPolynomial, poly_mul
 from .certificates import (
     ChainCertificate,
@@ -30,16 +28,18 @@ from .certificates import (
     ModularCoatomCertificate,
     ModularJoinCertificate,
 )
-from .errors import InvalidInput
+from .errors import Frozen, InvalidInput
 from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, atom_tuple
 from .modularity import lines_outside, round_in_context, violating_flat_in_context
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Frozen):
     ok: bool
     failures: tuple
+
+    def __init__(self, ok, failures):
+        self.__dict__.update(ok=ok, failures=failures)
 
     def to_json(self) -> dict:
         return {

@@ -1,6 +1,5 @@
 """Certificate verification: honest certificates pass, tampered ones say why."""
 
-import dataclasses
 from itertools import combinations
 
 import pytest
@@ -85,14 +84,14 @@ class TestTamperedCoatomCertificates:
         cert = me_certify(m, lattice=lat)
         assert isinstance(cert, ModularCoatomCertificate)
         # two collinear fano points span a third: a pair is never closed
-        bad = dataclasses.replace(cert, coatom=mask_of([0, 1]))
+        bad = ModularCoatomCertificate(mask_of([0, 1]), cert.child)
         path, reason = _single_failure(verify_certificate(m, bad, lattice=lat))
         assert path == "$" and "is not a flat" in reason
 
     def test_coatom_not_covering(self, corpus):
         m, lat = corpus("fano")
         cert = me_certify(m, lattice=lat)
-        bad = dataclasses.replace(cert, coatom=mask_of([0]))
+        bad = ModularCoatomCertificate(mask_of([0]), cert.child)
         path, reason = _single_failure(verify_certificate(m, bad, lattice=lat))
         assert path == "$" and "is not covered by" in reason
 
@@ -116,9 +115,9 @@ class TestTamperedCoatomCertificates:
         # rank-1 flat than the one the parent names
         ctx = cert.child.coatom
         other = mask_of([next(a for a in range(m.n) if not ctx >> a & 1)])
-        bad_child = dataclasses.replace(cert.child,
-                                        child=ChainCertificate((0, other)))
-        bad = dataclasses.replace(cert, child=bad_child)
+        bad_child = ModularCoatomCertificate(cert.child.coatom,
+                                             ChainCertificate((0, other)))
+        bad = ModularCoatomCertificate(cert.coatom, bad_child)
         report = verify_certificate(m, bad, lattice=lat)
         assert not report.ok
         path, reason = report.failures[0]
@@ -131,7 +130,8 @@ class TestTamperedJoinCertificates:
         m, lat = corpus("example-13")
         cert = me_certify(m, lattice=lat)
         assert isinstance(cert, ModularJoinCertificate)
-        bad = dataclasses.replace(cert, x=mask_of([0, 1]))
+        bad = ModularJoinCertificate(cert.e1, cert.e2, mask_of([0, 1]),
+                                     cert.child1, cert.child2)
         report = verify_certificate(m, bad, lattice=lat)
         assert not report.ok
         assert any(path == "$" and "is not the intersection of the sides" in r
@@ -140,7 +140,8 @@ class TestTamperedJoinCertificates:
     def test_sides_do_not_cover(self, corpus):
         m, lat = corpus("example-13")
         cert = me_certify(m, lattice=lat)
-        bad = dataclasses.replace(cert, e2=mask_of([0]))
+        bad = ModularJoinCertificate(cert.e1, mask_of([0]), cert.x,
+                                     cert.child1, cert.child2)
         report = verify_certificate(m, bad, lattice=lat)
         path, reason = report.failures[0]
         assert path == "$" and "do not cover" in reason
@@ -148,7 +149,8 @@ class TestTamperedJoinCertificates:
     def test_side_equal_to_whole(self, corpus):
         m, lat = corpus("example-13")
         cert = me_certify(m, lattice=lat)
-        bad = dataclasses.replace(cert, e1=lat.top)
+        bad = ModularJoinCertificate(lat.top, cert.e2, cert.x,
+                                     cert.child1, cert.child2)
         report = verify_certificate(m, bad, lattice=lat)
         path, reason = report.failures[0]
         assert path == "$" and "must be proper flats" in reason
@@ -171,7 +173,8 @@ class TestTamperedJoinCertificates:
     def test_children_verified_in_their_context(self, corpus):
         m, lat = corpus("example-13")
         cert = me_certify(m, lattice=lat)
-        bad = dataclasses.replace(cert, child2=EmptyCertificate())
+        bad = ModularJoinCertificate(cert.e1, cert.e2, cert.x,
+                                     cert.child1, EmptyCertificate())
         report = verify_certificate(m, bad, lattice=lat)
         path, reason = _single_failure(report)
         assert path == "$/e2" and "empty certificate" in reason
