@@ -32,7 +32,8 @@ Everything is driven by the covering relation:
   and the verdicts stay on the lattice as one bitmask per ctx and level
   (`_verdicts`).  `below(X)` stays a containment scan: the verifier's
   rank-equation scan walks it, and must not rest on the index that the
-  prover's verdicts read.
+  prover's verdicts read.  The verifier keeps its own results on the
+  lattice (`_verified`), which the prover never reads.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y.  One routine
@@ -123,6 +124,10 @@ class FlatLattice:
         self._modular = {}
         self._verdicts = {}
         self._complement = {}
+        # filled and read by verify only: (lo, hi) -> the first pair of
+        # atoms whose line misses lo, or None, and ("chi", lo, hi) -> the
+        # charpoly of [lo, hi]
+        self._verified = {}
 
     # -- basic structure
 

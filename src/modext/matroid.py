@@ -145,7 +145,10 @@ class Matroid:
         the flat, is a union of the parts outside it of some of its covers.
         The kernel's classes other than 0 are the covers' parts in `rest`.
         They come in ascending lowest new atom: lex order, as every cover
-        holds the flat.
+        holds the flat.  Called with any `flat` and `rest` outside it (the
+        triangle test hands over one atom as both `flat` and `span`), each
+        set returned is `flat` joined to the part in `rest` of one cover
+        of cl(span), and the atoms of `rest` in cl(span) are left out.
         """
         self._check_inside(flat | span | rest)
         return [flat | c for k, c in self._classes_fn(span, rest).items() if k != 0]

@@ -20,12 +20,13 @@ checkers re-derive modularity from the rank oracle instead: `verify` runs
 the triangle test (`lines_outside`) on each modular coatom and chain
 step, and the rank-equation scan `violating_flat_in_context` on join
 sides; `stanley_division_check` and the witness of a non-modular
-`is_modular_flat` run the scan too.
+`is_modular_flat` run the scan too.  In the triangle test the matroid's
+kernel only proposes which atom to ask first; the rank oracle confirms.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain
 
 from .certificates import ChainCertificate
 from .errors import (EmptyFlat, Frozen, NotACoatom, NotAFlat, NotComparable,
@@ -272,20 +273,51 @@ def modular_flats(m: Matroid, lattice: FlatLattice | None = None) -> tuple:
 
 def lines_outside(lat: FlatLattice, z: int, ctx: int):
     """Yield ((a, b), hits) for each pair of atoms a < b of ctx - z spanning
-    a line, r({a, b}) = 2, where `hits` lazily lists the atoms f of
-    z - bottom on that line, r({a, b, f}) = 2.
+    a line, r({a, b}) = 2, in lex order, where `hits` lazily lists the
+    atoms f of z - bottom on that line, r({a, b, f}) = 2.
 
     A flat z covered by ctx is modular within ctx iff every line of ctx
     meets it, so iff no `hits` is empty: the coatom triangle test.  Parallel
     atoms span no line, and a loop lies on every line without meeting it,
-    so neither counts.  Every rank is asked of the matroid's oracle.
+    so neither counts.
+
+    The kernel proposes and the rank oracle confirms.  For each atom a,
+    one `Matroid.covers` call groups the later atoms of ctx - z and the
+    atoms of z - bottom by their line through a; `hits` first tries the
+    atoms of z on the line of b, then the rest of z, each in ascending
+    order.  Every pair and every atom yielded is confirmed by the rank
+    oracle, so pairs and hits are those of the rank definition whatever
+    the kernel answers; with an honest kernel the hits are exactly the
+    atoms tried first, in ascending order.
     """
-    rank = lat.matroid.rank
-    inside = atom_tuple(z & ~lat.bottom)
-    for a, b in combinations(atom_tuple(ctx & ~z), 2):
-        pair = (1 << a) | (1 << b)
-        if rank(pair) == 2:
-            yield (a, b), (f for f in inside if rank(pair | 1 << f) == 2)
+    m = lat.matroid
+    rank = m.rank
+    inside = z & ~lat.bottom
+    later = ctx & ~z
+    while later:
+        low = later & -later
+        later ^= low
+        if not later:
+            return
+        a = low.bit_length() - 1
+        on_line = {}    # later atom b -> the atoms of z on the kernel's line ab
+        for line in m.covers(low, low, later | inside):
+            part = line & inside
+            for b in iter_atoms(line & later):
+                on_line[b] = part
+        for b in iter_atoms(later):
+            pair = low | 1 << b
+            if rank(pair) == 2:
+                first = on_line.get(b, 0)
+                yield (a, b), _confirmed(rank, pair, chain(iter_atoms(first),
+                                                           iter_atoms(inside & ~first)))
+
+
+def _confirmed(rank, pair: int, atoms):
+    """The atoms f among `atoms` with r(pair + f) = 2, in the order given."""
+    for f in atoms:
+        if rank(pair | 1 << f) == 2:
+            yield f
 
 
 def _require_coatom(lat: FlatLattice, x: int):
@@ -313,8 +345,8 @@ def coatom_pairing(m: Matroid, x: int, lattice: FlatLattice | None = None) -> di
     For each line through two atoms a, b outside x there must be exactly
     one parallel class of atoms of x on it, so that {a, b, f} is a circuit
     for its atoms f; otherwise NotModularCoatom is raised.  f is the
-    class's lowest atom: the whole class lies on the line, and `hits`
-    lists it in ascending order.  The triple f(a,b), f(a,c), f(b,c) of any
+    class's lowest atom: the whole class lies on the line, and `hits`,
+    sorted, lists it first.  The triple f(a,b), f(a,c), f(b,c) of any
     three outside atoms is dependent.
     """
     lat = _lattice_for(m, lattice)
@@ -323,7 +355,7 @@ def coatom_pairing(m: Matroid, x: int, lattice: FlatLattice | None = None) -> di
     out = {}
     for (a, b), hits in lines_outside(lat, x, lat.top):
         classes = []  # lowest atom of each parallel class on the line
-        for f in hits:
+        for f in sorted(hits):
             if all(rank(1 << f | 1 << g) == 2 for g in classes):
                 classes.append(f)
         if len(classes) != 1:

@@ -7,15 +7,23 @@ checks out against the matroid.
 
 Modularity is re-derived from the rank oracle, not from the prover's meet
 test: a modular coatom, and each cover step lo -> hi of a chain, by the
-triangle test of lo within hi (`modularity.lines_outside`), so by the
-tower property every chain member is modular within the chain's top; a
-join side by the rank-equation scan.  Flat membership, covers, `below`
-and interval charpolys are still read from the prover's lattice, whose
-one Weisner routine computes them all.  A flag's first interval,
-[bottom, ctx], reads that routine's pass from the bottom, which the
-prover's charpoly shares (ctx is the top for a flag certificate, so it
-is the charpoly itself); every other step runs its own pass over its
-interval.
+triangle test of lo within hi (`modularity.lines_outside`, where the
+matroid's kernel proposes which atom of lo to ask first and the rank
+oracle confirms every pair and every hit), so by the tower property
+every chain member is modular within the chain's top; a join side by the
+rank-equation scan.  Flat membership, covers, `below` and interval
+charpolys are still read from the prover's lattice, whose one Weisner
+routine computes them all.  A flag's first interval, [bottom, ctx],
+reads that routine's pass from the bottom, which the prover's charpoly
+shares (ctx is the top for a flag certificate, so it is the charpoly
+itself); every other step runs its own pass over its interval.
+
+The verifier keeps its own memo on the lattice (`FlatLattice._verified`),
+which nothing else reads or writes: per cover step, the first pair of
+atoms whose line misses the lower flat, or None, and per flag step the
+raw interval charpoly.  So the ME certificate's coatom steps and a
+tampered certificate reuse what the genuine ones checked on the same
+lattice.  It never reads the prover's `_upper`, `_lower` or `_verdicts`.
 """
 
 from __future__ import annotations
@@ -87,12 +95,27 @@ def _check_modular_in(lat, flat, ctx, path, failures, what):
 
 
 def _check_modular_cover(lat, z, ctx, path, failures, what):
-    """The triangle test of a flat z covered by ctx."""
-    for (a, b), hits in lines_outside(lat, z, ctx):
-        if next(hits, None) is None:
-            _not_modular(failures, path, what, z, ctx,
-                         f"the line through {a} and {b} misses it")
-            return
+    """The triangle test of a flat z covered by ctx, run once per lattice."""
+    key = (z, ctx)
+    memo = lat._verified
+    if key in memo:
+        missed = memo[key]
+    else:
+        missed = memo[key] = next((pair for pair, hits in lines_outside(lat, z, ctx)
+                                   if next(hits, None) is None), None)
+    if missed is not None:
+        a, b = missed
+        _not_modular(failures, path, what, z, ctx,
+                     f"the line through {a} and {b} misses it")
+
+
+def _chi(lat, lo, hi):
+    """The raw charpoly of [lo, hi], computed once per lattice."""
+    key = ("chi", lo, hi)
+    got = lat._verified.get(key)
+    if got is None:
+        got = lat._verified[key] = lat.interval_charpoly(lo, hi)
+    return got
 
 
 def _verify(lat: FlatLattice, cert, ctx: int, path: str, failures: list):
@@ -185,8 +208,8 @@ def _verify_flag(lat: FlatLattice, flag, ctx: int, path: str, failures: list):
     # the raw interval charpoly, not the prover's upper_charpoly or
     # lower_charpoly caches: [bottom, ctx] reads the lattice's Weisner pass
     # from the bottom, which the prover's charpoly shares, and every other
-    # step runs its own pass
-    uppers = [lat.interval_charpoly(f, ctx) for f in flats]
+    # step runs its own pass, once per lattice
+    uppers = [_chi(lat, f, ctx) for f in flats]
     for i in range(len(flats) - 1):
         quotient = IntPolynomial((-roots[i], 1))
         if poly_mul(uppers[i + 1], quotient) != uppers[i]:

@@ -170,6 +170,20 @@ def brute_covers(m, flat: int) -> list:
     return out
 
 
+def brute_lines_outside(m, z: int, ctx: int) -> list:
+    """[((a, b), hits)] for the pairs of atoms a < b of ctx - z with
+    r({a, b}) = 2, in lex order, where hits lists in ascending order the
+    atoms f of z outside cl(empty) with r({a, b, f}) = 2: the coatom
+    triangle test from rank queries alone."""
+    inside = atoms_of(z & ~brute_closure(m, 0))
+    out = []
+    for a, b in combinations(atoms_of(ctx & ~z), 2):
+        pair = (1 << a) | (1 << b)
+        if m.rank(pair) == 2:
+            out.append(((a, b), [f for f in inside if m.rank(pair | 1 << f) == 2]))
+    return out
+
+
 def restrict(m, flat: int):
     """M|flat as a bare matroid on atoms 0..|flat|-1, ranks asked of m (so
     its memo is shared), labels and atom cap inherited."""

@@ -14,7 +14,8 @@ from modext.modularity import (coatom_pairing, is_modular_coatom_triangle,
                                modular_flats_in_context, short_circuit_check,
                                supersolvable_chain, violating_flat_in_context)
 
-from oracles import brute_flats, brute_modular, brute_round, brute_supersolvable
+from oracles import (brute_flats, brute_lines_outside, brute_modular, brute_round,
+                     brute_supersolvable)
 from samples import non_simple_gf3_matroids, random_matroids
 
 
@@ -202,6 +203,21 @@ def test_triangle_test_matches_rank_scan_on_random_matroids():
         for x in lat.coatoms():
             expected = violating_flat_in_context(lat, x, lat.top) is None
             assert bool(is_modular_coatom_triangle(m, x, lattice=lat)) == expected, (i, x)
+
+
+def test_lines_outside_matches_rank_reference(corpus, all_corpus_names):
+    # on every cover step, the pairs in order and, as ascending lists, the
+    # atoms of the lower flat on each pair's line, as the rank oracle
+    # alone finds them
+    samples = [(name, corpus(name)[0]) for name in all_corpus_names
+               if len(corpus(name)[1]) <= 250]
+    samples += list(enumerate(random_matroids() + non_simple_gf3_matroids()))
+    for label, m in samples:
+        lat = enumerate_flats(m)
+        for ctx in lat.flats():
+            for z in lat.children[ctx]:
+                got = [(pair, sorted(hits)) for pair, hits in lines_outside(lat, z, ctx)]
+                assert got == brute_lines_outside(m, z, ctx), (label, z, ctx)
 
 
 def test_triangle_witness_pair(corpus):

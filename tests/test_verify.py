@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from modext import modularity
+from modext.algebra import IntPolynomial
 from modext.certificates import (ChainCertificate, DivisionalFlag,
                                  EmptyCertificate, FlagCertificate,
                                  ModularCoatomCertificate,
@@ -12,11 +13,12 @@ from modext.certificates import (ChainCertificate, DivisionalFlag,
                                  certificate_from_json)
 from modext.corpus import corpus_matroid
 from modext.divisional import divisional_flag, stanley_division_check
-from modext.errors import InvalidInput, NotModular
+from modext.errors import InvalidInput, NotModular, NotModularCoatom
 from modext.joins import me_certify
 from modext.lattice import enumerate_flats
 from modext.matroid import Matroid, graphic_matroid, mask_of
-from modext.modularity import (is_modular_flat, supersolvable_chain,
+from modext.modularity import (coatom_pairing, is_modular_coatom_triangle,
+                               is_modular_flat, supersolvable_chain,
                                violating_flat_in_context)
 from modext.verify import verify_certificate
 
@@ -349,3 +351,136 @@ class TestCheckersReadNoProverVerdicts:
         m, lat, matching = fooled
         with pytest.raises(NotModular):
             stanley_division_check(m, matching, lattice=lat)
+
+
+def _tampered(cert):
+    """A broken copy of a certificate: a chain's first two proper flats
+    swapped, a flag's first root off by one, or an ME certificate's top
+    step ending in the empty certificate."""
+    if isinstance(cert, ChainCertificate):
+        f = list(cert.flats)
+        f[1], f[2] = f[2], f[1]
+        return ChainCertificate(tuple(f))
+    if isinstance(cert, FlagCertificate):
+        roots = list(cert.flag.quotient_roots)
+        roots[0] += 1
+        return FlagCertificate(DivisionalFlag(cert.flag.flats, tuple(roots)))
+    if isinstance(cert, ModularCoatomCertificate):
+        return ModularCoatomCertificate(cert.coatom, EmptyCertificate())
+    return ModularJoinCertificate(cert.e1, cert.e2, cert.x, EmptyCertificate(), cert.child2)
+
+
+def _certificates(m, lat):
+    """Every certificate the provers find, each followed by its tampered copy
+    and by itself again; none below rank 2, where a chain has no two proper
+    flats to swap."""
+    if lat.rank < 2:
+        return []
+    certs = [supersolvable_chain(m, lattice=lat), me_certify(m, lattice=lat)]
+    flag = divisional_flag(m, lattice=lat)
+    certs.append(None if flag is None else FlagCertificate(flag))
+    return [c for cert in certs if cert is not None for c in (cert, _tampered(cert), cert)]
+
+
+class TestVerifierMemo:
+    """`verify` checks each cover step and flag step once per lattice; what
+    it keeps is its own, so every report is the one a fresh lattice gives,
+    and the prover's caches cannot change it."""
+
+    NAMES = ("fano", "braid-4", "example-13", "dn-4", "ziegler-11", "bowtie-lift",
+             "q3-z3", "ziegler-19")
+
+    def test_reports_match_fresh_lattices(self, corpus):
+        for name in self.NAMES:
+            m, _ = corpus(name)
+            lat = enumerate_flats(m)
+            certs = _certificates(m, lat)
+            assert certs, name
+            for i, cert in enumerate(certs):
+                got = verify_certificate(m, cert, lattice=lat)
+                fresh = verify_certificate(m, cert, lattice=enumerate_flats(m))
+                assert got.failures == fresh.failures, (name, i)
+                assert got.ok == (i % 3 != 1), (name, i)
+            assert lat._verified, name
+
+    def test_poisoned_prover_caches_change_no_report(self, corpus):
+        wrong = IntPolynomial((7, 1))
+        for name in self.NAMES:
+            m, _ = corpus(name)
+            lat = enumerate_flats(m)
+            certs = _certificates(m, lat)
+            expected = [verify_certificate(m, c, lattice=enumerate_flats(m)) for c in certs]
+            for used in (lat, enumerate_flats(m)):
+                for f in used.flats():
+                    used._upper[f] = used._lower[f] = wrong
+                assert [verify_certificate(m, c, lattice=used) for c in certs] == expected, name
+
+
+def _lying(classes_fn):
+    """`classes_fn` with the lowest atom of its first cover moved to the
+    second, and its last cover emptied."""
+    def classes(subset, candidates):
+        groups = dict(classes_fn(subset, candidates))
+        keys = [k for k in groups if k != 0]
+        if len(keys) >= 2:
+            moved = groups[keys[0]] & -groups[keys[0]]
+            groups[keys[0]] ^= moved
+            groups[keys[1]] |= moved
+        if keys:
+            groups[keys[-1]] = 0
+        return groups
+
+    return classes
+
+
+def _triangle_results(m, lat):
+    """Every triangle verdict, pairing and verify report on a lattice: per
+    coatom, and per cover step through a chain, plus every certificate."""
+    out = []
+    for x in lat.coatoms():
+        out.append(is_modular_coatom_triangle(m, x, lattice=lat))
+        try:
+            out.append(coatom_pairing(m, x, lattice=lat))
+        except NotModularCoatom as e:
+            out.append(str(e))
+    for ctx in lat.flats():
+        for z in lat.children[ctx]:
+            out.append(verify_certificate(m, ChainCertificate(_chain_through(lat, z, ctx)),
+                                          lattice=lat))
+    out.extend(verify_certificate(m, c, lattice=lat) for c in _certificates(m, lat))
+    return out
+
+
+def test_lying_kernel_changes_no_verdict(corpus, all_corpus_names, monkeypatch):
+    # the kernel only proposes which atom the triangle test asks first; the
+    # rank oracle decides, so a kernel that misplaces one atom and loses a
+    # whole class changes no verdict, pairing or report
+    samples = [corpus_matroid(name) for name in all_corpus_names
+               if len(corpus(name)[1]) <= 250]
+    samples += random_matroids() + non_simple_gf3_matroids()
+    for i, m in enumerate(samples):
+        honest, lied_to = enumerate_flats(m), enumerate_flats(m)
+        expected = _triangle_results(m, honest)
+        monkeypatch.setattr(m, "_classes_fn", _lying(m._classes_fn))
+        assert _triangle_results(m, lied_to) == expected, i
+
+
+def test_prover_mutant_chain_is_rejected(corpus, all_corpus_names, monkeypatch):
+    # with every flat read as modular, the peel returns a chain on inputs
+    # that have none, and the verifier must reject it
+    def everything_modular(lat, ctx, lo, hi):
+        for k in (lo, hi):
+            lat._verdicts[ctx, k] = modularity._below_positions(lat, ctx, k)
+
+    names = [name for name in all_corpus_names
+             if supersolvable_chain(*corpus(name)) is None and len(corpus(name)[1]) <= 250]
+    assert names
+    monkeypatch.setattr(modularity, "_decide_levels", everything_modular)
+    for name in names:
+        m = corpus_matroid(name)
+        lat = enumerate_flats(m)
+        chain = supersolvable_chain(m, lattice=lat)
+        assert chain is not None, name
+        report = verify_certificate(m, chain, lattice=lat)
+        assert not report.ok, name
+        assert any("is not modular within" in r for _, r in report.failures), name
