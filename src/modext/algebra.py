@@ -298,6 +298,10 @@ class Field:
             if isinstance(value, int):
                 return Fraction(value)
             if isinstance(value, str):
+                try:  # int() reads a subset of Fraction's strings, without its regex
+                    return Fraction(int(value))
+                except ValueError:
+                    pass
                 try:
                     return Fraction(value)
                 except (ValueError, ZeroDivisionError) as exc:

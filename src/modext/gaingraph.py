@@ -7,6 +7,13 @@ balanced when its gain product along the traversal is the identity.
 
 Matroid atoms are edges in listed order followed by loops in ascending
 vertex order; the extended lift matroid prepends an extra atom `inf`.
+
+Two walks read a subset's components.  The frame and lift rank and cover
+kernels, asked for small subsets thousands of times per lattice, fold the
+subset's atoms once (`_fold`), touching no adjacency list.  The balance
+report, asked once per graph, walks breadth-first (`_components`), because
+its JSON is made of that walk's vertex order, tree potentials and
+fundamental-cycle witnesses.
 """
 
 from __future__ import annotations
@@ -397,7 +404,9 @@ class BalanceReport(Frozen):
 
 
 def _components(g: GainGraph, atoms: int):
-    """Breadth-first walk over the components an atom subset touches.
+    """Breadth-first walk over the components an atom subset touches, for
+    `analyze_balance` alone: its report's vertex order, potentials and
+    witnesses are this walk's, which the kernels' `_fold` does not keep.
 
     Roots are taken in ascending vertex order and each vertex's atoms in
     ascending atom order.  Per component yields (vertices in visiting
@@ -503,37 +512,46 @@ def _check_no_repeated_edges(g: GainGraph) -> None:
         seen[key] = i
 
 
-def _atom_reader(g: GainGraph):
-    """read(subset, candidates): one `_components` walk of the subset, giving
-    the roots of its unbalanced components and, per candidate atom i in
-    ascending order, (i, r, s, shift): r <= s are the roots (lowest vertices)
-    of its ends' components, an untouched vertex being its own balanced one
-    at potential 0, and shift = pot(u)*h*pot(v)^-1 reads edge {u,v}_h from
-    the end u on r's side: 0 iff the edge agrees, inside one component; the
-    switch g*pot of s's side that makes it agree, between two.  A loop reads
-    as a disagreeing edge inside its vertex's component (shift None)."""
-    table, inv = g.group.table, g.group.inverse
-    ends = [(e.u, e.v, e.gain) for e in g.edges] + [(w, w, None) for w in g.loops]
+def _fold(atoms: int, ends, table, inv):
+    """The components of a subset, from one pass over its atoms in ascending
+    order, `ends` giving each atom's (u, v, gain), a loop's (w, w, None).
 
-    def read(subset, candidates):
-        root, pot, unbalanced = {}, {}, set()
-        for order, pot, _, _, bad in _components(g, subset):
-            for v in order:
-                root[v] = order[0]
-            if bad:
-                unbalanced.add(order[0])
-        out = []
-        for i in iter_atoms(candidates):
-            u, v, h = ends[i]
-            r, s = root.get(u, u), root.get(v, v)
-            if h is not None:
-                if r > s:
-                    r, s, u, v, h = s, r, v, u, inv[h]
-                h = table[table[pot.get(u, 0)][h]][inv[pot.get(v, 0)]]
-            out.append((i, r, s, h))
-        return unbalanced, out
-
-    return read
+    Returns (label, pot, unbalanced, number of components): each touched
+    vertex's component label, one of its vertices, and its potential, the
+    gain of a path from that vertex; and the labels of the components with
+    a loop or a cycle that disagrees with the potentials.  An edge {u,v}_h
+    joining two components relabels v's with pot(x) <- pot(u)*h*pot(v)^-1
+    *pot(x), a left multiplication, as non-abelian gain groups need."""
+    label, pot, unbalanced, components = {}, {}, set(), 0
+    while atoms:
+        low = atoms & -atoms
+        atoms ^= low
+        u, v, h = ends[low.bit_length() - 1]
+        r, s = label.get(u), label.get(v)
+        if r is None:
+            if h is None or s is None:
+                label[u], pot[u], r = u, 0, u
+                components += 1
+            else:
+                label[u], pot[u] = s, table[pot[v]][inv[h]]
+                continue
+        if h is None:
+            unbalanced.add(r)
+        elif s is None:
+            label[v], pot[v] = r, table[pot[u]][h]
+        elif r == s:
+            if table[pot[u]][h] != pot[v]:
+                unbalanced.add(r)
+        else:
+            row = table[table[table[pot[u]][h]][inv[pot[v]]]]
+            for x, y in label.items():
+                if y == s:
+                    label[x], pot[x] = r, row[pot[x]]
+            components -= 1
+            if s in unbalanced:
+                unbalanced.discard(s)
+                unbalanced.add(r)
+    return label, pot, unbalanced, components
 
 
 def frame_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
@@ -544,30 +562,42 @@ def frame_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     Repeated identical edges would be parallel atoms, so they raise
     NotSimpleFrame.
 
-    Closure and covers read one `_atom_reader` walk of the subset.  An atom
-    is in the closure when both its components are unbalanced, or it is an
-    edge inside one that agrees with the potentials.  Otherwise its cover
-    is keyed (c,) when it unbalances the balanced component c, and
-    (c1, c2, shift) when it joins two balanced ones.
+    Rank and covers read one `_fold` of the subset: rank = touched vertices
+    - components + unbalanced components.  The kernel keys each candidate
+    in the same loop, by its ends' component labels, an untouched vertex
+    being its own balanced component at potential 0.  An atom is in the
+    closure when both its components are unbalanced, or it is an edge
+    inside one that agrees with the potentials.  Otherwise its cover is
+    keyed (c,) when it unbalances the balanced component c, and
+    (c1, c2, shift) when it joins two balanced ones, c1 < c2 and shift =
+    pot(u)*h*pot(v)^-1 reading the edge {u,v}_h from c1's side.
     """
     _check_no_repeated_edges(g)
-    read = _atom_reader(g)
+    table, inv = g.group.table, g.group.inverse
+    ends = [(e.u, e.v, e.gain) for e in g.edges] + [(w, w, None) for w in g.loops]
 
     def rank_fn(mask):
-        return sum(len(order) - 1 + (1 if bad else 0)
-                   for order, _, _, _, bad in _components(g, mask))
+        label, _, unbalanced, components = _fold(mask, ends, table, inv)
+        return len(label) - components + len(unbalanced)
 
     def classes_fn(subset, candidates):
-        unbalanced, readings = read(subset, candidates)
+        label, pot, unbalanced, _ = _fold(subset, ends, table, inv)
         groups = {}
-        for i, r, s, shift in readings:
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            u, v, h = ends[low.bit_length() - 1]
+            r, s = label.get(u, u), label.get(v, v)
             if r in unbalanced:
                 key = 0 if s in unbalanced else (s,)
+            elif s in unbalanced:
+                key = (r,)
             elif r == s:
-                key = 0 if shift == 0 else (r,)
+                key = 0 if h is not None and table[pot[u]][h] == pot[v] else (r,)
             else:
-                key = (r,) if s in unbalanced else (r, s, shift)
-            groups[key] = groups.get(key, 0) | 1 << i
+                h = table[table[pot.get(u, 0)][h]][inv[pot.get(v, 0)]]
+                key = (r, s, h) if r < s else (s, r, inv[h])
+            groups[key] = groups.get(key, 0) | low
         return groups
 
     return Matroid(g.num_atoms, rank_fn, classes_fn=classes_fn,
@@ -582,10 +612,11 @@ def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     (Zaslavsky, "Biased graphs II: the three matroids", JCTB 1991).
     Loops are rejected, and repeated identical edges raise NotSimpleFrame.
 
-    Closure and covers read one `_atom_reader` walk of the subset, which is
-    lifted when it holds inf or an unbalanced cycle.  inf and each edge
-    inside one component are in the closure when the subset is lifted or
-    the edge agrees, and otherwise share the lifting class, keyed ().  An
+    Rank and covers read one `_fold` of the edges of the subset, which is
+    lifted when it holds inf or an unbalanced cycle; the kernel keys each
+    candidate in the same loop, as the frame matroid's does.  inf and each
+    edge inside one component are in the closure when the subset is lifted
+    or the edge agrees, and otherwise share the lifting class, keyed ().  An
     edge joining two components is keyed (c1, c2, shift), or (c1, c2) when
     the subset is lifted.
     """
@@ -593,25 +624,31 @@ def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
         raise HasLoops("the extended lift matroid is defined for loopless gain graphs")
     _check_no_repeated_edges(g)
     labels = ("inf",) + tuple(g.atom_label(i) for i in range(len(g.edges)))
-    read = _atom_reader(g)
+    table, inv = g.group.table, g.group.inverse
+    ends = [(e.u, e.v, e.gain) for e in g.edges]
 
     def rank_fn(mask):
-        rank, lifted = 0, mask & 1
-        for order, _, _, _, bad in _components(g, mask >> 1):
-            rank += len(order) - 1
-            lifted = lifted or bad
-        return rank + (1 if lifted else 0)
+        label, _, unbalanced, components = _fold(mask >> 1, ends, table, inv)
+        return len(label) - components + (1 if mask & 1 or unbalanced else 0)
 
     def classes_fn(subset, candidates):
-        unbalanced, readings = read(subset >> 1, candidates >> 1)
+        label, pot, unbalanced, _ = _fold(subset >> 1, ends, table, inv)
         lifted = subset & 1 or unbalanced
         groups = {0 if lifted else (): 1} if candidates & 1 else {}
-        for i, r, s, shift in readings:
+        candidates >>= 1
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            u, v, h = ends[low.bit_length() - 1]
+            r, s = label.get(u, u), label.get(v, v)
             if r == s:
-                key = 0 if lifted or shift == 0 else ()
+                key = 0 if lifted or table[pot[u]][h] == pot[v] else ()
+            elif lifted:
+                key = (r, s) if r < s else (s, r)
             else:
-                key = (r, s) if lifted else (r, s, shift)
-            groups[key] = groups.get(key, 0) | 2 << i
+                h = table[table[pot.get(u, 0)][h]][inv[pot.get(v, 0)]]
+                key = (r, s, h) if r < s else (s, r, inv[h])
+            groups[key] = groups.get(key, 0) | low << 1
         return groups
 
     return Matroid(len(g.edges) + 1, rank_fn, classes_fn=classes_fn, labels=labels,

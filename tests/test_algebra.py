@@ -73,6 +73,22 @@ def test_field_validation():
             Field.gf(bad)
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), (" 7 ", Fraction(7)), ("+3", Fraction(3)), ("-0", Fraction(0)),
+    ("1_000", Fraction(1000)), ("1__0", None), ("٣", Fraction(3)),
+    ("1/2", Fraction(1, 2)), ("2/4", Fraction(1, 2)), ("1e3", Fraction(1000)),
+    ("0x10", None), ("1/0", None)])
+def test_rational_of_string(text, value):
+    # the integer fast path reads each string as Fraction's parser does
+    q = Field.rational()
+    if value is None:
+        with pytest.raises(InvalidInput, match=f"bad rational scalar {text!r}"):
+            q.of(text)
+    else:
+        out = q.of(text)
+        assert type(out) is Fraction and out == value
+
+
 def test_field_ops_gf5():
     f = Field.gf(5)
     assert f.add(3, 4) == 2

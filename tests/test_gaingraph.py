@@ -16,12 +16,14 @@ from modext.gaingraph import (FiniteGroup, GainEdge, GainGraph,
                               multiplicative_embedding,
                               realize_frame_arrangement,
                               realize_lift_arrangement)
-from modext.matroid import graphic_matroid, mask_of
+from modext.matroid import Matroid, graphic_matroid, mask_of
 
-from oracles import oracle_for
+from oracles import brute_closure, brute_covers, oracle_for
+from samples import s3_group
 
 TRIV = FiniteGroup.trivial()
 SIGN = FiniteGroup.sign()
+S3 = s3_group()
 
 # the Klein four-group: smallest non-cyclic group
 KLEIN = FiniteGroup(
@@ -255,9 +257,9 @@ class TestFrameMatroid:
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(41)
-        groups = [TRIV, SIGN, FiniteGroup.zmod(3)]
-        for trial in range(18):
-            group = groups[trial % 3]
+        groups = [TRIV, SIGN, FiniteGroup.zmod(3), S3]
+        for trial in range(24):
+            group = groups[trial % 4]
             n = rng.randint(2, 4)
             pool = [(u, v, k) for u in range(n) for v in range(u + 1, n)
                     for k in range(group.order)]
@@ -294,9 +296,9 @@ class TestLiftMatroid:
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(43)
-        groups = [TRIV, SIGN, FiniteGroup.zmod(3)]
-        for trial in range(12):
-            group = groups[trial % 3]
+        groups = [TRIV, SIGN, FiniteGroup.zmod(3), S3]
+        for trial in range(16):
+            group = groups[trial % 4]
             n = rng.randint(2, 4)
             pool = [(u, v, k) for u in range(n) for v in range(u + 1, n)
                     for k in range(group.order)]
@@ -306,6 +308,56 @@ class TestLiftMatroid:
             oracle = oracle_for(g)
             for mask in range(1 << lift.n):
                 assert lift.rank(mask) == oracle.lift_rank(mask)
+
+
+def _assert_kernel_matches(m, rank):
+    """Every rank, closure and cover list of `m` is the one read off `rank`."""
+    ref = Matroid(m.n, rank)
+    for mask in range(1 << m.n):
+        assert m.rank(mask) == rank(mask)
+        flat = m.closure(mask)
+        assert flat == brute_closure(ref, mask)
+        assert m.covers(flat, mask, m.full_mask & ~flat) == brute_covers(ref, flat)
+
+
+class TestComponentFold:
+    """Fixed cases of the one-pass fold behind the frame and lift kernels,
+    over the non-abelian group S3."""
+
+    def test_merge_of_two_unbalanced_components(self):
+        # two unbalanced digons, then an edge joining them: one component,
+        # unbalanced once, so both ranks are 4 - 1 + 1
+        g = GainGraph(4, S3, [(0, 1, 0), (0, 1, 1), (2, 3, 0), (2, 3, 2), (1, 2, 4)])
+        frame, lift = frame_matroid(g), lift_matroid(g)
+        assert frame.full_rank == lift.full_rank == 4
+        oracle = oracle_for(g)
+        _assert_kernel_matches(frame, oracle.frame_rank)
+        _assert_kernel_matches(lift, oracle.lift_rank)
+
+    def test_loop_on_an_untouched_vertex(self):
+        g = GainGraph(4, S3, [(0, 1, 1), (1, 2, 4), (0, 2, 3)], loops=[3])
+        frame = frame_matroid(g)
+        assert frame.rank(mask_of([3])) == 1
+        assert frame.rank(mask_of([0, 3])) == 2
+        assert frame.rank(mask_of([0, 1, 3])) == 3
+        assert frame.covers(0, 0, frame.full_mask)[-1] == mask_of([3])
+        _assert_kernel_matches(frame, oracle_for(g).frame_rank)
+
+    def test_merge_absorbing_the_smaller_label(self):
+        # {1,2} is folded before {0,3}, so {2,3} moves the component
+        # labelled 0 into the one labelled 1, multiplying the potential of
+        # 3 on the left; {1,3} then closes a triangle, balanced for one
+        # closing gain only, which the order of the S3 factors decides
+        balanced = []
+        for closing in range(S3.order):
+            g = GainGraph(4, S3, [(1, 2, 1), (0, 3, 2), (2, 3, 2), (1, 3, closing)])
+            oracle = oracle_for(g)
+            frame = frame_matroid(g)
+            _assert_kernel_matches(frame, oracle.frame_rank)
+            _assert_kernel_matches(lift_matroid(g), oracle.lift_rank)
+            if frame.full_rank == 3:
+                balanced.append(closing)
+        assert len(balanced) == 1
 
 
 class TestSimplicialVertices:

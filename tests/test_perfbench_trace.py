@@ -50,3 +50,23 @@ def test_traced_certify_closes_each_flat_once(monkeypatch):
         makers = {lat.children[c][0] for c in lat.flats() if c != lat.bottom}
         assert (tracer.by_parent["matroid.covers", "lattice.enumerate_flats"]
                 == len(makers) < verdict.flats - 1)
+
+
+def test_gain_graph_oracles_are_counted_once_per_rank_miss():
+    # the benchmark's gaingraph.kernel_calls sums the calls of the rank
+    # functions that `instrument` wraps and files under the module defining
+    # them, so the frame and lift rank functions must live in gaingraph
+    for name, counter in (("q3-z3", "gaingraph.frame_oracle"),
+                          ("bowtie-lift", "gaingraph.lift_oracle")):
+        m = corpus_matroid(name)
+        tracer = Tracer()
+        api = tracer.install()
+        try:
+            tracer.instrument(m)
+            verdict = certify(m, api, tamper=True)
+        finally:
+            tracer.uninstall()
+        assert verdict.failures == ()
+        misses = len(m._memo) - 1  # the memo starts with the empty set's rank
+        assert tracer.calls[counter] == misses > 0
+        assert tracer.sum_calls("_oracle", layer="gaingraph") == misses
