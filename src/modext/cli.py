@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import __version__
-from .algebra import Field
+from .algebra import Field, IntPolynomial
 from .arrangement import Arrangement
 from .corpus import corpus_facts, corpus_matroid, corpus_names
 from .certificates import ChainCertificate, certificate_from_json
@@ -169,7 +169,8 @@ def run_analysis(args, obj) -> tuple:
                   "charpoly": lat.charpoly().to_json()}
         if isinstance(obj, Arrangement):
             result["dim"] = obj.dim
-            result["arrangement_charpoly"] = obj.charpoly().to_json()
+            shift = IntPolynomial([0] * (obj.dim - lat.rank) + [1])
+            result["arrangement_charpoly"] = (lat.charpoly() * shift).to_json()
         return result, 0
     if cmd == "flats":
         counts = [len(level) for level in lat.levels]

@@ -18,6 +18,8 @@ and pair of levels and shared with `modular_flats`.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .algebra import poly_mul
 from .certificates import (
     EmptyCertificate,
@@ -60,11 +62,15 @@ def modular_joins_in_context(lat: FlatLattice, ctx: int):
     One JoinDecomposition per unordered pair of proper flats of ctx, both
     modular within it, whose union is ctx; pairs come in the order of
     below(ctx), each annotated with the roundness of the restriction to
-    the intersection.
+    the intersection.  e1's partners are scanned from the first flat of
+    rank at least r(ctx) - r(e1): by semimodularity r(e1) + r(e2) >=
+    r(e1 join e2), which is r(ctx) for a join.
     """
-    mods = [f for f in modular_flats_in_context(lat, ctx) if f != ctx]
+    mods = modular_flats_in_context(lat, ctx)[:-1]
+    ranks = [lat.rank_of[f] for f in mods]
+    r_ctx = lat.rank_of[ctx]
     for i, e1 in enumerate(mods):
-        for e2 in mods[i + 1:]:
+        for e2 in mods[bisect_left(ranks, r_ctx - ranks[i], i + 1):]:
             if e1 | e2 == ctx:
                 x = e1 & e2
                 yield JoinDecomposition(e1, e2, x, round_in_context(lat, x)[0])

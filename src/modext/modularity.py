@@ -17,11 +17,14 @@ verdicts stay on the lattice as one bitmask per ctx and level:
 `is_modular_in_context` reads one bit, and `modular_flats_in_context` and
 `modular_coatoms_in_context` walk the positions the masks keep.  The
 checkers re-derive modularity from the rank oracle instead: `verify` runs
-the triangle test (`lines_outside`) on each modular coatom and chain
-step, and the rank-equation scan `violating_flat_in_context` on join
-sides; `stanley_division_check` and the witness of a non-modular
+the triangle test (`missed_line`) on each modular coatom and chain step,
+and the rank-equation scan `violating_flat_in_context` on join sides;
+`stanley_division_check` and the witness of a non-modular
 `is_modular_flat` run the scan too.  In the triangle test the matroid's
-kernel only proposes which atom to ask first; the rank oracle confirms.
+kernel only proposes the lines through each atom; one rank query per
+line confirms it, and a pair whose line it does not confirm is asked
+alone.  `lines_outside`, which lists every pair's hits, serves
+`coatom_pairing`.
 """
 
 from __future__ import annotations
@@ -277,9 +280,10 @@ def lines_outside(lat: FlatLattice, z: int, ctx: int):
     atoms f of z - bottom on that line, r({a, b, f}) = 2.
 
     A flat z covered by ctx is modular within ctx iff every line of ctx
-    meets it, so iff no `hits` is empty: the coatom triangle test.  Parallel
-    atoms span no line, and a loop lies on every line without meeting it,
-    so neither counts.
+    meets it, so iff no `hits` is empty: the coatom triangle test, whose
+    first empty `hits` `missed_line` finds with fewer rank queries.
+    Parallel atoms span no line, and a loop lies on every line without
+    meeting it, so neither counts.
 
     The kernel proposes and the rank oracle confirms.  For each atom a,
     one `Matroid.covers` call groups the later atoms of ctx - z and the
@@ -320,6 +324,43 @@ def _confirmed(rank, pair: int, atoms):
             yield f
 
 
+def missed_line(lat: FlatLattice, z: int, ctx: int):
+    """The first pair (a, b) of `lines_outside` whose line holds no atom of
+    z, or None: the triangle test's verdict on a flat z covered by ctx.
+
+    Per atom a of ctx - z, one `Matroid.covers` call proposes the lines
+    through a, as in `lines_outside`.  For a kernel line with later atoms
+    B and atoms P of z - bottom, one query r({a} + B + {min P}) = 2 settles
+    every pair (a, b) with b in B: r({a, b, min P}) <= 2 by monotonicity,
+    so min P lies on the line ab or a is parallel to b.  Every b left is
+    asked alone, in ascending order: (a, b) is the missed pair when
+    r({a, b}) = 2 and no atom f of z - bottom has r({a, b, f}) = 2.  So
+    the verdict rests on rank queries alone, whatever the kernel answers,
+    and no flat of the lattice is read.
+    """
+    m = lat.matroid
+    rank = m.rank
+    inside = z & ~lat.bottom
+    later = ctx & ~z
+    while later:
+        low = later & -later
+        later ^= low
+        if not later:
+            return None
+        left = later
+        for line in m.covers(low, low, later | inside):
+            part = line & inside
+            ends = line & later
+            if part and ends and rank(low | ends | (part & -part)) == 2:
+                left &= ~ends
+        for b in iter_atoms(left):
+            pair = low | 1 << b
+            if rank(pair) == 2 and not any(rank(pair | 1 << f) == 2
+                                           for f in iter_atoms(inside)):
+                return low.bit_length() - 1, b
+    return None
+
+
 def _require_coatom(lat: FlatLattice, x: int):
     lat.require(x)
     if lat.rank_of[x] != lat.rank - 1:
@@ -330,12 +371,12 @@ def _require_coatom(lat: FlatLattice, x: int):
 def is_modular_coatom_triangle(m: Matroid, x: int,
                                lattice: FlatLattice | None = None) -> ModularityWitness:
     """Coatom modularity via triangles: every line through two atoms
-    outside x must hold an atom of x (`lines_outside`)."""
+    outside x must hold an atom of x (`missed_line`)."""
     lat = _lattice_for(m, lattice)
     _require_coatom(lat, x)
-    for pair, hits in lines_outside(lat, x, lat.top):
-        if next(hits, None) is None:
-            return ModularityWitness(False, "coatom-triangle", x, pair=pair)
+    pair = missed_line(lat, x, lat.top)
+    if pair is not None:
+        return ModularityWitness(False, "coatom-triangle", x, pair=pair)
     return ModularityWitness(True, "coatom-triangle", x)
 
 

@@ -7,11 +7,11 @@ checks out against the matroid.
 
 Modularity is re-derived from the rank oracle, not from the prover's meet
 test: a modular coatom, and each cover step lo -> hi of a chain, by the
-triangle test of lo within hi (`modularity.lines_outside`, where the
-matroid's kernel proposes which atom of lo to ask first and the rank
-oracle confirms every pair and every hit), so by the tower property
-every chain member is modular within the chain's top; a join side by the
-rank-equation scan.  Flat membership, covers, `below` and interval
+triangle test of lo within hi (`modularity.missed_line`, where the
+matroid's kernel proposes the lines through each atom, one rank query
+confirms each line, and a pair it does not confirm is asked alone), so
+by the tower property every chain member is modular within the chain's
+top; a join side by the rank-equation scan.  Flat membership, covers, `below` and interval
 charpolys are still read from the prover's lattice, whose one Weisner
 routine computes them all.  A flag's first interval, [bottom, ctx],
 reads that routine's pass from the bottom, which the prover's charpoly
@@ -39,7 +39,7 @@ from .certificates import (
 from .errors import Frozen, InvalidInput
 from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, atom_tuple
-from .modularity import lines_outside, round_in_context, violating_flat_in_context
+from .modularity import missed_line, round_in_context, violating_flat_in_context
 
 
 class VerificationReport(Frozen):
@@ -101,8 +101,7 @@ def _check_modular_cover(lat, z, ctx, path, failures, what):
     if key in memo:
         missed = memo[key]
     else:
-        missed = memo[key] = next((pair for pair, hits in lines_outside(lat, z, ctx)
-                                   if next(hits, None) is None), None)
+        missed = memo[key] = missed_line(lat, z, ctx)
     if missed is not None:
         a, b = missed
         _not_modular(failures, path, what, z, ctx,

@@ -184,6 +184,25 @@ def brute_lines_outside(m, z: int, ctx: int) -> list:
     return out
 
 
+def brute_modular_joins(m, below) -> list:
+    """[(e1, e2, x, round)] for the modular joins of the restriction to a
+    flat ctx, given `below`, the flats under ctx in (rank, lex) order with
+    ctx last: every pair e1 < e2 of proper flats, both modular within ctx
+    by the rank equation against every flat of `below`, with e1 | e2 = ctx,
+    in that order, where x = e1 & e2 and round says x is no union of two
+    of its proper flats."""
+    ctx = below[-1]
+    mods = [x for x in below[:-1]
+            if all(m.rank(x) + m.rank(y) == m.rank(x & y) + m.rank(x | y) for y in below)]
+    out = []
+    for e1, e2 in combinations(mods, 2):
+        if e1 | e2 == ctx:
+            x = e1 & e2
+            proper = [f for f in below if f & x == f and f != x]
+            out.append((e1, e2, x, all(f1 | f2 != x for f1, f2 in combinations(proper, 2))))
+    return out
+
+
 def restrict(m, flat: int):
     """M|flat as a bare matroid on atoms 0..|flat|-1, ranks asked of m (so
     its memo is shared), labels and atom cap inherited."""

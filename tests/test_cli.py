@@ -5,16 +5,20 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from modext import cli
+from modext import cli, lattice
 from modext.algebra import IntPolynomial
 from modext.corpus import corpus_names
 
 
 def run_cli(*argv, env_extra=None, cwd=None):
-    env = dict(os.environ)
+    # the child imports the package these tests import, installed or not
+    source = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (source, os.environ.get("PYTHONPATH")))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -66,6 +70,28 @@ class TestAnalysisCommands:
         assert result == {"atoms": 6, "rank": 3, "dim": 4,
                           "charpoly": ["-6", "11", "-6", "1"],
                           "arrangement_charpoly": ["0", "-6", "11", "-6", "1"]}
+
+    def test_arrangement_charpoly_reads_the_one_lattice(self, monkeypatch, capsys):
+        # the arrangement's charpoly comes from the lattice the command built
+        # under --max-flats, not from a second enumeration
+        calls = []
+        enumerate_flats = lattice.enumerate_flats
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_flats(*args, **kwargs)
+
+        monkeypatch.setattr(lattice, "enumerate_flats", counting)
+        monkeypatch.setattr(cli, "enumerate_flats", counting)
+        assert cli.main(["charpoly", "--input", "braid-4"]) == 0
+        assert len(calls) == 1
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result.pop("dim") == 4
+        assert result.pop("arrangement_charpoly") == ["0", "-6", "11", "-6", "1"]
+        line = json.dumps({"member": "braid-4", "command": "charpoly", "code": 0,
+                           "result": result}, sort_keys=True, separators=(",", ":"))
+        golden = Path(__file__).with_name("golden_cli.jsonl")
+        assert line in golden.read_text(encoding="utf-8").splitlines()
 
     def test_charpoly_of_projective_plane(self):
         result = run_json("charpoly", "--input", "pg-2-3")["result"]

@@ -14,14 +14,16 @@ from modext.corpus import corpus_matroid
 from modext.divisional import divisional_flag, is_divisional_atom
 from modext.errors import InvalidInput
 from modext.joins import (brylawski_identity_check, find_modular_joins,
-                          join_divisional_lift_check, me_certify)
+                          join_divisional_lift_check, me_certify,
+                          modular_joins_in_context)
 from modext.lattice import FlatLattice, enumerate_flats, interval_charpoly
 from modext.matroid import Matroid, atom_tuple, graphic_matroid, mask_of
 from modext.modularity import (is_modular_flat, is_round, modular_flats,
                                supersolvable_chain)
 from modext.verify import verify_certificate
 
-from oracles import restrict
+from oracles import brute_modular_joins, restrict
+from samples import random_matroids
 
 
 def test_no_joins_for_round_matroids(corpus):
@@ -201,6 +203,18 @@ def test_searches_leave_no_reference_cycle():
             assert [r() for r in refs] == [None, None], search.__name__
         finally:
             gc.enable()
+
+
+def test_joins_in_context_match_all_pairs_reference(corpus, all_corpus_names):
+    # the partner scan starts at the rank bound r(ctx) - r(e1) and must
+    # find the same joins, in the same order, as trying every pair
+    samples = [(name, corpus(name)) for name in all_corpus_names
+               if len(corpus(name)[1]) <= 250]
+    samples += [(i, (m, enumerate_flats(m))) for i, m in enumerate(random_matroids())]
+    for label, (m, lat) in samples:
+        for ctx in lat.flats():
+            got = [(d.e1, d.e2, d.x, d.x_round) for d in modular_joins_in_context(lat, ctx)]
+            assert got == brute_modular_joins(m, lat.below(ctx)), (label, ctx)
 
 
 def test_join_construction_from_pieces(corpus):

@@ -10,8 +10,8 @@ from modext.lattice import enumerate_flats
 from modext.matroid import Matroid, atom_tuple, mask_of
 from modext.modularity import (coatom_pairing, is_modular_coatom_triangle,
                                is_modular_flat, is_modular_in_context, is_round,
-                               lines_outside, modular_coatoms_in_context, modular_flats,
-                               modular_flats_in_context, short_circuit_check,
+                               lines_outside, missed_line, modular_coatoms_in_context,
+                               modular_flats, modular_flats_in_context, short_circuit_check,
                                supersolvable_chain, violating_flat_in_context)
 
 from oracles import (brute_flats, brute_lines_outside, brute_modular, brute_round,
@@ -218,6 +218,21 @@ def test_lines_outside_matches_rank_reference(corpus, all_corpus_names):
             for z in lat.children[ctx]:
                 got = [(pair, sorted(hits)) for pair, hits in lines_outside(lat, z, ctx)]
                 assert got == brute_lines_outside(m, z, ctx), (label, z, ctx)
+
+
+def test_missed_line_matches_rank_reference(corpus, all_corpus_names):
+    # on every cover step, the first pair whose line holds no atom of the
+    # lower flat, as the rank oracle alone finds it
+    samples = [(name, corpus(name)[0]) for name in all_corpus_names
+               if len(corpus(name)[1]) <= 250]
+    samples += list(enumerate(random_matroids() + non_simple_gf3_matroids()))
+    for label, m in samples:
+        lat = enumerate_flats(m)
+        for ctx in lat.flats():
+            for z in lat.children[ctx]:
+                expected = next((pair for pair, hits in brute_lines_outside(m, z, ctx)
+                                 if not hits), None)
+                assert missed_line(lat, z, ctx) == expected, (label, z, ctx)
 
 
 def test_triangle_witness_pair(corpus):

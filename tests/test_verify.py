@@ -433,6 +433,51 @@ def _lying(classes_fn):
     return classes
 
 
+def _merging(classes_fn):
+    """`classes_fn` with its first two covers merged into one class."""
+    def classes(subset, candidates):
+        groups = dict(classes_fn(subset, candidates))
+        keys = [k for k in groups if k != 0]
+        if len(keys) >= 2:
+            groups[keys[0]] |= groups.pop(keys[1])
+        return groups
+
+    return classes
+
+
+def _splitting(classes_fn):
+    """`classes_fn` with the lowest atom of each cover split off into a
+    class of its own."""
+    def classes(subset, candidates):
+        groups = dict(classes_fn(subset, candidates))
+        for k in [k for k in groups if k != 0]:
+            low = groups[k] & -groups[k]
+            if groups[k] != low:
+                groups[k] ^= low
+                groups["split", k] = low
+        return groups
+
+    return classes
+
+
+def _misleading(classes_fn):
+    """`classes_fn` with the lowest atom of the other covers added to each
+    cover: an atom off the line, which the triangle test meets first on it
+    whenever that atom lies in the lower flat below the line's own."""
+    def classes(subset, candidates):
+        groups = dict(classes_fn(subset, candidates))
+        keys = [k for k in groups if k != 0]
+        covered = 0
+        for k in keys:
+            covered |= groups[k]
+        for k in keys:
+            others = covered & ~groups[k]
+            groups[k] |= others & -others
+        return groups
+
+    return classes
+
+
 def _triangle_results(m, lat):
     """Every triangle verdict, pairing and verify report on a lattice: per
     coatom, and per cover step through a chain, plus every certificate."""
@@ -452,17 +497,21 @@ def _triangle_results(m, lat):
 
 
 def test_lying_kernel_changes_no_verdict(corpus, all_corpus_names, monkeypatch):
-    # the kernel only proposes which atom the triangle test asks first; the
+    # the kernel only proposes the lines the triangle test asks about; the
     # rank oracle decides, so a kernel that misplaces one atom and loses a
-    # whole class changes no verdict, pairing or report
+    # whole class, merges two lines, splits each line, or puts an atom off
+    # a line on it changes no verdict, pairing or report
     samples = [corpus_matroid(name) for name in all_corpus_names
                if len(corpus(name)[1]) <= 250]
     samples += random_matroids() + non_simple_gf3_matroids()
     for i, m in enumerate(samples):
-        honest, lied_to = enumerate_flats(m), enumerate_flats(m)
-        expected = _triangle_results(m, honest)
-        monkeypatch.setattr(m, "_classes_fn", _lying(m._classes_fn))
-        assert _triangle_results(m, lied_to) == expected, i
+        expected = _triangle_results(m, enumerate_flats(m))
+        honest = m._classes_fn
+        for lie in (_lying, _merging, _splitting, _misleading):
+            lied_to = enumerate_flats(m)
+            monkeypatch.setattr(m, "_classes_fn", lie(honest))
+            assert _triangle_results(m, lied_to) == expected, (i, lie.__name__)
+            monkeypatch.setattr(m, "_classes_fn", honest)
 
 
 def test_prover_mutant_chain_is_rejected(corpus, all_corpus_names, monkeypatch):
