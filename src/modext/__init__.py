@@ -7,7 +7,7 @@ arrangements over Q and prime fields.  All arithmetic is exact.
 """
 
 from .algebra import Field, FieldMatrix, IntPolynomial, poly_exact_div
-from .arrangement import Arrangement, pg_arrangement, rank_agreement
+from .arrangement import Arrangement, pg_arrangement
 from .divisional import divisional_flag, is_divisional_atom, stanley_division_check
 from .errors import ModextError
 from .gaingraph import (
@@ -24,16 +24,8 @@ from .gaingraph import (
 )
 from .joins import brylawski_identity_check, find_modular_joins, me_certify
 from .lattice import FlatLattice, charpoly, enumerate_flats, interval_charpoly
-from .matroid import Matroid, circuits, graphic_matroid, linear_matroid
-from .modularity import (
-    coatom_pairing,
-    is_modular_coatom_triangle,
-    is_modular_flat,
-    is_round,
-    modular_flats,
-    short_circuit_check,
-    supersolvable_chain,
-)
+from .matroid import Matroid, graphic_matroid, linear_matroid
+from .modularity import is_modular_flat, is_round, modular_flats, supersolvable_chain
 from .verify import verify_certificate
 
 __version__ = "0.1.0"
@@ -52,8 +44,6 @@ __all__ = [
     "bias_simplicial_vertices",
     "brylawski_identity_check",
     "charpoly",
-    "circuits",
-    "coatom_pairing",
     "complete_gain_graph",
     "divisional_flag",
     "enumerate_flats",
@@ -62,7 +52,6 @@ __all__ = [
     "graphic_matroid",
     "interval_charpoly",
     "is_divisional_atom",
-    "is_modular_coatom_triangle",
     "is_modular_flat",
     "is_round",
     "lift_matroid",
@@ -72,10 +61,8 @@ __all__ = [
     "modular_flats",
     "pg_arrangement",
     "poly_exact_div",
-    "rank_agreement",
     "realize_frame_arrangement",
     "realize_lift_arrangement",
-    "short_circuit_check",
     "stanley_division_check",
     "supersolvable_chain",
     "verify_certificate",

@@ -8,12 +8,10 @@ matroid of the forms.
 
 from __future__ import annotations
 
-import random
-
 from .algebra import Field, FieldMatrix, IntPolynomial, matrix_rank
-from .errors import InvalidInput, NotSimple, SizeMismatch, TooLarge, reading
+from .errors import InvalidInput, NotSimple, TooLarge, reading
 from .lattice import charpoly
-from .matroid import DEFAULT_MAX_ATOMS, Matroid, linear_matroid, remap_mask
+from .matroid import DEFAULT_MAX_ATOMS, Matroid, linear_matroid
 
 
 def check_hyperplane_count(count: int, max_atoms: int) -> None:
@@ -74,9 +72,6 @@ class Arrangement:
 
     def rank(self) -> int:
         return self.dependence_matroid().full_rank
-
-    def is_essential(self) -> bool:
-        return self.rank() == self.dim
 
     def essentialize(self) -> "Arrangement":
         """Quotient out the common intersection subspace.
@@ -169,43 +164,3 @@ def pg_arrangement(n: int, p: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrang
     forms.sort()
     return Arrangement(field, dim, forms, max_atoms=max_atoms)
 
-
-def rank_agreement(m1: Matroid, m2: Matroid, correspondence=None,
-                   exhaustive_limit: int = 2 ** 14, samples: int = 10 ** 4,
-                   seed: int = 0) -> dict:
-    """Check that two matroids have equal rank functions atom-for-atom.
-
-    `correspondence` maps atoms of m1 to atoms of m2 (identity when None).
-    All subsets are compared when 2^n is within `exhaustive_limit`;
-    otherwise `samples` uniformly random subsets from a seeded generator.
-    Returns a report dict; raises SizeMismatch on different ground sizes.
-    """
-    if m1.n != m2.n:
-        raise SizeMismatch(f"ground sets have sizes {m1.n} and {m2.n}")
-    n = m1.n
-    if correspondence is None:
-        correspondence = list(range(n))
-    else:
-        correspondence = [int(x) for x in correspondence]
-        if sorted(correspondence) != list(range(n)):
-            raise InvalidInput("correspondence must be a permutation of the atoms")
-
-    images = [1 << c for c in correspondence]
-    total = 1 << n
-    if total <= exhaustive_limit:
-        checked = total
-        mode = "exhaustive"
-        subsets = range(total)
-    else:
-        checked = samples
-        mode = "sampled"
-        rng = random.Random(seed)
-        subsets = (rng.randrange(total) for _ in range(samples))
-    for mask in subsets:
-        r1 = m1.rank(mask)
-        r2 = m2.rank(remap_mask(mask, images))
-        if r1 != r2:
-            return {"agree": False, "mode": mode, "checked": checked,
-                    "witness": sorted(bit for bit in range(n) if mask >> bit & 1),
-                    "ranks": [r1, r2]}
-    return {"agree": True, "mode": mode, "checked": checked}

@@ -95,28 +95,12 @@ class NotAFlat(InvalidInput):
     """The given subset is not closed."""
 
 
-class NotACoatom(InvalidInput):
-    """The given flat is not a coatom of the lattice of flats."""
-
-
-class EmptyFlat(InvalidInput):
-    """The operation is undefined for the empty flat."""
-
-
 class NotModular(InvalidInput):
     """A flat required to be modular failed the rank equation."""
 
 
-class NotModularCoatom(InvalidInput):
-    """A coatom pairing does not exist or is not unique."""
-
-
 class NotComparable(InvalidInput):
     """Interval endpoints are not ordered in the lattice."""
-
-
-class SizeMismatch(InvalidInput):
-    """Two ground sets that must correspond have different sizes."""
 
 
 class HasLoops(InvalidInput):

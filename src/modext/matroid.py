@@ -113,7 +113,6 @@ class Matroid:
         self._rank_fn = rank_fn
         self._classes_fn = classes_fn if classes_fn is not None else _rank_classes(self.rank)
         self._memo = {0: 0}
-        self._circuit_cache = None
 
     # -- rank and closure
 
@@ -165,11 +164,6 @@ class Matroid:
 
     def is_flat(self, subset: int) -> bool:
         return self.closure(subset) == subset
-
-    def label_of(self, atom: int) -> str:
-        if self.labels is not None:
-            return self.labels[atom]
-        return f"e{atom}"
 
     def check_simple(self) -> None:
         """Raise NotSimple when a rank-0 atom or a parallel pair exists."""
@@ -403,33 +397,6 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
     vectors = [(1 << u) | (1 << v) for u, v in edge_list]
     return Matroid(len(edge_list), _gf2_rank_fn(vectors), classes_fn=_gf2_classes(vectors),
                    labels=labels, backend="graphic", max_atoms=max_atoms)
-
-
-# ---------------------------------------------------------------------------
-# circuits
-
-
-def circuits(m: Matroid):
-    """All circuits (minimal dependent sets) as a tuple of bitmasks.
-
-    Enumerates subsets by increasing cardinality up to rank+1; a set is a
-    circuit when it is dependent and every single-deletion is independent.
-    Results are cached on the matroid.
-    """
-    if m._circuit_cache is not None:
-        return m._circuit_cache
-    out = []
-    r = m.full_rank
-    ground = range(m.n)
-    for size in range(1, min(m.n, r + 1) + 1):
-        for combo in combinations(ground, size):
-            mask = mask_of(combo)
-            if m.rank(mask) != size - 1:
-                continue
-            if all(m.rank(mask ^ (1 << a)) == size - 1 for a in combo):
-                out.append(mask)
-    m._circuit_cache = tuple(out)
-    return m._circuit_cache
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,10 @@
 """Modularity of flats, roundness, and supersolvability.
 
 A flat X is modular when r(X) + r(Y) = r(X meet Y) + r(X join Y) for every
-flat Y.  Three equivalent tests are implemented: the rank equation itself,
-a coatom triangle test (every line through two atoms outside a coatom
-holds an atom of it), and the short-circuit axiom over circuits.  Each
-returns a ModularityWitness carrying the verdict plus the first offending
-object on failure.
+flat Y.  The prover has one verdict for this, the rank equation decided
+from the lattice; the verifier re-derives it from the rank oracle by two
+checks: a coatom triangle test (every line through two atoms outside a
+coatom holds an atom of it) and a scan of the rank equation.
 
 The prover's question "is z modular within ctx?" (modular flats, the
 coatom peel, the modular joins, and the verdict of `is_modular_flat`) is
@@ -23,42 +22,28 @@ and the rank-equation scan `violating_flat_in_context` on join sides;
 `is_modular_flat` run the scan too.  In the triangle test the matroid's
 kernel only proposes the lines through each atom; one rank query per
 line confirms it, and a pair whose line it does not confirm is asked
-alone.  `lines_outside`, which lists every pair's hits, serves
-`coatom_pairing`.
+alone.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
 from .certificates import ChainCertificate
-from .errors import (EmptyFlat, Frozen, NotACoatom, NotAFlat, NotComparable,
-                     NotModularCoatom)
+from .errors import Frozen, NotComparable
 from .lattice import FlatLattice, enumerate_flats
-from .matroid import Matroid, atom_tuple, circuits, iter_atoms
+from .matroid import Matroid, atom_tuple, iter_atoms
 
 
 class ModularityWitness(Frozen):
-    """Verdict of a modularity test plus the evidence behind it.
-
-    On failure exactly one kind of evidence is set: `violating_flat` for the
-    rank equation, `pair` for the coatom triangle test, or `circuit`+`atom`
-    for the short-circuit axiom.
-    """
+    """Verdict of `is_modular_flat` on a flat; on failure, `violating_flat`
+    is the first flat, in (rank, lex) order, violating the rank equation
+    against it."""
 
     modular: bool
-    criterion: str
     flat: int
     violating_flat: int | None
-    pair: tuple | None
-    circuit: int | None
-    atom: int | None
 
-    def __init__(self, modular, criterion, flat, violating_flat=None, pair=None,
-                 circuit=None, atom=None):
-        self.__dict__.update(modular=modular, criterion=criterion, flat=flat,
-                             violating_flat=violating_flat, pair=pair,
-                             circuit=circuit, atom=atom)
+    def __init__(self, modular, flat, violating_flat=None):
+        self.__dict__.update(modular=modular, flat=flat, violating_flat=violating_flat)
 
     def __bool__(self) -> bool:
         return self.modular
@@ -259,9 +244,8 @@ def is_modular_flat(m: Matroid, x: int, lattice: FlatLattice | None = None) -> M
     first flat, in (rank, lex) order, violating the rank equation."""
     lat = _lattice_for(m, lattice)
     if is_modular_in_context(lat, x, lat.top):
-        return ModularityWitness(True, "rank-equation", x)
-    bad = violating_flat_in_context(lat, x, lat.top)
-    return ModularityWitness(False, "rank-equation", x, violating_flat=bad)
+        return ModularityWitness(True, x)
+    return ModularityWitness(False, x, violating_flat_in_context(lat, x, lat.top))
 
 
 def modular_flats(m: Matroid, lattice: FlatLattice | None = None) -> tuple:
@@ -274,69 +258,26 @@ def modular_flats(m: Matroid, lattice: FlatLattice | None = None) -> tuple:
 # coatom triangle test
 
 
-def lines_outside(lat: FlatLattice, z: int, ctx: int):
-    """Yield ((a, b), hits) for each pair of atoms a < b of ctx - z spanning
-    a line, r({a, b}) = 2, in lex order, where `hits` lazily lists the
-    atoms f of z - bottom on that line, r({a, b, f}) = 2.
+def missed_line(lat: FlatLattice, z: int, ctx: int):
+    """The first pair (a, b) of atoms a < b of ctx - z, in lex order, with
+    r({a, b}) = 2 and no atom of z - bottom on its line, or None.
 
     A flat z covered by ctx is modular within ctx iff every line of ctx
-    meets it, so iff no `hits` is empty: the coatom triangle test, whose
-    first empty `hits` `missed_line` finds with fewer rank queries.
-    Parallel atoms span no line, and a loop lies on every line without
-    meeting it, so neither counts.
+    meets it, so None is the triangle test's verdict "modular".  Parallel
+    atoms span no line, and a loop lies on every line without meeting it,
+    so neither counts.
 
-    The kernel proposes and the rank oracle confirms.  For each atom a,
-    one `Matroid.covers` call groups the later atoms of ctx - z and the
-    atoms of z - bottom by their line through a; `hits` first tries the
-    atoms of z on the line of b, then the rest of z, each in ascending
-    order.  Every pair and every atom yielded is confirmed by the rank
-    oracle, so pairs and hits are those of the rank definition whatever
-    the kernel answers; with an honest kernel the hits are exactly the
-    atoms tried first, in ascending order.
-    """
-    m = lat.matroid
-    rank = m.rank
-    inside = z & ~lat.bottom
-    later = ctx & ~z
-    while later:
-        low = later & -later
-        later ^= low
-        if not later:
-            return
-        a = low.bit_length() - 1
-        on_line = {}    # later atom b -> the atoms of z on the kernel's line ab
-        for line in m.covers(low, low, later | inside):
-            part = line & inside
-            for b in iter_atoms(line & later):
-                on_line[b] = part
-        for b in iter_atoms(later):
-            pair = low | 1 << b
-            if rank(pair) == 2:
-                first = on_line.get(b, 0)
-                yield (a, b), _confirmed(rank, pair, chain(iter_atoms(first),
-                                                           iter_atoms(inside & ~first)))
-
-
-def _confirmed(rank, pair: int, atoms):
-    """The atoms f among `atoms` with r(pair + f) = 2, in the order given."""
-    for f in atoms:
-        if rank(pair | 1 << f) == 2:
-            yield f
-
-
-def missed_line(lat: FlatLattice, z: int, ctx: int):
-    """The first pair (a, b) of `lines_outside` whose line holds no atom of
-    z, or None: the triangle test's verdict on a flat z covered by ctx.
-
-    Per atom a of ctx - z, one `Matroid.covers` call proposes the lines
-    through a, as in `lines_outside`.  For a kernel line with later atoms
-    B and atoms P of z - bottom, one query r({a} + B + {min P}) = 2 settles
-    every pair (a, b) with b in B: r({a, b, min P}) <= 2 by monotonicity,
-    so min P lies on the line ab or a is parallel to b.  Every b left is
-    asked alone, in ascending order: (a, b) is the missed pair when
-    r({a, b}) = 2 and no atom f of z - bottom has r({a, b, f}) = 2.  So
-    the verdict rests on rank queries alone, whatever the kernel answers,
-    and no flat of the lattice is read.
+    Per atom a of ctx - z, one `Matroid.covers` call groups the later
+    atoms of ctx - z and the atoms of z - bottom by their line through a:
+    the kernel proposes and the rank oracle confirms.  For a kernel line
+    with later atoms B and atoms P of z - bottom, one query
+    r({a} + B + {min P}) = 2 settles every pair (a, b) with b in B:
+    r({a, b, min P}) <= 2 by monotonicity, so min P lies on the line ab or
+    a is parallel to b.  Every b left is asked alone, in ascending order:
+    (a, b) is the missed pair when r({a, b}) = 2 and no atom f of
+    z - bottom has r({a, b, f}) = 2.  So the verdict rests on rank queries
+    alone, whatever the kernel answers, and no flat of the lattice is
+    read.
     """
     m = lat.matroid
     rank = m.rank
@@ -359,83 +300,6 @@ def missed_line(lat: FlatLattice, z: int, ctx: int):
                                            for f in iter_atoms(inside)):
                 return low.bit_length() - 1, b
     return None
-
-
-def _require_coatom(lat: FlatLattice, x: int):
-    lat.require(x)
-    if lat.rank_of[x] != lat.rank - 1:
-        raise NotACoatom(f"{sorted(atom_tuple(x))} has rank {lat.rank_of[x]}, "
-                         f"need {lat.rank - 1}")
-
-
-def is_modular_coatom_triangle(m: Matroid, x: int,
-                               lattice: FlatLattice | None = None) -> ModularityWitness:
-    """Coatom modularity via triangles: every line through two atoms
-    outside x must hold an atom of x (`missed_line`)."""
-    lat = _lattice_for(m, lattice)
-    _require_coatom(lat, x)
-    pair = missed_line(lat, x, lat.top)
-    if pair is not None:
-        return ModularityWitness(False, "coatom-triangle", x, pair=pair)
-    return ModularityWitness(True, "coatom-triangle", x)
-
-
-def coatom_pairing(m: Matroid, x: int, lattice: FlatLattice | None = None) -> dict:
-    """The pairing (a, b) -> f of a modular coatom, with uniqueness enforced.
-
-    For each line through two atoms a, b outside x there must be exactly
-    one parallel class of atoms of x on it, so that {a, b, f} is a circuit
-    for its atoms f; otherwise NotModularCoatom is raised.  f is the
-    class's lowest atom: the whole class lies on the line, and `hits`,
-    sorted, lists it first.  The triple f(a,b), f(a,c), f(b,c) of any
-    three outside atoms is dependent.
-    """
-    lat = _lattice_for(m, lattice)
-    _require_coatom(lat, x)
-    rank = m.rank
-    out = {}
-    for (a, b), hits in lines_outside(lat, x, lat.top):
-        classes = []  # lowest atom of each parallel class on the line
-        for f in sorted(hits):
-            if all(rank(1 << f | 1 << g) == 2 for g in classes):
-                classes.append(f)
-        if len(classes) != 1:
-            raise NotModularCoatom(
-                f"pair ({a}, {b}) outside {sorted(atom_tuple(x))} has "
-                f"{len(classes)} triangle completions")
-        out[(a, b)] = classes[0]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# short-circuit axiom
-
-
-def short_circuit_check(m: Matroid, x: int) -> ModularityWitness:
-    """Modular short-circuit axiom over all circuits.
-
-    For every circuit C and atom e in C - X there must be an atom x0 of X
-    such that a circuit through e lies inside {x0} | (C - X); the inner
-    existence test is the closure condition r(T) == r(T - {e}).
-    """
-    if x == 0:
-        raise EmptyFlat("the short-circuit axiom is stated for nonempty flats")
-    if not m.is_flat(x):
-        raise NotAFlat(f"{sorted(atom_tuple(x))} is not a flat")
-    for c in circuits(m):
-        out = c & ~x
-        if out == 0 or out == c:
-            continue
-        for e in iter_atoms(out):
-            ok = False
-            for x0 in iter_atoms(x):
-                t = out | (1 << x0)
-                if m.rank(t) == m.rank(t & ~(1 << e)):
-                    ok = True
-                    break
-            if not ok:
-                return ModularityWitness(False, "short-circuit", x, circuit=c, atom=e)
-    return ModularityWitness(True, "short-circuit", x)
 
 
 # ---------------------------------------------------------------------------

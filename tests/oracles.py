@@ -7,6 +7,7 @@ independence from scratch (cycle enumeration plus gain products) and share
 no code with the package at all.
 """
 
+import random
 from itertools import combinations, permutations
 
 from modext.algebra import IntPolynomial
@@ -184,6 +185,98 @@ def brute_lines_outside(m, z: int, ctx: int) -> list:
     return out
 
 
+def circuits(m) -> tuple:
+    """All circuits (minimal dependent sets) as bitmasks, by size and then
+    in lex order: a set of k atoms, k <= r(M) + 1, is one when its rank is
+    k - 1 and every single deletion is independent."""
+    out = []
+    for size in range(1, min(m.n, m.rank((1 << m.n) - 1) + 1) + 1):
+        for combo in combinations(range(m.n), size):
+            mask = sum(1 << a for a in combo)
+            if m.rank(mask) == size - 1 and all(m.rank(mask ^ 1 << a) == size - 1
+                                                for a in combo):
+                out.append(mask)
+    return tuple(out)
+
+
+def short_circuit_check(m, x: int, circs=None):
+    """The modular short-circuit axiom for a nonempty flat X, over all
+    circuits: for every circuit C and atom e of C - X some atom x0 of X
+    has a circuit through e inside {x0} | (C - X), that is
+    r(T) = r(T - {e}) for T = {x0} | (C - X).  Returns None when it holds,
+    else (C, e) for the first circuit and atom that fail.  A caller that
+    checks many flats of m passes `circuits(m)` as `circs`."""
+    if brute_closure(m, x) != x:
+        raise NotAFlat(f"{sorted(atom_tuple(x))} is not a flat")
+    for c in circuits(m) if circs is None else circs:
+        out = c & ~x
+        if out == 0 or out == c:
+            continue
+        for e in atoms_of(out):
+            if not any(m.rank(out | 1 << x0) == m.rank((out | 1 << x0) & ~(1 << e))
+                       for x0 in atoms_of(x)):
+                return c, e
+    return None
+
+
+def coatom_pairing(m, x: int) -> dict:
+    """The pairing (a, b) -> f of a modular coatom x, over the lines of
+    `brute_lines_outside`: each line through two atoms a < b outside x
+    must hold exactly one parallel class of atoms of x, so that {a, b, f}
+    is a circuit for its atoms f, and f is the class's lowest atom.
+    ValueError when x is no coatom or a line has no such single class.
+    The triple f(a,b), f(a,c), f(b,c) of any three outside atoms is
+    dependent."""
+    full = (1 << m.n) - 1
+    if brute_closure(m, x) != x or m.rank(x) != m.rank(full) - 1:
+        raise ValueError(f"{sorted(atom_tuple(x))} is not a coatom")
+    out = {}
+    for (a, b), hits in brute_lines_outside(m, x, full):
+        classes = []  # lowest atom of each parallel class on the line
+        for f in hits:
+            if all(m.rank(1 << f | 1 << g) == 2 for g in classes):
+                classes.append(f)
+        if len(classes) != 1:
+            raise ValueError(f"pair ({a}, {b}) outside {sorted(atom_tuple(x))} has "
+                             f"{len(classes)} triangle completions")
+        out[(a, b)] = classes[0]
+    return out
+
+
+def rank_agreement(m1, m2, correspondence=None, exhaustive_limit: int = 2 ** 14,
+                   samples: int = 10 ** 4, seed: int = 0) -> dict:
+    """Whether two matroids have equal rank functions atom for atom.
+
+    `correspondence` maps atoms of m1 to atoms of m2 (identity when None).
+    All subsets are compared when 2^n is within `exhaustive_limit`;
+    otherwise `samples` uniformly random subsets from a seeded generator.
+    Returns a report dict, with the first disagreeing subset and its two
+    ranks when there is one; ValueError on different ground-set sizes or
+    a correspondence that is no permutation.
+    """
+    if m1.n != m2.n:
+        raise ValueError(f"ground sets have sizes {m1.n} and {m2.n}")
+    n = m1.n
+    if correspondence is None:
+        correspondence = list(range(n))
+    elif sorted(correspondence) != list(range(n)):
+        raise ValueError("correspondence must be a permutation of the atoms")
+    images = [1 << c for c in correspondence]
+    total = 1 << n
+    if total <= exhaustive_limit:
+        mode, checked, subsets = "exhaustive", total, range(total)
+    else:
+        rng = random.Random(seed)
+        mode, checked = "sampled", samples
+        subsets = (rng.randrange(total) for _ in range(samples))
+    for mask in subsets:
+        r1, r2 = m1.rank(mask), m2.rank(remap_mask(mask, images))
+        if r1 != r2:
+            return {"agree": False, "mode": mode, "checked": checked,
+                    "witness": atoms_of(mask), "ranks": [r1, r2]}
+    return {"agree": True, "mode": mode, "checked": checked}
+
+
 def brute_modular_joins(m, below) -> list:
     """[(e1, e2, x, round)] for the modular joins of the restriction to a
     flat ctx, given `below`, the flats under ctx in (rank, lex) order with
@@ -209,7 +302,7 @@ def restrict(m, flat: int):
     if brute_closure(m, flat) != flat:
         raise NotAFlat(f"restriction requires a flat, got {sorted(atom_tuple(flat))}")
     bits = [1 << a for a in atom_tuple(flat)]
-    labels = tuple(m.label_of(a) for a in atom_tuple(flat)) if m.labels else None
+    labels = tuple(m.labels[a] for a in atom_tuple(flat)) if m.labels else None
     return Matroid(len(bits), lambda sub: m.rank(remap_mask(sub, bits)), labels=labels,
                    max_atoms=m.max_atoms)
 

@@ -10,7 +10,7 @@ import random
 import time
 
 from modext.algebra import Field, FieldMatrix, IntPolynomial, poly_exact_div
-from modext.arrangement import linear_matroid, pg_arrangement, rank_agreement
+from modext.arrangement import linear_matroid, pg_arrangement
 from modext.certificates import ModularJoinCertificate
 from modext.corpus import bowtie, corpus_matroid, corpus_names
 from modext.errors import NotSimple
@@ -23,12 +23,12 @@ from modext.joins import (brylawski_identity_check, find_modular_joins,
                           me_certify)
 from modext.lattice import enumerate_flats
 from modext.matroid import atom_tuple, graphic_matroid, mask_of
-from modext.modularity import (is_modular_coatom_triangle, is_modular_flat,
-                               is_round, modular_flats, short_circuit_check,
+from modext.modularity import (is_modular_flat, is_round, missed_line, modular_flats,
                                supersolvable_chain, violating_flat_in_context)
 
-from oracles import (brute_chordal, brute_flats, brute_mobius, brute_modular,
-                     popcount, restrict, whitney_charpoly_coeffs)
+from oracles import (brute_chordal, brute_flats, brute_mobius, brute_modular, circuits,
+                     popcount, rank_agreement, restrict, short_circuit_check,
+                     whitney_charpoly_coeffs)
 
 # The bowtie lift as a graph on P, Q, R, S, R', S' (vertices 0..5), edge i
 # carrying atom i of bowtie-lift-9: two copies of K4 minus an edge glued
@@ -61,7 +61,7 @@ def test_criterion_01_thirteen_hyperplane_example():
     cert = me_certify(m, lattice=lat)
     assert isinstance(cert, ModularJoinCertificate)
     assert atom_tuple(cert.x) == (0,) and lat.rank_of[cert.x] == 1
-    assert m.label_of(0) == "z"
+    assert m.labels[0] == "z"
 
     assert divisional_flag(m, lattice=lat) is not None
     assert supersolvable_chain(m, lattice=lat) is None
@@ -347,12 +347,13 @@ def test_criterion_10_axiom_suites():
             assert chi(1) == 0
 
         # the three modularity criteria agree flat by flat
+        circs = circuits(m)
         for f in lat.flats():
             by_rank = bool(is_modular_flat(m, f, lattice=lat))
             if f != lat.bottom:
-                assert by_rank == bool(short_circuit_check(m, f))
+                assert by_rank == (short_circuit_check(m, f, circs) is None)
             if lat.rank_of[f] == lat.rank - 1:
-                assert by_rank == bool(is_modular_coatom_triangle(m, f, lattice=lat))
+                assert by_rank == (missed_line(lat, f, lat.top) is None)
     _report(10, True, "rank/closure axioms, Moebius recursion, chi(1)=0, "
                       "and 3-way modularity agreement on 200 random linear "
                       "matroids over Q, GF(2), GF(3)")

@@ -12,10 +12,10 @@ from modext.errors import InvalidInput, NotAFlat, NotSimple, TooLarge
 from modext.gaingraph import frame_matroid, lift_matroid
 from modext.generators import named_input
 from modext.lattice import enumerate_flats
-from modext.matroid import (Matroid, atom_tuple, circuits, graphic_matroid, linear_matroid,
-                            load_matroid, mask_of)
+from modext.matroid import (Matroid, atom_tuple, graphic_matroid, linear_matroid, load_matroid,
+                            mask_of)
 
-from oracles import brute_closure, contract_simplify, restrict, simplicity_violation
+from oracles import brute_closure, circuits, contract_simplify, restrict, simplicity_violation
 from samples import has_backend_kernel, non_simple_gf3_matroids, random_matroids, s3_gain_matroids
 
 
@@ -363,7 +363,7 @@ def test_load_matroid_roundtrip():
     assert m2.n == m.n
     for s in range(1 << 3):
         assert m2.rank(s) == m.rank(s)
-    assert m2.label_of(2) == "c"
+    assert m2.labels[2] == "c"
 
 
 def test_empty_matroid():

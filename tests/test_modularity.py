@@ -4,18 +4,17 @@ import random
 
 import pytest
 
-from modext.errors import EmptyFlat, NotACoatom, NotAFlat, NotComparable
+from modext.errors import NotAFlat, NotComparable
 from modext.joins import modular_joins_in_context
 from modext.lattice import enumerate_flats
 from modext.matroid import Matroid, atom_tuple, mask_of
-from modext.modularity import (coatom_pairing, is_modular_coatom_triangle,
-                               is_modular_flat, is_modular_in_context, is_round,
-                               lines_outside, missed_line, modular_coatoms_in_context,
-                               modular_flats, modular_flats_in_context, short_circuit_check,
-                               supersolvable_chain, violating_flat_in_context)
+from modext.modularity import (is_modular_flat, is_modular_in_context, is_round,
+                               missed_line, modular_coatoms_in_context, modular_flats,
+                               modular_flats_in_context, supersolvable_chain,
+                               violating_flat_in_context)
 
 from oracles import (brute_flats, brute_lines_outside, brute_modular, brute_round,
-                     brute_supersolvable)
+                     brute_supersolvable, circuits, coatom_pairing, short_circuit_check)
 from samples import non_simple_gf3_matroids, random_matroids
 
 
@@ -84,9 +83,7 @@ def test_meet_test_matches_rank_scan_in_scrambled_order(corpus, all_corpus_names
 
 def _assert_context_verdicts_match_checkers(label, lat, contexts, coatoms_first):
     for ctx in contexts:
-        coatoms = tuple(z for z in lat.children[ctx]
-                        if all(next(hits, None) is not None
-                               for _, hits in lines_outside(lat, z, ctx)))
+        coatoms = tuple(z for z in lat.children[ctx] if missed_line(lat, z, ctx) is None)
         flats = tuple(f for f in lat.below(ctx) if violating_flat_in_context(lat, f, ctx) is None)
         if coatoms_first:
             assert tuple(modular_coatoms_in_context(lat, ctx)) == coatoms, (label, ctx)
@@ -157,29 +154,24 @@ def test_criterion_agreement_on_corpus(corpus):
     for name in ("u23", "u34", "fano", "example-7", "c4", "c5", "bn-2",
                  "fish-sign", "q2-z3"):
         m, lat = corpus(name)
+        circs = circuits(m)
         for f in lat.flats():
             eq = bool(is_modular_flat(m, f, lattice=lat))
             if f:
-                sc = bool(short_circuit_check(m, f))
+                sc = short_circuit_check(m, f, circs) is None
                 assert eq == sc, (name, atom_tuple(f))
         for z in lat.coatoms():
             eq = bool(is_modular_flat(m, z, lattice=lat))
-            tri = bool(is_modular_coatom_triangle(m, z, lattice=lat))
+            tri = missed_line(lat, z, lat.top) is None
             assert eq == tri, (name, atom_tuple(z))
-
-
-def test_short_circuit_rejects_empty_flat(corpus):
-    m, _ = corpus("u23")
-    with pytest.raises(EmptyFlat):
-        short_circuit_check(m, 0)
 
 
 def test_short_circuit_witness_is_a_short_circuit(corpus):
     m, lat = corpus("fish-sign")
     x = mask_of([1, 2])
     w = short_circuit_check(m, x)
-    assert not w.modular
-    c, e = w.circuit, w.atom
+    assert w is not None
+    c, e = w
     # the witness circuit straddles x and its atom e admits no short circuit
     assert c & x and c & ~x
     assert (1 << e) & c and not (1 << e) & x
@@ -189,12 +181,6 @@ def test_short_circuit_witness_is_a_short_circuit(corpus):
         assert m.rank(t) != m.rank(t & ~(1 << e))
 
 
-def test_triangle_test_requires_coatom(corpus):
-    m, lat = corpus("fano")
-    with pytest.raises(NotACoatom):
-        is_modular_coatom_triangle(m, 1, lattice=lat)
-
-
 def test_triangle_test_matches_rank_scan_on_random_matroids():
     # a loop lies on every line and parallel atoms span none, so neither
     # may count for or against a coatom of a non-simple matroid
@@ -202,22 +188,7 @@ def test_triangle_test_matches_rank_scan_on_random_matroids():
         lat = enumerate_flats(m)
         for x in lat.coatoms():
             expected = violating_flat_in_context(lat, x, lat.top) is None
-            assert bool(is_modular_coatom_triangle(m, x, lattice=lat)) == expected, (i, x)
-
-
-def test_lines_outside_matches_rank_reference(corpus, all_corpus_names):
-    # on every cover step, the pairs in order and, as ascending lists, the
-    # atoms of the lower flat on each pair's line, as the rank oracle
-    # alone finds them
-    samples = [(name, corpus(name)[0]) for name in all_corpus_names
-               if len(corpus(name)[1]) <= 250]
-    samples += list(enumerate(random_matroids() + non_simple_gf3_matroids()))
-    for label, m in samples:
-        lat = enumerate_flats(m)
-        for ctx in lat.flats():
-            for z in lat.children[ctx]:
-                got = [(pair, sorted(hits)) for pair, hits in lines_outside(lat, z, ctx)]
-                assert got == brute_lines_outside(m, z, ctx), (label, z, ctx)
+            assert (missed_line(lat, x, lat.top) is None) == expected, (i, x)
 
 
 def test_missed_line_matches_rank_reference(corpus, all_corpus_names):
@@ -238,10 +209,10 @@ def test_missed_line_matches_rank_reference(corpus, all_corpus_names):
 def test_triangle_witness_pair(corpus):
     m, lat = corpus("example-13")
     for z in lat.coatoms():
-        w = is_modular_coatom_triangle(m, z, lattice=lat)
-        if w.modular:
+        pair = missed_line(lat, z, lat.top)
+        if pair is None:
             continue
-        a, b = w.pair
+        a, b = pair
         pair_mask = (1 << a) | (1 << b)
         assert pair_mask & z == 0
         hits = [f for f in atom_tuple(z)
@@ -252,7 +223,7 @@ def test_triangle_witness_pair(corpus):
 def test_coatom_pairing(corpus):
     m, lat = corpus("example-7")
     x = mask_of([1, 2, 5, 6])
-    pairing = coatom_pairing(m, x, lattice=lat)
+    pairing = coatom_pairing(m, x)
     outside = [a for a in range(m.n) if not (1 << a) & x]
     assert set(pairing) == {(a, b) for a in outside for b in outside if a < b}
     for (a, b), f in pairing.items():
@@ -264,7 +235,7 @@ def test_coatom_pairing(corpus):
 def test_coatom_pairing_triples_dependent(corpus):
     m, lat = corpus("fano")
     for x in lat.coatoms():
-        pairing = coatom_pairing(m, x, lattice=lat)
+        pairing = coatom_pairing(m, x)
         outside = atom_tuple(m.full_mask & ~x)
         from itertools import combinations
         for a, b, c in combinations(outside, 3):
@@ -282,8 +253,8 @@ def test_coatom_pairing_of_non_simple_matroids():
         for x in lat.coatoms():
             if not is_modular_in_context(lat, x, lat.top):
                 continue
-            pairing = coatom_pairing(m, x, lattice=lat)
-            assert set(pairing) == {pair for pair, _ in lines_outside(lat, x, lat.top)}
+            pairing = coatom_pairing(m, x)
+            assert set(pairing) == {pair for pair, _ in brute_lines_outside(m, x, lat.top)}
             for (a, b), f in pairing.items():
                 line = (1 << a) | (1 << b)
                 on_line = [g for g in atom_tuple(x & ~lat.bottom) if m.rank(line | 1 << g) == 2]
@@ -360,9 +331,7 @@ def _lex_first_peel(lat):
     chain = [lat.top]
     while chain[-1] != lat.bottom:
         ctx = chain[-1]
-        z = next((z for z in lat.children[ctx]
-                  if all(next(hits, None) is not None
-                         for _, hits in lines_outside(lat, z, ctx))), None)
+        z = next((z for z in lat.children[ctx] if missed_line(lat, z, ctx) is None), None)
         if z is None:
             return None
         chain.append(z)

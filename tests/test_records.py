@@ -48,11 +48,8 @@ SAMPLES = [
      "balanced=False, potentials=((0, 0), (1, 1)), unbalanced_witnesses=(3,)),))"),
     (JoinDecomposition, {"e1": 3, "e2": 6, "x": 2, "x_round": True},
      "JoinDecomposition(e1=3, e2=6, x=2, x_round=True)"),
-    (ModularityWitness,
-     {"modular": False, "criterion": "short-circuit", "flat": 3,
-      "violating_flat": None, "pair": None, "circuit": 7, "atom": 2},
-     "ModularityWitness(modular=False, criterion='short-circuit', flat=3, "
-     "violating_flat=None, pair=None, circuit=7, atom=2)"),
+    (ModularityWitness, {"modular": False, "flat": 3, "violating_flat": 12},
+     "ModularityWitness(modular=False, flat=3, violating_flat=12)"),
     (RoundnessVerdict, {"round": False, "witness": (3, 6)},
      "RoundnessVerdict(round=False, witness=(3, 6))"),
     (VerificationReport, {"ok": False, "failures": (("$", "bad coatom"),)},
@@ -109,14 +106,14 @@ def test_records_survive_pickle_and_copy(cls, fields, text):
 
 
 def test_defaults():
-    w = ModularityWitness(True, "rank-equation", 5)
-    assert (w.violating_flat, w.pair, w.circuit, w.atom) == (None,) * 4
-    assert w == ModularityWitness(modular=True, criterion="rank-equation", flat=5,
-                                  violating_flat=None, pair=None, circuit=None,
-                                  atom=None)
-    assert repr(w) == ("ModularityWitness(modular=True, criterion='rank-equation', "
-                       "flat=5, violating_flat=None, pair=None, circuit=None, atom=None)")
-    assert ModularityWitness(False, "triangle", 5, pair=(1, 2)).pair == (1, 2)
+    w = ModularityWitness(True, 5)
+    assert w.violating_flat is None
+    assert w == ModularityWitness(modular=True, flat=5, violating_flat=None)
+    assert repr(w) == "ModularityWitness(modular=True, flat=5, violating_flat=None)"
+    assert ModularityWitness(False, 5, 6).violating_flat == 6
+    assert bool(w) and not ModularityWitness(False, 5, 6)
+    with pytest.raises(TypeError):
+        ModularityWitness(False, "rank-equation", 5, 6)
     v = RoundnessVerdict(round=True)
     assert v.witness is None and v == RoundnessVerdict(True, None)
     assert repr(v) == "RoundnessVerdict(round=True, witness=None)"

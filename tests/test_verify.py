@@ -13,15 +13,15 @@ from modext.certificates import (ChainCertificate, DivisionalFlag,
                                  certificate_from_json)
 from modext.corpus import corpus_matroid
 from modext.divisional import divisional_flag, stanley_division_check
-from modext.errors import InvalidInput, NotModular, NotModularCoatom
+from modext.errors import InvalidInput, NotModular
 from modext.joins import me_certify
 from modext.lattice import enumerate_flats
 from modext.matroid import Matroid, graphic_matroid, mask_of
-from modext.modularity import (coatom_pairing, is_modular_coatom_triangle,
-                               is_modular_flat, supersolvable_chain,
+from modext.modularity import (is_modular_flat, missed_line, supersolvable_chain,
                                violating_flat_in_context)
 from modext.verify import verify_certificate
 
+from oracles import coatom_pairing
 from samples import non_simple_gf3_matroids, random_matroids
 
 
@@ -483,10 +483,10 @@ def _triangle_results(m, lat):
     coatom, and per cover step through a chain, plus every certificate."""
     out = []
     for x in lat.coatoms():
-        out.append(is_modular_coatom_triangle(m, x, lattice=lat))
+        out.append(missed_line(lat, x, lat.top))
         try:
-            out.append(coatom_pairing(m, x, lattice=lat))
-        except NotModularCoatom as e:
+            out.append(coatom_pairing(m, x))
+        except ValueError as e:
             out.append(str(e))
     for ctx in lat.flats():
         for z in lat.children[ctx]:
