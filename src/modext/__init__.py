@@ -13,7 +13,6 @@ from .errors import ModextError
 from .gaingraph import (
     FiniteGroup,
     GainGraph,
-    analyze_balance,
     bias_simplicial_vertices,
     complete_gain_graph,
     frame_matroid,
@@ -23,7 +22,7 @@ from .gaingraph import (
     realize_lift_arrangement,
 )
 from .joins import brylawski_identity_check, find_modular_joins, me_certify
-from .lattice import FlatLattice, charpoly, enumerate_flats, interval_charpoly
+from .lattice import FlatLattice, charpoly, enumerate_flats
 from .matroid import Matroid, graphic_matroid, linear_matroid
 from .modularity import is_modular_flat, is_round, modular_flats, supersolvable_chain
 from .verify import verify_certificate
@@ -40,7 +39,6 @@ __all__ = [
     "IntPolynomial",
     "Matroid",
     "ModextError",
-    "analyze_balance",
     "bias_simplicial_vertices",
     "brylawski_identity_check",
     "charpoly",
@@ -50,7 +48,6 @@ __all__ = [
     "find_modular_joins",
     "frame_matroid",
     "graphic_matroid",
-    "interval_charpoly",
     "is_divisional_atom",
     "is_modular_flat",
     "is_round",

@@ -154,11 +154,6 @@ class IntPolynomial:
         return "".join(parts)
 
 
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Product of two integer polynomials."""
-    return a * b
-
-
 def poly_exact_div(num: IntPolynomial, den: IntPolynomial):
     """Exact quotient num/den over Z[t].
 

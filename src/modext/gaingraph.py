@@ -8,18 +8,14 @@ balanced when its gain product along the traversal is the identity.
 Matroid atoms are edges in listed order followed by loops in ascending
 vertex order; the extended lift matroid prepends an extra atom `inf`.
 
-Two walks read a subset's components.  The frame and lift rank and cover
-kernels, asked for small subsets thousands of times per lattice, fold the
-subset's atoms once (`_fold`), touching no adjacency list.  The balance
-report, asked once per graph, walks breadth-first (`_components`), because
-its JSON is made of that walk's vertex order, tree potentials and
-fundamental-cycle witnesses.
+One pass reads a subset's components, potentials and balance: the frame
+and lift rank and cover kernels, asked for small subsets thousands of times
+per lattice, fold the subset's atoms once (`_fold`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 
 from .algebra import Field
 from .arrangement import Arrangement
@@ -32,7 +28,7 @@ from .errors import (
     NotSimpleFrame,
     reading,
 )
-from .matroid import DEFAULT_MAX_ATOMS, Matroid, iter_atoms
+from .matroid import DEFAULT_MAX_ATOMS, Matroid
 
 
 # ---------------------------------------------------------------------------
@@ -290,23 +286,6 @@ class GainGraph:
     def atom_labels(self) -> tuple:
         return tuple(self.atom_label(i) for i in range(self.num_atoms))
 
-    @cached_property
-    def _adjacency(self) -> tuple:
-        """Per vertex, its (bit, atom, far end, gain read outward) entries in
-        ascending atom order, a loop's with gain None; and per vertex, the
-        mask of the atoms touching it."""
-        adj = [[] for _ in range(self.n)]
-        touch = [0] * self.n
-        inv = self.group.inv
-        for i, e in enumerate(self.edges):
-            for v, w, h in ((e.u, e.v, e.gain), (e.v, e.u, inv(e.gain))):
-                adj[v].append((1 << i, i, w, h))
-                touch[v] |= 1 << i
-        for i, w in enumerate(self.loops, len(self.edges)):
-            adj[w].append((1 << i, i, w, None))
-            touch[w] |= 1 << i
-        return tuple(map(tuple, adj)), tuple(touch)
-
     def incident(self, v: int):
         """Indices of edges touching vertex v."""
         return [i for i, e in enumerate(self.edges) if v in (e.u, e.v)]
@@ -354,147 +333,6 @@ class GainGraph:
     def __repr__(self):
         return (f"GainGraph(n={self.n}, group={self.group!r}, "
                 f"edges={len(self.edges)}, loops={len(self.loops)})")
-
-
-# ---------------------------------------------------------------------------
-# balance analysis
-
-
-class ComponentReport(Frozen):
-    """One connected component of a selected atom subset."""
-
-    vertices: tuple
-    atoms: int
-    balanced: bool
-    potentials: tuple
-    unbalanced_witnesses: tuple
-
-    def __init__(self, vertices, atoms, balanced, potentials, unbalanced_witnesses):
-        self.__dict__.update(vertices=vertices, atoms=atoms, balanced=balanced,
-                             potentials=potentials,
-                             unbalanced_witnesses=unbalanced_witnesses)
-
-
-class BalanceReport(Frozen):
-    """Balance analysis of a subset of edges and loops."""
-
-    components: tuple
-
-    def __init__(self, components):
-        self.__dict__.update(components=components)
-
-    @property
-    def balanced(self) -> bool:
-        return all(c.balanced for c in self.components)
-
-    def to_json(self) -> dict:
-        return {
-            "balanced": self.balanced,
-            "components": [
-                {
-                    "vertices": list(c.vertices),
-                    "balanced": c.balanced,
-                    "potentials": [[v, g] for v, g in c.potentials],
-                    "unbalanced_witnesses": [
-                        sorted(iter_atoms(w)) for w in c.unbalanced_witnesses],
-                }
-                for c in self.components
-            ],
-        }
-
-
-def _components(g: GainGraph, atoms: int):
-    """Breadth-first walk over the components an atom subset touches, for
-    `analyze_balance` alone: its report's vertex order, potentials and
-    witnesses are this walk's, which the kernels' `_fold` does not keep.
-
-    Roots are taken in ascending vertex order and each vertex's atoms in
-    ascending atom order.  Per component yields (vertices in visiting
-    order, potentials, tree map vertex -> atom that reached it, atom mask,
-    inconsistent mask); the potential and tree dicts are shared by the
-    whole walk, so they also hold earlier components.  A potential is the
-    gain of the tree path from the root, so every tree edge is consistent
-    by construction: the inconsistent mask holds exactly the chords
-    {u,v}_h with pot(u)*h != pot(v), plus every loop of the component.
-    """
-    adj, touch = g._adjacency
-    table = g.group.table
-    pot, tree = {}, {}
-    for root in range(g.n):
-        if root in pot or not touch[root] & atoms:
-            continue
-        order = [root]
-        pot[root] = 0
-        comp = bad = 0
-        for u in order:  # `order` grows while it is read: a BFS queue
-            row = table[pot[u]]
-            comp |= touch[u]
-            for bit, i, w, h in adj[u]:
-                if not atoms & bit:
-                    continue
-                if w not in pot:
-                    pot[w] = row[h]
-                    tree[w] = i
-                    order.append(w)
-                elif h is None or row[h] != pot[w]:
-                    bad |= bit
-        yield order, pot, tree, comp & atoms, bad
-
-
-def analyze_balance(g: GainGraph, atoms: int | None = None) -> BalanceReport:
-    """Connected components of an atom subset with balance verdicts.
-
-    Potentials are spanning-tree gains from the component root; an edge
-    {u,v}_h off the tree is consistent iff pot(u)*h == pot(v), and any
-    inconsistent edge contributes its fundamental cycle as an unbalanced
-    witness.  Loops are unbalanced witnesses outright.
-    """
-    if atoms is None:
-        atoms = (1 << g.num_atoms) - 1
-    ne = len(g.edges)
-    components = []
-    for order, pot, tree, comp, bad in _components(g, atoms):
-        witnesses = []
-        for i in iter_atoms(bad):
-            cycle = 1 << i
-            if i < ne:
-                cycle |= _tree_path_atoms(g, tree, *g.edges[i].endpoints())
-            witnesses.append(cycle)
-        components.append(ComponentReport(
-            vertices=tuple(order),
-            atoms=comp,
-            balanced=not witnesses,
-            potentials=tuple((v, pot[v]) for v in order),
-            unbalanced_witnesses=tuple(witnesses),
-        ))
-    return BalanceReport(tuple(components))
-
-
-def _tree_path_atoms(g: GainGraph, tree_edges: dict, u: int, v: int) -> int:
-    """Atoms of the tree path between two vertices of one BFS tree."""
-    def to_root(w):
-        path = []
-        while w in tree_edges:
-            i = tree_edges[w]
-            path.append((w, i))
-            w = g.edges[i].other(w)
-        return path
-
-    pu, pv = to_root(u), to_root(v)
-    iu = {i for _, i in pu}
-    common = next((i for _, i in pv if i in iu), None)
-    mask = 0
-    for _, i in pu:
-        mask |= 1 << i
-        if i == common:
-            break
-    for _, i in pv:
-        if i == common:
-            break
-        mask |= 1 << i
-    if common is not None:
-        mask &= ~(1 << common)
-    return mask
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .algebra import poly_mul
 from .certificates import (
     EmptyCertificate,
     ModularCoatomCertificate,
@@ -94,7 +93,7 @@ def brylawski_identity_check(m: Matroid, d: JoinDecomposition,
     chi_x = lat.lower_charpoly(d.x)
     chi_e1 = lat.lower_charpoly(d.e1)
     chi_e2 = lat.lower_charpoly(d.e2)
-    if poly_mul(chi_m, chi_x) != poly_mul(chi_e1, chi_e2):
+    if chi_m * chi_x != chi_e1 * chi_e2:
         raise IdentityViolation(chi_m, chi_x, chi_e1, chi_e2)
     return True
 
@@ -176,7 +175,7 @@ def join_divisional_lift_check(m: Matroid, d: JoinDecomposition, e: int,
         raise LiftViolation(f"atom {e} is divisional in M|E1 but not in M")
     chi_x = lat.lower_charpoly(d.x)
     chi_e2 = lat.lower_charpoly(d.e2)
-    if poly_mul(chi_me, chi_x) != poly_mul(chi_m1e, chi_e2):
+    if chi_me * chi_x != chi_m1e * chi_e2:
         raise LiftViolation(
             f"contraction charpoly of atom {e} does not factor through the join: "
             f"{chi_me} * {chi_x} != {chi_m1e} * {chi_e2}")

@@ -365,18 +365,9 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
     return FlatLattice(m, levels, children, atom_index)
 
 
-def mobius(lattice: FlatLattice) -> dict:
-    """Mobius values mu(0, X) of a lattice, keyed by flat bitmask."""
-    return dict(lattice.mobius())
-
-
 def charpoly(m) -> IntPolynomial:
     """Characteristic polynomial of a matroid (or an already-built lattice)."""
     if isinstance(m, FlatLattice):
         return m.charpoly()
     return enumerate_flats(m).charpoly()
 
-
-def interval_charpoly(lattice: FlatLattice, bottom: int, top: int) -> IntPolynomial:
-    """Characteristic polynomial of an interval of the lattice of flats."""
-    return lattice.interval_charpoly(bottom, top)

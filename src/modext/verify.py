@@ -28,7 +28,7 @@ lattice.  It never reads the prover's `_upper`, `_lower` or `_verdicts`.
 
 from __future__ import annotations
 
-from .algebra import IntPolynomial, poly_mul
+from .algebra import IntPolynomial
 from .certificates import (
     ChainCertificate,
     EmptyCertificate,
@@ -211,7 +211,7 @@ def _verify_flag(lat: FlatLattice, flag, ctx: int, path: str, failures: list):
     uppers = [_chi(lat, f, ctx) for f in flats]
     for i in range(len(flats) - 1):
         quotient = IntPolynomial((-roots[i], 1))
-        if poly_mul(uppers[i + 1], quotient) != uppers[i]:
+        if uppers[i + 1] * quotient != uppers[i]:
             _fail(failures, path,
                   f"flag step {i}: chi above {_flat_str(flats[i])} is not "
                   f"(t - {roots[i]}) times chi above {_flat_str(flats[i + 1])}")

@@ -9,7 +9,7 @@ import modext.divisional
 from modext.algebra import IntPolynomial, integer_roots, poly_exact_div
 from modext.divisional import divisional_flag, is_divisional_atom, stanley_division_check
 from modext.errors import InvalidInput
-from modext.lattice import FlatLattice, charpoly, enumerate_flats, interval_charpoly
+from modext.lattice import FlatLattice, charpoly, enumerate_flats
 from modext.modularity import modular_flats, supersolvable_chain
 
 from oracles import contract_simplify, flag_quotient_product
@@ -28,7 +28,7 @@ def test_stanley_division_on_modular_flats(corpus):
         chi = lat.charpoly()
         for x in modular_flats(m, lattice=lat):
             assert stanley_division_check(m, x, lattice=lat)
-            quotient = poly_exact_div(chi, interval_charpoly(lat, lat.bottom, x))
+            quotient = poly_exact_div(chi, lat.interval_charpoly(lat.bottom, x))
             assert quotient is not None, name
 
 
@@ -74,8 +74,8 @@ def test_flag_shape_and_telescoping(corpus, all_corpus_names):
         assert flats[0] == lat.bottom and flats[-1] == lat.top
         assert len(flag.quotient_roots) == len(flats) - 1
         for i, root in enumerate(flag.quotient_roots):
-            lower = interval_charpoly(lat, flats[i], lat.top)
-            upper = interval_charpoly(lat, flats[i + 1], lat.top)
+            lower = lat.interval_charpoly(flats[i], lat.top)
+            upper = lat.interval_charpoly(flats[i + 1], lat.top)
             assert poly_exact_div(lower, upper) == IntPolynomial([-root, 1])
         assert flag_quotient_product(flag) == lat.charpoly()
     assert flagged >= 50

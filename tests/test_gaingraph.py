@@ -1,4 +1,4 @@
-"""Gain graphs: groups, balance, frame/lift matroids, realizations."""
+"""Gain graphs: groups, frame/lift matroids and their balance, realizations."""
 
 import random
 
@@ -9,7 +9,7 @@ from modext.corpus import bowtie, example_13
 from modext.errors import (HasLoops, InvalidInput, NoAdditiveEmbedding,
                            NoMultiplicativeEmbedding, NotSimpleFrame)
 from modext.gaingraph import (FiniteGroup, GainEdge, GainGraph,
-                              additive_embedding, analyze_balance,
+                              additive_embedding,
                               bias_simplicial_vertices, complete_gain_graph,
                               frame_matroid, lift_matroid,
                               link_simplicial_vertices,
@@ -137,80 +137,6 @@ class TestGainGraph:
             GainGraph.from_json({"vertices": 2})
 
 
-class TestBalance:
-    def test_balanced_triangle(self):
-        g = GainGraph(3, TRIV, [(0, 1, 0), (1, 2, 0), (0, 2, 0)])
-        report = analyze_balance(g)
-        assert report.balanced
-        (comp,) = report.components
-        assert sorted(comp.vertices) == [0, 1, 2]
-        assert comp.unbalanced_witnesses == ()
-
-    def test_potentials_consistent_when_balanced(self):
-        g = GainGraph(3, SIGN, [(0, 1, 1), (1, 2, 1), (0, 2, 0)])
-        report = analyze_balance(g)
-        assert report.balanced
-        pot = dict(report.components[0].potentials)
-        for e in g.edges:
-            assert SIGN.op(pot[e.u], e.gain) == pot[e.v]
-
-    def test_unbalanced_witnesses_are_unbalanced_cycles(self):
-        g = bowtie()
-        report = analyze_balance(g)
-        assert not report.balanced
-        oracle = oracle_for(g)
-        witnesses = [w for c in report.components for w in c.unbalanced_witnesses]
-        assert witnesses
-        for w in witnesses:
-            atoms = tuple(i for i in range(g.num_atoms) if w >> i & 1)
-            assert oracle._cycle_balance(atoms) is False
-
-    def test_loop_is_a_witness(self):
-        g = GainGraph(2, TRIV, [(0, 1, 0)], loops=[1])
-        report = analyze_balance(g)
-        assert not report.balanced
-        (comp,) = report.components
-        assert comp.unbalanced_witnesses == (mask_of([1]),)
-
-    def test_subset_analysis(self):
-        g = bowtie()
-        digon = mask_of([2, 3])
-        assert not analyze_balance(g, digon).balanced
-        assert analyze_balance(g, mask_of([2])).balanced
-        json_form = analyze_balance(g, digon).to_json()
-        assert json_form["balanced"] is False
-        assert json_form["components"][0]["unbalanced_witnesses"] == [[2, 3]]
-
-    def test_loopy_bowtie_report_is_pinned(self):
-        # vertex, potential and witness order are part of the JSON output
-        g = bowtie(loops=True)
-        assert analyze_balance(g).to_json() == {
-            "balanced": False,
-            "components": [{
-                "vertices": [0, 1, 2, 3, 4],
-                "balanced": False,
-                "potentials": [[0, 0], [1, 0], [2, 0], [3, 0], [4, 0]],
-                "unbalanced_witnesses": [[0, 1, 3], [4, 5, 7], [8], [9],
-                                         [10], [11], [12]],
-            }],
-        }
-        report = analyze_balance(g, mask_of([1, 3, 4, 7, 8, 12]))
-        assert report.to_json() == {
-            "balanced": False,
-            "components": [{
-                "vertices": [0, 2, 3, 1, 4],
-                "balanced": False,
-                "potentials": [[0, 0], [2, 0], [3, 0], [1, 1], [4, 1]],
-                "unbalanced_witnesses": [[8], [12]],
-            }],
-        }
-        assert [c.atoms for c in report.components] == [mask_of([1, 3, 4, 7, 8, 12])]
-        split = analyze_balance(g, mask_of([2, 6, 9]))
-        assert [c.vertices for c in split.components] == [(1, 2), (3, 4)]
-        assert [c.atoms for c in split.components] == [mask_of([2, 9]), mask_of([6])]
-        assert [c.balanced for c in split.components] == [False, True]
-
-
 class TestFrameMatroid:
     def test_trivial_gains_give_graphic_matroid(self):
         g = complete_gain_graph(4, TRIV)
@@ -270,6 +196,19 @@ class TestFrameMatroid:
             oracle = oracle_for(g)
             for mask in range(1 << g.num_atoms):
                 assert frame.rank(mask) == oracle.frame_rank(mask)
+
+    # a balanced subset has rank |V| - c, and a loop or an unbalanced cycle
+    # adds one per component: the bowtie's digon {2, 3} is unbalanced
+    @pytest.mark.parametrize("g, ranks", [
+        (GainGraph(3, TRIV, [(0, 1, 0), (1, 2, 0), (0, 2, 0)]), {mask_of([0, 1, 2]): 2}),
+        (GainGraph(3, SIGN, [(0, 1, 1), (1, 2, 1), (0, 2, 0)]), {mask_of([0, 1, 2]): 2}),
+        (bowtie(), {mask_of([2, 3]): 2, mask_of([2]): 1}),
+        (GainGraph(2, TRIV, [(0, 1, 0)], loops=[1]), {mask_of([0, 1]): 2}),
+    ], ids=["trivial-triangle", "sign-triangle", "bowtie", "edge-and-loop"])
+    def test_balance_cases_match_oracle(self, g, ranks):
+        frame = frame_matroid(g)
+        assert {mask: frame.rank(mask) for mask in ranks} == ranks
+        _assert_kernel_matches(frame, oracle_for(g).frame_rank)
 
 
 class TestLiftMatroid:

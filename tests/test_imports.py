@@ -23,7 +23,6 @@ KEPT_WITHOUT_CALLER = (
     ("is_divisional_atom", "the property test on generated joins, item 5(b)"),
     ("stanley_division_check", "divisional's only use of violating_flat_in_context, "
                                "which perfbench/trace.py patches there"),
-    ("analyze_balance", "a balance subcommand or its removal is still to be decided"),
 )
 
 
@@ -42,12 +41,15 @@ def test_relative_imports_are_used():
 
 
 def _names_read(tree) -> set:
-    """Every name and attribute a syntax tree reads; an import only binds."""
+    """Every bare name and `modext.<name>` a syntax tree reads; an import
+    only binds, and an attribute of any other object is not the package's
+    name, even when a method shares it."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id == "modext"):
             names.add(node.attr)
     return names
 

@@ -16,7 +16,7 @@ from modext.errors import InvalidInput
 from modext.joins import (brylawski_identity_check, find_modular_joins,
                           join_divisional_lift_check, me_certify,
                           modular_joins_in_context)
-from modext.lattice import FlatLattice, enumerate_flats, interval_charpoly
+from modext.lattice import FlatLattice, enumerate_flats
 from modext.matroid import Matroid, atom_tuple, graphic_matroid, mask_of
 from modext.modularity import (is_modular_flat, is_round, modular_flats,
                                supersolvable_chain)
@@ -65,9 +65,9 @@ def test_product_identity_is_the_stated_equation(corpus):
     d = [j for j in find_modular_joins(m, lattice=lat)
          if j.x == mask_of([0])][0]
     chi = lat.charpoly()
-    chi_x = interval_charpoly(lat, lat.bottom, d.x)
-    chi_1 = interval_charpoly(lat, lat.bottom, d.e1)
-    chi_2 = interval_charpoly(lat, lat.bottom, d.e2)
+    chi_x = lat.interval_charpoly(lat.bottom, d.x)
+    chi_1 = lat.interval_charpoly(lat.bottom, d.e1)
+    chi_2 = lat.interval_charpoly(lat.bottom, d.e2)
     assert chi * chi_x == chi_1 * chi_2
 
 

@@ -7,7 +7,7 @@ import pytest
 from modext.algebra import IntPolynomial
 from modext.corpus import corpus_matroid
 from modext.errors import NotAFlat, TooLarge
-from modext.lattice import charpoly, enumerate_flats, interval_charpoly, mobius
+from modext.lattice import charpoly, enumerate_flats
 from modext.matroid import Matroid, atom_tuple
 
 from oracles import (brute_flats, brute_mobius, contract_simplify, popcount, reference_lattice,
@@ -189,7 +189,7 @@ def test_mobius_matches_brute(corpus):
     for name in ("u23", "fano", "example-7", "c5"):
         m, lat = corpus(name)
         expected = brute_mobius(m)
-        got = mobius(lat)
+        got = lat.mobius()
         assert got == expected, name
 
 
@@ -212,7 +212,7 @@ def test_interval_charpoly_is_restriction_charpoly(corpus):
     m, lat = corpus("example-7")
     for f in lat.flats():
         sub = restrict(m, f)
-        assert interval_charpoly(lat, lat.bottom, f) == charpoly(sub)
+        assert lat.interval_charpoly(lat.bottom, f) == charpoly(sub)
 
 
 def test_interval_charpoly_is_contraction_charpoly(corpus):
@@ -227,7 +227,7 @@ def test_interval_charpoly_matches_brute_mobius(corpus, all_corpus_names):
         flats = brute_flats(m)
         for b in lat.flats():
             for t in (f for f in lat.flats() if f & b == b):
-                assert (interval_charpoly(lat, b, t)
+                assert (lat.interval_charpoly(b, t)
                         == _brute_interval_charpoly(m, flats, b, t)), (name, b, t)
 
 
@@ -241,7 +241,7 @@ def test_interval_charpolys_of_samples_match_brute_mobius():
         flats = brute_flats(m)
         for b in lat.flats():
             for t in (f for f in lat.flats() if f & b == b):
-                assert (interval_charpoly(lat, b, t)
+                assert (lat.interval_charpoly(b, t)
                         == _brute_interval_charpoly(m, flats, b, t)), (i, b, t)
                 inner += b != lat.bottom and t != lat.top and lat.rank_of[t] - lat.rank_of[b] > 1
             assert lat.upper_charpoly(b) == _brute_interval_charpoly(m, flats, b, lat.top), (i, b)
@@ -251,7 +251,7 @@ def test_interval_charpolys_of_samples_match_brute_mobius():
 def test_interval_requires_comparable_flats(corpus):
     _, lat = corpus("u23")
     with pytest.raises(NotAFlat):
-        interval_charpoly(lat, 0b011, lat.top)
+        lat.interval_charpoly(0b011, lat.top)
 
 
 def test_max_flats_guardrail(corpus):

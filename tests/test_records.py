@@ -14,14 +14,13 @@ from modext.certificates import (ChainCertificate, DivisionalFlag,
                                  EmptyCertificate, FlagCertificate,
                                  ModularCoatomCertificate,
                                  ModularJoinCertificate)
-from modext.gaingraph import BalanceReport, ComponentReport, GainEdge
+from modext.gaingraph import GainEdge
 from modext.joins import JoinDecomposition
 from modext.modularity import ModularityWitness, RoundnessVerdict
 from modext.verify import VerificationReport
 
 CHAIN = ChainCertificate((0, 1, 3))
 FLAG = DivisionalFlag((0, 1, 3), (1, 2))
-COMPONENT = ComponentReport((0, 1), 3, False, ((0, 0), (1, 1)), (3,))
 
 # (class, fields in declaration order, the repr a frozen dataclass prints)
 SAMPLES = [
@@ -38,14 +37,6 @@ SAMPLES = [
      "FlagCertificate(flag=DivisionalFlag(flats=(0, 1, 3), quotient_roots=(1, 2)))"),
     (ChainCertificate, {"flats": (0, 1, 3)}, "ChainCertificate(flats=(0, 1, 3))"),
     (GainEdge, {"u": 0, "v": 2, "gain": 1}, "GainEdge(u=0, v=2, gain=1)"),
-    (ComponentReport,
-     {"vertices": (0, 1), "atoms": 3, "balanced": False,
-      "potentials": ((0, 0), (1, 1)), "unbalanced_witnesses": (3,)},
-     "ComponentReport(vertices=(0, 1), atoms=3, balanced=False, "
-     "potentials=((0, 0), (1, 1)), unbalanced_witnesses=(3,))"),
-    (BalanceReport, {"components": (COMPONENT,)},
-     "BalanceReport(components=(ComponentReport(vertices=(0, 1), atoms=3, "
-     "balanced=False, potentials=((0, 0), (1, 1)), unbalanced_witnesses=(3,)),))"),
     (JoinDecomposition, {"e1": 3, "e2": 6, "x": 2, "x_round": True},
      "JoinDecomposition(e1=3, e2=6, x=2, x_round=True)"),
     (ModularityWitness, {"modular": False, "flat": 3, "violating_flat": 12},
