@@ -137,6 +137,28 @@ class TestGainGraph:
             GainGraph.from_json({"vertices": 2})
 
 
+class TestBalance:
+    # a cycle is independent in the frame matroid exactly when it is
+    # unbalanced, and a connected subset with an unbalanced cycle has rank |V|
+    def test_unbalanced_witnesses_are_unbalanced_cycles(self):
+        g = bowtie()
+        frame = frame_matroid(g)
+        assert frame.full_rank == g.n
+        cycles = oracle_for(g)._cycles(range(g.num_atoms))
+        witnesses = [cyc for cyc, balanced in cycles if not balanced]
+        assert witnesses
+        for cyc, balanced in cycles:
+            assert frame.rank(mask_of(cyc)) == len(cyc) - balanced
+
+    def test_subset_analysis(self):
+        g = bowtie()
+        frame = frame_matroid(g)
+        digon = mask_of([2, 3])
+        assert frame.rank(digon) == 2
+        assert frame.rank(mask_of([2])) == 1
+        assert oracle_for(g)._cycles([2, 3]) == [(frozenset([2, 3]), False)]
+
+
 class TestFrameMatroid:
     def test_trivial_gains_give_graphic_matroid(self):
         g = complete_gain_graph(4, TRIV)
