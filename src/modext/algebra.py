@@ -2,9 +2,9 @@
 
 All computations are exact; no floating point enters anywhere.  Rationals
 are `fractions.Fraction`, prime-field residues are plain ints in [0, p).
-Matrix ranks have three kernels: fraction-free (Bareiss) elimination over
-the integers for Q, a XOR basis over vectors packed into ints for GF(2),
-and modular elimination for GF(p) with p >= 3.
+Every matrix rank is the size of a basis from one of two builders, shared
+with the matroid kernels: a fraction-free echelon basis over Q and GF(p),
+and a reduced XOR basis of vectors packed into ints over GF(2).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DivisionByZeroPolynomial, InvalidInput, reading
+from .errors import DivisionByZeroPolynomial, InvalidInput
 
 
 # ---------------------------------------------------------------------------
@@ -117,11 +117,6 @@ class IntPolynomial:
     def to_json(self) -> list:
         """Coefficient array, constant term first, as decimal strings."""
         return [str(c) for c in self.coeffs]
-
-    @classmethod
-    def from_json(cls, data) -> "IntPolynomial":
-        with reading("polynomial JSON"):
-            return cls([int(c) for c in data])
 
     # -- dunder plumbing
 
@@ -407,17 +402,6 @@ class FieldMatrix:
     def rank(self) -> int:
         return matrix_rank(self)
 
-    def to_json(self) -> dict:
-        return {
-            "field": self.field.to_json(),
-            "rows": [[self.field.scalar_to_json(x) for x in row] for row in self.rows],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "FieldMatrix":
-        with reading("matrix JSON"):
-            return cls(Field.from_json(data["field"]), data["rows"])
-
     def __eq__(self, other):
         return (
             isinstance(other, FieldMatrix)
@@ -429,71 +413,56 @@ class FieldMatrix:
         return f"FieldMatrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def integer_row_rank(rows) -> int:
-    """Rank of an integer matrix (a sequence of rows) by Bareiss elimination.
+def echelon_reduce(v, basis, p):
+    """Reduce an integer vector against a fraction-free echelon basis over
+    GF(p), or over Q when p is 0.
 
-    Fraction-free: every division is exact, so the computation stays in Z.
-    The rows, any sequences of ints, are copied and left unmodified.
+    Each basis vector b with pivot piv reduces v in turn, by the step
+    v <- b[piv]*v - v[piv]*b, taken mod p over GF(p) and, over Q, divided
+    by its content gcd so that entries stay bounded.  Each basis vector is
+    zero at the earlier pivots, so the result is zero at every pivot: a
+    nonzero multiple of v's residue modulo the span of the basis, 0 iff v
+    lies in that span.  Over GF(p) the entries of v must lie in [0, p).
     """
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
+    for piv, b in basis:
+        x = v[piv]
+        if x:
+            y = b[piv]
+            if p:
+                v = [(y * s - x * t) % p for s, t in zip(v, b)]
+            else:
+                v = [y * s - x * t for s, t in zip(v, b)]
+                g = gcd(*v)
+                if g > 1:
+                    v = [s // g for s in v]
+    return v
+
+
+def echelon_basis(vectors, subset, p) -> list:
+    """Fraction-free echelon basis, as (pivot, vector) pairs, of the vectors
+    indexed by the bits of `subset`, over GF(p) or over Q when p is 0: each
+    vector, reduced by `echelon_reduce`, joins the basis pivoting at its
+    first nonzero entry unless it is zero, so the basis size is the rank."""
+    basis = []
+    while subset:
+        low = subset & -subset
+        subset ^= low
+        v = echelon_reduce(vectors[low.bit_length() - 1], basis, p)
+        for piv, s in enumerate(v):
+            if s:
+                basis.append((piv, v))
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            q = rows[i][col]
-            row_i = rows[i]
-            row_r = rows[rank]
-            for j in range(col + 1, ncols):
-                row_i[j] = (p * row_i[j] - q * row_r[j]) // prev
-            row_i[col] = 0
-        prev = p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    return basis
+
+
+def integer_row_rank(rows) -> int:
+    """Rank over Q of a sequence of integer rows, left unmodified."""
+    return len(echelon_basis(rows, (1 << len(rows)) - 1, 0))
 
 
 def gf_row_rank(rows, p: int) -> int:
-    """Rank of a matrix over GF(p); rows are sequences of ints, copied and
-    left unmodified."""
-    rows = [[x % p for x in r] for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(rank, nrows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        row_r = rows[rank]
-        for j in range(col, ncols):
-            row_r[j] = row_r[j] * inv % p
-        for i in range(rank + 1, nrows):
-            q = rows[i][col]
-            if q:
-                row_i = rows[i]
-                for j in range(col, ncols):
-                    row_i[j] = (row_i[j] - q * row_r[j]) % p
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+    """Rank over GF(p) of a sequence of integer rows, left unmodified."""
+    return len(echelon_basis([[x % p for x in r] for r in rows], (1 << len(rows)) - 1, p))
 
 
 def gf2_pack(values) -> int:
@@ -501,20 +470,37 @@ def gf2_pack(values) -> int:
     return sum(1 << i for i, x in enumerate(values) if x)
 
 
-def gf2_rank(vectors) -> int:
-    """Rank over GF(2) of vectors packed into ints: the size of a XOR basis
-    keyed by leading bit, which each vector joins reduced unless it
-    reduces to 0."""
+def gf2_basis(vectors, subset):
+    """Reduced echelon XOR basis of the GF(2) vectors, packed into ints,
+    whose indices are the bits of `subset`: (basis, pivots), where basis
+    maps each pivot bit to the only basis vector holding it and pivots is
+    the union of the pivot bits.  XORing into a vector the basis vector of
+    each pivot bit it holds leaves its residue, zero at every pivot: 0 iff
+    the vector lies in the span, and one residue per coset of the span."""
     basis = {}
-    for v in vectors:
-        while v:
-            lead = v.bit_length()
-            b = basis.get(lead)
-            if b is None:
-                basis[lead] = v
-                break
-            v ^= b
-    return len(basis)
+    pivots = 0
+    while subset:
+        low = subset & -subset
+        subset ^= low
+        v = vectors[low.bit_length() - 1]
+        held = v & pivots
+        while held:
+            bit = held & -held
+            v ^= basis[bit]
+            held ^= bit
+        if v:
+            pivot = v & -v
+            for piv, b in basis.items():
+                if b & pivot:
+                    basis[piv] = b ^ v
+            basis[pivot] = v
+            pivots |= pivot
+    return basis, pivots
+
+
+def gf2_rank(vectors) -> int:
+    """Rank over GF(2) of a sequence of vectors packed into ints."""
+    return len(gf2_basis(vectors, (1 << len(vectors)) - 1)[0])
 
 
 def _clear_row_denominators(row) -> list:

@@ -9,13 +9,14 @@ they lie in, in first-atom order, keying the candidates in cl(subset) by
 0, so that closure reads class 0 and covers the others.  Every public
 constructor hands over a kernel that does this in one pass over the
 subset (one basis for graphs and matrices, one component walk for gain
-graphs).  Graphs and matrices reduce each candidate once, to a canonical
-residue (fully reduced against a reduced echelon XOR basis over GF(2),
-against a fraction-free echelon basis over GF(p) and Q, where columns and
-residues stay primitive so that a residue is its own key up to sign), and
-atoms with equal residues lie in one cover.  The same kernel on the
-empty subset finds a matrix's zero and parallel columns.  A bare rank
-function gets `_rank_classes`, which reads the classes off rank queries.
+graphs).  Graphs and matrices take the basis from `algebra`, whose size
+is also their rank: a reduced echelon XOR basis over GF(2) (`gf2_basis`),
+a fraction-free echelon basis over GF(p) and Q (`echelon_basis`, where
+columns and residues stay primitive so that a residue is its own key up
+to sign).  Each candidate is reduced once, to a canonical residue, and
+atoms with equal residues lie in one cover.  The same kernel on the empty
+subset finds a matrix's zero and parallel columns.  A bare rank function
+gets `_rank_classes`, which reads the classes off rank queries.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from __future__ import annotations
 from itertools import combinations
 from math import gcd
 
-from .algebra import (Field, FieldMatrix, gf2_pack, gf2_rank, gf_row_rank, integer_row_rank,
-                      _clear_row_denominators)
+from .algebra import (Field, FieldMatrix, echelon_basis, echelon_reduce, gf2_basis, gf2_pack,
+                      gf_row_rank, integer_row_rank, _clear_row_denominators)
 from .errors import InvalidInput, NotSimple, TooLarge, reading
 
 DEFAULT_MAX_ATOMS = 24
@@ -263,36 +264,17 @@ def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS
 def _gf2_rank_fn(vectors):
     """Rank oracle of the GF(2) vectors packed into ints, atom i being vectors[i]."""
     def rank_fn(mask):
-        return gf2_rank([vectors[a] for a in iter_atoms(mask)])
+        return len(gf2_basis(vectors, mask)[0])
 
     return rank_fn
 
 
 def _gf2_classes(vectors):
-    """Classes kernel of the same vectors: one reduced echelon XOR basis of
-    the subset's vectors, each basis vector the only one holding its pivot
-    bit, so XORing in the basis vector of each pivot bit a vector holds
-    leaves the residue that is zero at every pivot: 0 iff the vector lies
-    in the span, and one vector per coset of it."""
+    """Classes kernel of the same vectors: each candidate's residue against
+    the reduced XOR basis of the subset's vectors (see `gf2_basis`) is its
+    key, 0 in the span and one key per coset."""
     def classes(subset, candidates):
-        basis = {}      # pivot bit -> the basis vector holding it
-        pivots = 0
-        while subset:
-            low = subset & -subset
-            subset ^= low
-            v = vectors[low.bit_length() - 1]
-            held = v & pivots
-            while held:
-                bit = held & -held
-                v ^= basis[bit]
-                held ^= bit
-            if v:
-                pivot = v & -v
-                for piv, b in basis.items():
-                    if b & pivot:
-                        basis[piv] = b ^ v
-                basis[pivot] = v
-                pivots |= pivot
+        basis, pivots = gf2_basis(vectors, subset)
         groups = {}
         while candidates:
             low = candidates & -candidates
@@ -312,43 +294,19 @@ def _gf2_classes(vectors):
 def _echelon_classes(cols, p):
     """Classes kernel of integer columns over GF(p), or over Q when p is 0.
 
-    One fraction-free echelon basis of the subset's columns: a column is
-    reduced by each basis vector b with pivot piv in turn, by the step
-    v <- b[piv]*v - v[piv]*b, taken mod p over GF(p) and, over Q, divided
-    by its content gcd so that entries stay bounded.  Each basis vector is
-    zero at the earlier pivots, so a reduced column is zero at every pivot;
-    it joins the basis, pivoting at its first nonzero entry, unless it is
-    zero.  A reduced column is a nonzero multiple of the column's residue
-    that is zero at every pivot; it is made canonical over GF(p) by scaling
-    its leading entry to 1.  Over Q the columns come primitive (content 1)
-    and every step divides by the content, so the residue is already
-    primitive: negated when its leading entry is negative, it is the key.
+    Each candidate is reduced against the fraction-free echelon basis of
+    the subset's columns (see `echelon_basis`), to a nonzero multiple of
+    its residue that is zero at every pivot, or to 0.  The residue is made
+    canonical over GF(p) by scaling its leading entry to 1.  Over Q the
+    columns come primitive (content 1) and every reduction step divides by
+    the content, so the residue is already primitive: negated when its
+    leading entry is negative, it is the key.
     """
-    def reduce(v, basis):
-        for piv, b in basis:
-            x = v[piv]
-            if x:
-                y = b[piv]
-                if p:
-                    v = [(y * s - x * t) % p for s, t in zip(v, b)]
-                else:
-                    v = [y * s - x * t for s, t in zip(v, b)]
-                    g = gcd(*v)
-                    if g > 1:
-                        v = [s // g for s in v]
-        return v
-
     def classes(subset, candidates):
-        basis = []
-        for a in iter_atoms(subset):
-            v = reduce(cols[a], basis)
-            for piv, s in enumerate(v):
-                if s:
-                    basis.append((piv, v))
-                    break
+        basis = echelon_basis(cols, subset, p)
         groups = {}
         for a in iter_atoms(candidates):
-            v = reduce(cols[a], basis)
+            v = echelon_reduce(cols[a], basis, p)
             lead = 0
             for lead in v:
                 if lead:

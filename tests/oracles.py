@@ -345,6 +345,27 @@ def _proportional(field, u, v) -> bool:
     return all(field.is_zero(field.sub(field.mul(lam, a), b)) for a, b in zip(u, v))
 
 
+def field_rank(field, rows) -> int:
+    """Rank of a matrix over the field by Gauss-Jordan elimination; the
+    entries are anything `field.of` reads."""
+    rows = [[field.of(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if not field.is_zero(rows[i][col])),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, x) for x in rows[rank]]
+        for i in range(len(rows)):
+            factor = rows[i][col]
+            if i != rank and not field.is_zero(factor):
+                rows[i] = [field.sub(a, field.mul(factor, b)) for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
 def simplicity_violation(field, cols):
     """(columns, message) of the NotSimple a matrix with these columns must
     raise, by a pairwise scan: the lowest zero column, else the lex-first

@@ -15,7 +15,8 @@ from modext.lattice import enumerate_flats
 from modext.matroid import (Matroid, atom_tuple, graphic_matroid, linear_matroid, load_matroid,
                             mask_of)
 
-from oracles import brute_closure, circuits, contract_simplify, restrict, simplicity_violation
+from oracles import (brute_closure, circuits, contract_simplify, field_rank, restrict,
+                     simplicity_violation)
 from samples import has_backend_kernel, non_simple_gf3_matroids, random_matroids, s3_gain_matroids
 
 
@@ -179,6 +180,21 @@ def test_random_binary_ranks_match_modular_elimination():
         for mask in range(1 << n):
             rows = [cols[a] for a in atom_tuple(mask)]
             assert m.rank(mask) == gf_row_rank(rows, 2), (cols, mask)
+
+
+@pytest.mark.parametrize("field", [Field.rational(), Field.gf(3), Field.gf(5)], ids=repr)
+def test_linear_ranks_match_field_elimination(field):
+    rng = random.Random(29 + (field.p or 0))
+    checked = 0
+    while checked < 20:
+        cols = _planted_columns(field, rng)
+        if simplicity_violation(field, cols) is not None:
+            continue
+        m = linear_matroid(FieldMatrix(field, list(zip(*cols))))
+        for mask in range(1 << m.n):
+            rows = [cols[a] for a in atom_tuple(mask)]
+            assert m.rank(mask) == field_rank(field, rows), (cols, mask)
+        checked += 1
 
 
 def test_restrict_and_contract():

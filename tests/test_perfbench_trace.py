@@ -35,6 +35,19 @@ def _traced_certify(m, monkeypatch=None):
     return verdict, tracer
 
 
+def _instrumented_certify(m):
+    """The tracer of a certify run on m with its backend rank oracle timed."""
+    tracer = Tracer()
+    api = tracer.install()
+    try:
+        tracer.instrument(m)
+        verdict = certify(m, api, tamper=True)
+    finally:
+        tracer.uninstall()
+    assert verdict.failures == ()
+    return tracer
+
+
 def test_traced_certify_closes_each_flat_once(monkeypatch):
     # enumeration closes only the bottom and asks each maker flat (the
     # lex-least child of some flat) for its covers once: a bare rank
@@ -59,14 +72,19 @@ def test_gain_graph_oracles_are_counted_once_per_rank_miss():
     for name, counter in (("q3-z3", "gaingraph.frame_oracle"),
                           ("bowtie-lift", "gaingraph.lift_oracle")):
         m = corpus_matroid(name)
-        tracer = Tracer()
-        api = tracer.install()
-        try:
-            tracer.instrument(m)
-            verdict = certify(m, api, tamper=True)
-        finally:
-            tracer.uninstall()
-        assert verdict.failures == ()
+        tracer = _instrumented_certify(m)
         misses = len(m._memo) - 1  # the memo starts with the empty set's rank
         assert tracer.calls[counter] == misses > 0
         assert tracer.sum_calls("_oracle", layer="gaingraph") == misses
+
+
+def test_linear_oracles_are_counted_once_per_rank_miss():
+    # the benchmark's algebra.row_rank_calls counts the row-rank kernels
+    # that `install` patches on modext.matroid, so the linear rank functions
+    # must call them there, once per rank miss
+    for m, kernel in ((named_input("braid-4").dependence_matroid(), "algebra.integer_row_rank"),
+                      (corpus_matroid("pg-2-3"), "algebra.gf_row_rank")):
+        tracer = _instrumented_certify(m)
+        misses = len(m._memo) - 1
+        assert tracer.calls[kernel] == tracer.calls["matroid.linear_oracle"] == misses > 0
+        assert tracer.sum_calls("_row_rank") == misses
