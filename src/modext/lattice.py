@@ -16,13 +16,13 @@ Everything is driven by the covering relation:
   basis for graphs and matrices, one component walk for gain graphs); a
   bare rank function closes one cover at a time, a rank query per
   candidate.  The covers of F made so far are the flats of the next level
-  that hold F, that is, hold its span: one AND of the next level's atom
-  index over the span's atoms, stopping early at 0.  Walking that AND
-  once appends F to each cover's children.  The index is built as the
-  level is made, and the lattice keeps it (`atom_index`): the covers F
-  makes take consecutive positions, so each atom of F is written once
-  with that whole block of bits, and each new cover writes only its atoms
-  outside F.
+  that hold F, that is, hold its span: the index entry of the span's first
+  atom ANDed with those of the others, stopping early at 0.  F's `covers`
+  tuple is those flats, in ascending position, then the covers F makes.
+  The index is built as the level is made, and the lattice keeps it
+  (`atom_index`): the covers F makes take consecutive positions, so each
+  atom of F is written once with that whole block of bits, and each new
+  cover writes only its atoms outside F.
 - The atom index answers "which flats of level k hold these atoms?" by
   one AND per atom over the atoms outside the bottom (the loops lie in
   every flat).  The prover's modular verdicts (`modularity`) read it:
@@ -38,20 +38,23 @@ Everything is driven by the covering relation:
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y.  One routine
   (`_weisner`) computes mu(B, X) over an interval [B, T] and sums it per
-  level as it goes, walking each level up from B: the whole level from
-  the bottom, else the positions left by ANDing the level's atom index
-  over B's atoms (`_holding`), skipping the flats not below T; a child
-  outside the interval counts 0.
+  level, read upward with a the lowest atom of X outside B: walking the
+  interval level by level from B, each flat Y adds -mu(B, Y) to each
+  cover X <= T that holds an atom outside B below Y's lowest one (exactly
+  the covers whose lowest atom outside B misses Y), and those covers come
+  first in Y's `covers`.  Only flats of [B, T] are walked, and each is
+  reached: mu never vanishes on a geometric lattice (Rota 1964).
   mu(bottom, X) depends on nothing above X, so `mobius()` and
   `charpoly()` share one pass over the whole lattice, and an interval
   [bottom, T] sums the kept values over the flats below T
   (`lower_charpoly` keeps it per T, as `upper_charpoly` keeps [B, top]
   per B); any other interval runs its own pass.
 
-Order: levels, covers and children list flats in lexicographic order of
-their ascending atom tuples (`atom_tuple`), and nothing is sorted:
+Order: levels and covers list flats in lexicographic order of their
+ascending atom tuples (`atom_tuple`), and nothing is sorted:
 walking level k in that order, enumeration makes level k+1 in that order.
-Proof.  For a flat c of rank k+1, let beta(c) be the first atom at which
+Proof.  Call the flats that c covers its children.  For a flat c of rank
+k+1, let beta(c) be the first atom at which
 the initial segment c & [0, beta] reaches rank k+1, and m(c) =
 cl(c & [0, beta)).  Then beta(c) = min(c - m(c)), and m(c) is the
 lex-least child of c: the first atom e at which another child g differs
@@ -69,9 +72,9 @@ Now take c1 <lex c2 and e = min(c1 ^ c2), which lies in c1.
   m(c1) <lex m(c2).
 - If e = beta1, then m(c1) = cl(c1 & [0, e)) = cl(c2 & [0, e)) is inside
   m(c2); both have rank k, so they are equal, and beta1 = e < beta2.
-So flats are made in lex order.  A flat's children are appended as the
-level below is walked, so they are lex-sorted too, and covers gathered by
-walking the children in (rank, lex) order keep it: `FlatLattice` sorts
+So flats are made in lex order.  A flat's covers made before it is
+walked hold lower positions than the covers it makes, so its `covers`
+tuple, in ascending position, is lex-sorted too: `FlatLattice` sorts
 nothing.
 
 The lattice stores no joins.  A check that needs r(X join Y) asks the rank
@@ -89,31 +92,25 @@ DEFAULT_MAX_FLATS = 2 ** 20
 
 class FlatLattice:
     """The lattice of flats of a matroid, fully enumerated.  Keeps `levels`
-    and `children` (lex-sorted tuples, keyed in (rank, lex) order) as
-    enumeration made them, and derives `covers` from the children.
+    and `covers` (lex-sorted tuples, keyed in (rank, lex) order) as
+    enumeration made them.
 
     `atom_index[k][a]`, for every level k below the top, has bit i set when
     `levels[k][i]` holds atom a: it is the index enumeration built while it
     made level k.  The flats of rank k below a flat X are the positions
-    that no atom outside X sets, those above X the positions that every
-    atom of X outside the bottom sets (`_holding`), and those a flat Z
-    meets are the positions its atoms outside the bottom set.
+    that no atom outside X sets, and those a flat Z meets are the
+    positions its atoms outside the bottom set.
     """
 
-    def __init__(self, matroid: Matroid, levels, children, atom_index):
+    def __init__(self, matroid: Matroid, levels, covers, atom_index):
         self.matroid = matroid
         self.levels = levels
+        self.covers = covers
         self.atom_index = atom_index
         self.rank_of = {}
         for k, level in enumerate(levels):
             for f in level:
                 self.rank_of[f] = k
-        self.children = children
-        covers = {f: [] for f in self.rank_of}
-        for c, cs in children.items():
-            for f in cs:
-                covers[f].append(c)
-        self.covers = {f: tuple(cs) for f, cs in covers.items()}
         self._below = {}
         self._full = None
         self._upper = {}
@@ -173,23 +170,6 @@ class FlatLattice:
             cached = tuple(f for f in self.flats() if f & flat == f)
             self._below[flat] = cached
         return cached
-
-    def _holding(self, k: int, atoms):
-        """The flats of level k < rank holding the given atoms, in lex
-        order: the positions left by ANDing `atom_index[k]` over them."""
-        level = self.levels[k]
-        if not atoms:
-            return level
-        has = self.atom_index[k]
-        held = (1 << len(level)) - 1
-        for a in atoms:
-            held &= has[a]
-        out = []
-        while held:
-            low = held & -held
-            out.append(level[low.bit_length() - 1])
-            held ^= low
-        return out
 
     def coatoms(self):
         """Flats covered by the top flat."""
@@ -253,33 +233,34 @@ class FlatLattice:
         flat X of it, and for each rank k from r(bottom) to r(top) the sum
         of mu(bottom, X) over its flats of rank k, by Weisner's theorem.
 
-        From the lattice's bottom every level is walked whole; from any
-        other bottom, the flats of level k above it are those holding its
-        atoms outside the lattice's bottom (`_holding`).  Flats not below
-        top are skipped, so mu holds exactly the interval, and a child
-        outside it is read as 0.
+        Walks the interval upward, level by level: each flat Y pushes
+        -mu(bottom, Y) to each of its covers X <= top that holds an atom
+        outside bottom below Y's lowest such atom, which is when X's lowest
+        atom outside bottom misses Y.  The flats of the next level are the
+        ones pushed to: mu never vanishes on a geometric lattice (Rota
+        1964), so every flat of the interval is pushed to at least once.
         """
-        children = self.children
-        atoms = atom_tuple(bottom & ~self.bottom)
+        covers = self.covers
         outside = ~top
         mu = {bottom: 1}
         sums = [1]
-        get = mu.get
-        for k in range(self.rank_of[bottom] + 1, self.rank_of[top] + 1):
-            flats = self._holding(k, atoms) if k < self.rank else (self.top,)
-            s = 0
-            for x in flats:
-                if x & outside:
-                    continue
-                a = x & ~bottom
-                a &= -a
-                v = 0
-                for y in children[x]:
-                    if not y & a:
-                        v += get(y, 0)
-                mu[x] = -v
-                s -= v
-            sums.append(s)
+        level = mu
+        for _ in range(self.rank_of[bottom], self.rank_of[top]):
+            nxt = {}
+            get = nxt.get
+            for y, v in level.items():
+                low = y & ~bottom
+                lower = ((low & -low) - 1) & ~bottom
+                # covers come in ascending lowest new atom, so those holding
+                # an atom of `lower` come first
+                for x in covers[y]:
+                    if not x & lower:
+                        break
+                    if not x & outside:
+                        nxt[x] = get(x, 0) - v
+            mu.update(nxt)
+            sums.append(sum(nxt.values()))
+            level = nxt
         return mu, sums
 
     # -- serialization
@@ -308,7 +289,7 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
     bottom = m.closure(0)
     full = m.full_mask
     levels = [[bottom]]
-    children = {bottom: ()}
+    covers = {}
     atom_index = []
     # idx[a]: bit p set when the level's p-th flat holds atom a
     idx = [bottom >> a & 1 for a in range(m.n)]
@@ -319,50 +300,53 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
         atom_index.append(idx)
         made = []             # the next level, in lex order
         made_spans = []
-        kids = []             # kids[p]: the children of made[p] found so far
         idx = [0] * m.n
         for f, span in zip(current, spans):
             # the covers of f made so far hold every atom of its span
-            known = (1 << len(made)) - 1
-            atoms = span
-            while atoms and known:
-                low = atoms & -atoms
-                known &= idx[low.bit_length() - 1]
-                atoms ^= low
+            out = []
             rest = full & ~f
-            while known:
-                p = known.bit_length() - 1
-                kids[p].append(f)
-                rest &= ~made[p]
-                known ^= 1 << p
-            if not rest:
-                continue
-            first = len(made)
-            for c in m.covers(f, span, rest):
-                new = c & ~f
-                bit = 1 << len(made)
-                made.append(c)
-                made_spans.append(span | (new & -new))
-                kids.append([f])
-                while new:
-                    low = new & -new
-                    idx[low.bit_length() - 1] |= bit
-                    new ^= low
-            # every cover just made holds f: one write per atom of f sets
-            # their whole block of positions
-            block = (1 << len(made)) - (1 << first)
-            atoms = f
-            while atoms:
-                low = atoms & -atoms
-                idx[low.bit_length() - 1] |= block
-                atoms ^= low
+            if span:
+                low = span & -span
+                known = idx[low.bit_length() - 1]
+                atoms = span ^ low
+                while atoms and known:
+                    low = atoms & -atoms
+                    known &= idx[low.bit_length() - 1]
+                    atoms ^= low
+                while known:
+                    low = known & -known
+                    c = made[low.bit_length() - 1]
+                    out.append(c)
+                    rest &= ~c
+                    known ^= low
+            if rest:
+                first = len(made)
+                for c in m.covers(f, span, rest):
+                    new = c & ~f
+                    bit = 1 << len(made)
+                    made.append(c)
+                    made_spans.append(span | (new & -new))
+                    out.append(c)
+                    while new:
+                        low = new & -new
+                        idx[low.bit_length() - 1] |= bit
+                        new ^= low
+                # every cover just made holds f: one write per atom of f sets
+                # their whole block of positions
+                block = (1 << len(made)) - (1 << first)
+                atoms = f
+                while atoms:
+                    low = atoms & -atoms
+                    idx[low.bit_length() - 1] |= block
+                    atoms ^= low
+            covers[f] = tuple(out)
         total += len(made)
         if total > max_flats:
             raise TooLarge(f"flat count exceeds the guardrail of {max_flats}")
         levels.append(made)
-        children.update(zip(made, map(tuple, kids)))
         current, spans = made, made_spans
-    return FlatLattice(m, levels, children, atom_index)
+    covers[full] = ()
+    return FlatLattice(m, levels, covers, atom_index)
 
 
 def charpoly(m) -> IntPolynomial:

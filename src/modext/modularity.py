@@ -310,9 +310,15 @@ def round_in_context(lat: FlatLattice, ctx: int):
     """Roundness of the restriction to ctx: (verdict, witness-pair or None).
 
     A ground set is a union of two proper flats iff it is a union of two
-    coatoms, so only pairs of flats covered by ctx are scanned.
+    coatoms, so only pairs of flats covered by ctx are scanned, in lex
+    order: the flats of level r(ctx) - 1 inside ctx, found by containment.
+    Below rank 2 there is at most one coatom.
     """
-    coats = lat.children.get(ctx, ())
+    r = lat.rank_of[ctx]
+    if r < 2:
+        return True, None
+    outside = ~ctx
+    coats = [z for z in lat.levels[r - 1] if not z & outside]
     for i, c1 in enumerate(coats):
         for c2 in coats[i + 1:]:
             if c1 | c2 == ctx:

@@ -11,12 +11,16 @@ triangle test of lo within hi (`modularity.missed_line`, where the
 matroid's kernel proposes the lines through each atom, one rank query
 confirms each line, and a pair it does not confirm is asked alone), so
 by the tower property every chain member is modular within the chain's
-top; a join side by the rank-equation scan.  Flat membership, covers, `below` and interval
-charpolys are still read from the prover's lattice, whose one Weisner
-routine computes them all.  A flag's first interval, [bottom, ctx],
-reads that routine's pass from the bottom, which the prover's charpoly
-shares (ctx is the top for a flag certificate, so it is the charpoly
-itself); every other step runs its own pass over its interval.
+top; a join side by the rank-equation scan.  Flat membership and rank,
+`below` and interval charpolys are still read from the prover's lattice:
+a claimed coatom, like a chain step, is a cover when it lies inside its
+flat one rank below it; a join's X is round by the prover's
+`round_in_context`, which scans the level below X for containment; and
+every charpoly comes from the lattice's one Weisner routine.  A flag's
+first interval, [bottom, ctx], reads that routine's pass from the
+bottom, which the prover's charpoly shares (ctx is the top for a flag
+certificate, so it is the charpoly itself); every other step runs its
+own pass over its interval.
 
 The verifier keeps its own memo on the lattice (`FlatLattice._verified`),
 which nothing else reads or writes: per cover step, the first pair of
@@ -127,7 +131,7 @@ def _verify(lat: FlatLattice, cert, ctx: int, path: str, failures: list):
         z = cert.coatom
         if not _check_flat(lat, z, path, failures, "coatom"):
             return
-        if z not in lat.children.get(ctx, ()):
+        if z & ~ctx or lat.rank_of[z] != lat.rank_of[ctx] - 1:
             _fail(failures, path,
                   f"{_flat_str(z)} is not covered by {_flat_str(ctx)}")
             return

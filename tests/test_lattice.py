@@ -51,12 +51,12 @@ def test_flat_enumeration_matches_brute(corpus):
         assert sorted(lat.flats()) == sorted(brute_flats(m)), name
 
 
-def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
-    # One `covers` call per maker flat (the lex-least child of some flat)
-    # makes every flat but the bottom exactly once, at its maker, so only
-    # the bottom is a closure: with the classes kernel every public
-    # constructor hands over, and with the rank-query kernel of a bare rank
-    # function alike.
+def test_each_flat_is_closed_once(monkeypatch, all_corpus_names, reference):
+    # One `covers` call per maker flat (the lex-least reference child of
+    # some flat) makes every flat but the bottom exactly once, at its
+    # maker, so only the bottom is a closure: with the classes kernel every
+    # public constructor hands over, and with the rank-query kernel of a
+    # bare rank function alike.
     closures, cover_calls = [], []
     closure, covers = Matroid.closure, Matroid.covers
 
@@ -74,6 +74,7 @@ def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
     for name in all_corpus_names:
         kernel = corpus_matroid(name)
         bare = Matroid(kernel.n, kernel.rank)
+        children = reference(name)[1]
         assert has_backend_kernel(kernel) and not has_backend_kernel(bare), name
         for m in (kernel, bare):
             closures.clear()
@@ -82,8 +83,8 @@ def test_each_flat_is_closed_once(monkeypatch, all_corpus_names):
             made = [c for _, out in cover_calls for c in out]
             assert sorted(made) == sorted(f for f in lat.flats() if f != lat.bottom), name
             makers = [f for f, _ in cover_calls]
-            assert makers == list(dict.fromkeys(lat.children[c][0] for c in made)), name
-            assert all(lat.children[c][0] == f for f, out in cover_calls for c in out), name
+            assert makers == list(dict.fromkeys(children[c][0] for c in made)), name
+            assert all(children[c][0] == f for f, out in cover_calls for c in out), name
             assert len(closures) == 1, name
 
 
@@ -111,34 +112,34 @@ def test_covers_partition_the_atoms_outside(corpus, all_corpus_names):
             assert seen == m.full_mask & ~f, (name, f)
 
 
-def test_lattice_is_built_in_lex_order(corpus, all_corpus_names):
+def test_lattice_is_built_in_lex_order(corpus, all_corpus_names, reference):
     # enumeration hands over levels and covers already lex-sorted, and the
-    # children, walked in that order, are exactly the inverse of the covers
+    # covers, inverted by walking the flats in (rank, lex) order, are
+    # exactly the reference children, in their order
     for name in all_corpus_names:
         _, lat = corpus(name)
         for level in lat.levels:
             assert level == sorted(level, key=atom_tuple), name
-        assert set(lat.covers) == set(lat.children) == set(lat.rank_of), name
-        inverse = {f: set() for f in lat.flats()}
+        assert set(lat.covers) == set(lat.rank_of), name
+        inverse = {f: [] for f in lat.flats()}
         for f in lat.flats():
-            for flats in (lat.covers[f], lat.children[f]):
-                assert type(flats) is tuple, (name, f)
-                assert list(flats) == sorted(flats, key=atom_tuple), (name, f)
-            for c in lat.covers[f]:
-                inverse[c].add(f)
-        assert {f: set(cs) for f, cs in lat.children.items()} == inverse, name
+            flats = lat.covers[f]
+            assert type(flats) is tuple, (name, f)
+            assert list(flats) == sorted(flats, key=atom_tuple), (name, f)
+            for c in flats:
+                inverse[c].append(f)
+        assert {f: tuple(cs) for f, cs in inverse.items()} == reference(name)[1], name
 
 
 def _assert_matches_reference(name, m, lat):
-    levels, children, covers, atom_index = reference_lattice(m)
+    levels, _, covers, atom_index = reference_lattice(m)
     assert lat.levels == levels, name
-    assert list(lat.children.items()) == list(children.items()), name
     assert list(lat.covers.items()) == list(covers.items()), name
     assert lat.atom_index == atom_index, name
 
 
 def test_enumeration_matches_reference_order_included(corpus, all_corpus_names):
-    # levels, children, covers and atom index, each in its order, against a
+    # levels, covers and atom index, each in its order, against a
     # plain closure of f | {a} for every flat f and atom a, sorted by atom tuple
     for name, m, lat in _small(corpus, all_corpus_names):
         _assert_matches_reference(name, m, lat)
@@ -185,12 +186,15 @@ def test_non_simple_explicit_lattices_match_brute_force():
             assert all(a & b == 0 for a, b in combinations(outside, 2)), (trial, f)
 
 
-def test_mobius_matches_brute(corpus):
-    for name in ("u23", "fano", "example-7", "c5"):
-        m, lat = corpus(name)
-        expected = brute_mobius(m)
-        got = lat.mobius()
-        assert got == expected, name
+def test_mobius_matches_brute(corpus, all_corpus_names, reference):
+    # a value for every flat and nothing else, on lattices with and without
+    # loops; the corpus members' flats come from the reference lattice
+    for name in all_corpus_names:
+        _, lat = corpus(name)
+        flats = sorted(f for level in reference(name)[0] for f in level)
+        assert lat.mobius() == brute_mobius(lat.matroid, flats), name
+    for i, m in enumerate(random_matroids() + non_simple_gf3_matroids()):
+        assert enumerate_flats(m).mobius() == brute_mobius(m), i
 
 
 def test_charpoly_matches_whitney_sum(corpus):

@@ -113,7 +113,7 @@ def test_rescaled_rational_columns_give_the_same_lattice():
                 scaled.append([scale * x for x in col])
             lat = lattice(scaled)
             assert lat.levels == ref.levels, cols
-            assert list(lat.children.items()) == list(ref.children.items()), cols
+            assert list(lat.covers.items()) == list(ref.covers.items()), cols
             assert lat.atom_index == ref.atom_index, cols
 
 
@@ -323,7 +323,7 @@ def test_kernel_and_rank_closure_enumerate_the_same_lattice(all_corpus_names):
         lat = enumerate_flats(m)
         ref = enumerate_flats(Matroid(m.n, m.rank))
         assert lat.levels == ref.levels, name
-        assert list(lat.children.items()) == list(ref.children.items()), name
+        assert list(lat.covers.items()) == list(ref.covers.items()), name
         assert lat.atom_index == ref.atom_index, name
 
 

@@ -10,11 +10,12 @@ from modext.lattice import enumerate_flats
 from modext.matroid import Matroid, atom_tuple, mask_of
 from modext.modularity import (is_modular_flat, is_modular_in_context, is_round,
                                missed_line, modular_coatoms_in_context, modular_flats,
-                               modular_flats_in_context, supersolvable_chain,
-                               violating_flat_in_context)
+                               modular_flats_in_context, round_in_context,
+                               supersolvable_chain, violating_flat_in_context)
 
 from oracles import (brute_flats, brute_lines_outside, brute_modular, brute_round,
-                     brute_supersolvable, circuits, coatom_pairing, short_circuit_check)
+                     brute_supersolvable, circuits, coatom_pairing, reference_lattice,
+                     short_circuit_check)
 from samples import non_simple_gf3_matroids, random_matroids
 
 
@@ -81,9 +82,9 @@ def test_meet_test_matches_rank_scan_in_scrambled_order(corpus, all_corpus_names
                 assert is_modular_in_context(fresh, z, ctx) == expected[z, ctx], (label, z, ctx)
 
 
-def _assert_context_verdicts_match_checkers(label, lat, contexts, coatoms_first):
+def _assert_context_verdicts_match_checkers(label, lat, children, contexts, coatoms_first):
     for ctx in contexts:
-        coatoms = tuple(z for z in lat.children[ctx] if missed_line(lat, z, ctx) is None)
+        coatoms = tuple(z for z in children[ctx] if missed_line(lat, z, ctx) is None)
         flats = tuple(f for f in lat.below(ctx) if violating_flat_in_context(lat, f, ctx) is None)
         if coatoms_first:
             assert tuple(modular_coatoms_in_context(lat, ctx)) == coatoms, (label, ctx)
@@ -91,22 +92,24 @@ def _assert_context_verdicts_match_checkers(label, lat, contexts, coatoms_first)
         assert tuple(modular_coatoms_in_context(lat, ctx)) == coatoms, (label, ctx)
 
 
-def test_context_verdicts_match_the_checkers(corpus, all_corpus_names):
+def test_context_verdicts_match_the_checkers(corpus, all_corpus_names, reference):
     # every context, on a lattice that met its contexts in order and on a
     # fresh one that meets them scrambled, coatoms first: the verdict
     # masks kept per context and level pair must agree with the
     # rank-equation scan and the triangle test on every one
     rng = random.Random(19)
-    samples = [(name, corpus(name)[0]) for name in all_corpus_names]
-    randoms = random_matroids()
-    samples += list(enumerate(randoms + non_simple_gf3_matroids()))
-    samples += [(("bare", i), Matroid(m.n, m.rank)) for i, m in enumerate(randoms)]
-    for label, m in samples:
+    samples = [(name, corpus(name)[0], reference(name)[1]) for name in all_corpus_names]
+    randoms = [(i, m, reference_lattice(m)[1]) for i, m in enumerate(random_matroids())]
+    samples += randoms
+    samples += [(len(randoms) + i, m, reference_lattice(m)[1])
+                for i, m in enumerate(non_simple_gf3_matroids())]
+    samples += [(("bare", i), Matroid(m.n, m.rank), children) for i, m, children in randoms]
+    for label, m, children in samples:
         lat = enumerate_flats(m)
         contexts = list(lat.flats())
-        _assert_context_verdicts_match_checkers(label, lat, contexts, False)
+        _assert_context_verdicts_match_checkers(label, lat, children, contexts, False)
         _assert_context_verdicts_match_checkers(
-            label, enumerate_flats(m), rng.sample(contexts, len(contexts)), True)
+            label, enumerate_flats(m), children, rng.sample(contexts, len(contexts)), True)
 
 
 def test_modularity_verdicts_require_flats(corpus):
@@ -199,8 +202,9 @@ def test_missed_line_matches_rank_reference(corpus, all_corpus_names):
     samples += list(enumerate(random_matroids() + non_simple_gf3_matroids()))
     for label, m in samples:
         lat = enumerate_flats(m)
+        children = reference_lattice(m)[1]
         for ctx in lat.flats():
-            for z in lat.children[ctx]:
+            for z in children[ctx]:
                 expected = next((pair for pair, hits in brute_lines_outside(m, z, ctx)
                                  if not hits), None)
                 assert missed_line(lat, z, ctx) == expected, (label, z, ctx)
@@ -279,6 +283,24 @@ def test_roundness_witness_covers(corpus):
     assert f1 | f2 == lat.top and f1 != lat.top and f2 != lat.top
 
 
+def test_round_in_context_is_the_lex_first_union_of_children(corpus, all_corpus_names,
+                                                             reference):
+    # within every flat x, the verdict and the witness are those of the
+    # first pair of reference children of x, in lex order, whose union is x
+    lattices = [(name, corpus(name)[1], reference(name)[1]) for name in all_corpus_names]
+    lattices += [(i, enumerate_flats(m), reference_lattice(m)[1])
+                 for i, m in enumerate(random_matroids() + non_simple_gf3_matroids())]
+    unions = 0
+    for label, lat, children in lattices:
+        for x in lat.flats():
+            coats = children[x]
+            pair = next(((c1, c2) for i, c1 in enumerate(coats) for c2 in coats[i + 1:]
+                         if c1 | c2 == x), None)
+            assert round_in_context(lat, x) == (pair is None, pair), (label, x)
+            unions += pair is not None
+    assert unions > 1000
+
+
 def test_complete_graphs_round(corpus):
     for name, expected in (("k4", True), ("k5", True), ("c4", False),
                            ("c5", False)):
@@ -324,28 +346,28 @@ def test_published_chain_for_ziegler_11(corpus):
         assert is_modular_flat(m, f, lattice=lat)
 
 
-def _lex_first_peel(lat):
-    # from the top down, the first child of each flat, in the lattice's
+def _lex_first_peel(lat, children):
+    # from the top down, the first reference child of each flat, in lex
     # order, whose lines outside it all hold an atom of it (the coatom
     # triangle test); None at the first flat with no such child
     chain = [lat.top]
     while chain[-1] != lat.bottom:
         ctx = chain[-1]
-        z = next((z for z in lat.children[ctx] if missed_line(lat, z, ctx) is None), None)
+        z = next((z for z in children[ctx] if missed_line(lat, z, ctx) is None), None)
         if z is None:
             return None
         chain.append(z)
     return tuple(reversed(chain))
 
 
-def test_chain_is_the_lex_first_peel(corpus, all_corpus_names):
-    lattices = [(name, corpus(name)[1]) for name in all_corpus_names]
-    lattices += [(i, enumerate_flats(m))
+def test_chain_is_the_lex_first_peel(corpus, all_corpus_names, reference):
+    lattices = [(name, corpus(name)[1], reference(name)[1]) for name in all_corpus_names]
+    lattices += [(i, enumerate_flats(m), reference_lattice(m)[1])
                  for i, m in enumerate(random_matroids() + non_simple_gf3_matroids())]
     chains = 0
-    for label, lat in lattices:
+    for label, lat, children in lattices:
         cert = supersolvable_chain(lat.matroid, lattice=lat)
-        assert (None if cert is None else cert.flats) == _lex_first_peel(lat), label
+        assert (None if cert is None else cert.flats) == _lex_first_peel(lat, children), label
         chains += cert is not None
     assert chains >= 70
 

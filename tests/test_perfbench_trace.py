@@ -9,10 +9,11 @@ if ROOT not in sys.path:
 
 from modext.corpus import corpus_matroid  # noqa: E402
 from modext.generators import named_input  # noqa: E402
-from modext.lattice import enumerate_flats  # noqa: E402
 from modext.matroid import Matroid  # noqa: E402
 from perfbench.job import certify  # noqa: E402
 from perfbench.trace import Tracer  # noqa: E402
+
+from oracles import reference_lattice  # noqa: E402
 
 
 def _traced_certify(m, monkeypatch=None):
@@ -50,17 +51,17 @@ def _instrumented_certify(m):
 
 def test_traced_certify_closes_each_flat_once(monkeypatch):
     # enumeration closes only the bottom and asks each maker flat (the
-    # lex-least child of some flat) for its covers once: a bare rank
-    # function, read through the rank-query kernel, a frame and a linear
-    # matroid, each through its backend kernel
+    # lex-least reference child of some flat) for its covers once: a bare
+    # rank function, read through the rank-query kernel, a frame and a
+    # linear matroid, each through its backend kernel
     q3 = corpus_matroid("q3-z3")
     for m, flats in ((Matroid(q3.n, q3.rank), 35), (q3, 35),
                      (named_input("braid-4").dependence_matroid(), 15)):
         verdict, tracer = _traced_certify(m, monkeypatch)
         assert verdict.flats == flats
         assert tracer.by_parent["matroid.closure", "lattice.enumerate_flats"] == 1
-        lat = enumerate_flats(m)
-        makers = {lat.children[c][0] for c in lat.flats() if c != lat.bottom}
+        levels, children, _, _ = reference_lattice(m)
+        makers = {children[c][0] for level in levels[1:] for c in level}
         assert (tracer.by_parent["matroid.covers", "lattice.enumerate_flats"]
                 == len(makers) < verdict.flats - 1)
 

@@ -21,7 +21,7 @@ from modext.modularity import (is_modular_flat, missed_line, supersolvable_chain
                                violating_flat_in_context)
 from modext.verify import verify_certificate
 
-from oracles import coatom_pairing
+from oracles import coatom_pairing, reference_lattice
 from samples import non_simple_gf3_matroids, random_matroids
 
 
@@ -243,12 +243,13 @@ class TestTamperedChainCertificates:
             assert violating_flat_in_context(lat, f, lat.top) is None
 
 
-def _chain_through(lat, z, ctx):
+def _chain_through(lat, children, z, ctx):
     """A saturated chain from the bottom through z and a flat ctx covering
-    it up to the top."""
+    it up to the top, down through the first reference child of each
+    flat."""
     down = [z]
     while down[-1] != lat.bottom:
-        down.append(lat.children[down[-1]][0])
+        down.append(children[down[-1]][0])
     up = [ctx]
     while up[-1] != lat.top:
         up.append(lat.covers[up[-1]][0])
@@ -256,10 +257,11 @@ def _chain_through(lat, z, ctx):
 
 
 def _assert_coatom_check_matches_rank_scan(label, m, lat):
+    children = reference_lattice(m)[1]
     for ctx in lat.flats():
-        for z in lat.children[ctx]:
+        for z in children[ctx]:
             modular = violating_flat_in_context(lat, z, ctx) is None
-            chain = _chain_through(lat, z, ctx)
+            chain = _chain_through(lat, children, z, ctx)
             step = f"chain[{chain.index(z)}] "
             report = verify_certificate(m, ChainCertificate(chain), lattice=lat)
             assert modular != any(r.startswith(step) for _, r in report.failures), \
@@ -478,7 +480,7 @@ def _misleading(classes_fn):
     return classes
 
 
-def _triangle_results(m, lat):
+def _triangle_results(m, lat, children):
     """Every triangle verdict, pairing and verify report on a lattice: per
     coatom, and per cover step through a chain, plus every certificate."""
     out = []
@@ -489,9 +491,9 @@ def _triangle_results(m, lat):
         except ValueError as e:
             out.append(str(e))
     for ctx in lat.flats():
-        for z in lat.children[ctx]:
-            out.append(verify_certificate(m, ChainCertificate(_chain_through(lat, z, ctx)),
-                                          lattice=lat))
+        for z in children[ctx]:
+            chain = _chain_through(lat, children, z, ctx)
+            out.append(verify_certificate(m, ChainCertificate(chain), lattice=lat))
     out.extend(verify_certificate(m, c, lattice=lat) for c in _certificates(m, lat))
     return out
 
@@ -505,12 +507,13 @@ def test_lying_kernel_changes_no_verdict(corpus, all_corpus_names, monkeypatch):
                if len(corpus(name)[1]) <= 250]
     samples += random_matroids() + non_simple_gf3_matroids()
     for i, m in enumerate(samples):
-        expected = _triangle_results(m, enumerate_flats(m))
+        children = reference_lattice(m)[1]
+        expected = _triangle_results(m, enumerate_flats(m), children)
         honest = m._classes_fn
         for lie in (_lying, _merging, _splitting, _misleading):
             lied_to = enumerate_flats(m)
             monkeypatch.setattr(m, "_classes_fn", lie(honest))
-            assert _triangle_results(m, lied_to) == expected, (i, lie.__name__)
+            assert _triangle_results(m, lied_to, children) == expected, (i, lie.__name__)
             monkeypatch.setattr(m, "_classes_fn", honest)
 
 
