@@ -22,7 +22,7 @@ from .gaingraph import (
     realize_lift_arrangement,
 )
 from .joins import brylawski_identity_check, find_modular_joins, me_certify
-from .lattice import FlatLattice, charpoly, enumerate_flats
+from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, graphic_matroid, linear_matroid
 from .modularity import is_modular_flat, is_round, modular_flats, supersolvable_chain
 from .verify import verify_certificate
@@ -41,7 +41,6 @@ __all__ = [
     "ModextError",
     "bias_simplicial_vertices",
     "brylawski_identity_check",
-    "charpoly",
     "complete_gain_graph",
     "divisional_flag",
     "enumerate_flats",

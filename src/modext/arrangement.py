@@ -8,9 +8,8 @@ matroid of the forms.
 
 from __future__ import annotations
 
-from .algebra import Field, FieldMatrix, IntPolynomial, matrix_rank
+from .algebra import Field, FieldMatrix, matrix_rank
 from .errors import InvalidInput, NotSimple, TooLarge, reading
-from .lattice import charpoly
 from .matroid import DEFAULT_MAX_ATOMS, Matroid, linear_matroid
 
 
@@ -90,12 +89,6 @@ class Arrangement:
         new_forms = [[row[k] for k in pivots] for row in self.forms]
         return Arrangement(self.field, len(pivots), new_forms, labels=self.labels,
                            max_atoms=self.max_atoms)
-
-    def charpoly(self) -> IntPolynomial:
-        """chi(A, t) = t^(dim - rank) * chi(M(A), t)."""
-        chi = charpoly(self.dependence_matroid())
-        shift = self.dim - self.rank()
-        return chi * IntPolynomial([0] * shift + [1])
 
     def to_json(self) -> dict:
         return {

@@ -10,7 +10,7 @@ arrays.
 from __future__ import annotations
 
 from .errors import Frozen, InvalidInput, reading
-from .matroid import atom_tuple, mask_of
+from .matroid import atom_tuple
 
 
 class DivisionalFlag(Frozen):
@@ -95,9 +95,6 @@ class FlagCertificate(Frozen):
     def __init__(self, flag):
         self.__dict__.update(flag=flag)
 
-    def to_json(self) -> dict:
-        return self.flag.to_json()
-
 
 class ChainCertificate(Frozen):
     """A saturated chain of modular flats from the empty flat to the top."""
@@ -123,8 +120,20 @@ Certificate = (
 )
 
 
-def certificate_from_json(data) -> Certificate:
-    """Rebuild a certificate tree from its JSON form."""
+def _atom_mask(atoms, n: int) -> int:
+    """Bitmask of a certificate's atom list; InvalidInput naming an atom
+    outside the ground set 0..n-1, before any bit is set for it."""
+    mask = 0
+    for a in atoms:
+        if not 0 <= a < n:
+            raise InvalidInput(f"atom {a} outside ground set of size {n}")
+        mask |= 1 << a
+    return mask
+
+
+def certificate_from_json(data, n: int) -> Certificate:
+    """Rebuild a certificate tree from its JSON form, for a matroid on the
+    atoms 0..n-1."""
     if not isinstance(data, dict) or "kind" not in data:
         raise InvalidInput(f"bad certificate JSON: {data!r}")
     kind = data["kind"]
@@ -133,20 +142,20 @@ def certificate_from_json(data) -> Certificate:
             return EmptyCertificate()
         if kind == "modular-coatom":
             return ModularCoatomCertificate(
-                mask_of(data["coatom"]), certificate_from_json(data["child"]))
+                _atom_mask(data["coatom"], n), certificate_from_json(data["child"], n))
         if kind == "modular-join":
             return ModularJoinCertificate(
-                mask_of(data["e1"]),
-                mask_of(data["e2"]),
-                mask_of(data["x"]),
-                certificate_from_json(data["child1"]),
-                certificate_from_json(data["child2"]),
+                _atom_mask(data["e1"], n),
+                _atom_mask(data["e2"], n),
+                _atom_mask(data["x"], n),
+                certificate_from_json(data["child1"], n),
+                certificate_from_json(data["child2"], n),
             )
         if kind == "divisional-flag":
             return FlagCertificate(DivisionalFlag(
-                tuple(mask_of(f) for f in data["flats"]),
+                tuple(_atom_mask(f, n) for f in data["flats"]),
                 tuple(int(a) for a in data["quotient_roots"]),
             ))
         if kind == "supersolvable-chain":
-            return ChainCertificate(tuple(mask_of(f) for f in data["flats"]))
+            return ChainCertificate(tuple(_atom_mask(f, n) for f in data["flats"]))
     raise InvalidInput(f"unknown certificate kind {kind!r}")

@@ -153,7 +153,7 @@ def run_analysis(args, obj) -> tuple:
     if cmd == "verify":
         try:
             with open(args.certificate, "r", encoding="utf-8") as fh:
-                cert = certificate_from_json(json.load(fh))
+                cert = certificate_from_json(json.load(fh), m.n)
         except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise InvalidInput(f"cannot read certificate: {exc}") from exc
         lat = enumerate_flats(m, max_flats=args.max_flats)

@@ -56,12 +56,11 @@ def _complete_graph(n: int) -> Matroid:
     return graphic_matroid(n, edges)
 
 
-def _q_gaingraph(n):
-    return lambda: complete_gain_graph(n, FiniteGroup.zmod(3), loops=True)
+def _q_frame(n: int) -> Matroid:
+    return frame_matroid(complete_gain_graph(n, FiniteGroup.zmod(3), loops=True))
 
 
-# Members: "matroid" builds the matroid; "arrangement"/"gaingraph"+"model"
-# record how it arises when applicable; "facts" holds plain reference data:
+# Members: "matroid" builds the matroid; "facts" holds plain reference data:
 #   atoms, rank                        counting
 #   supersolvable / me / divisional    certified verdicts
 #   charpoly                           coefficients, constant first
@@ -85,14 +84,12 @@ _MEMBERS = {
     },
     "fano": {
         "matroid": lambda: pg_arrangement(2, 2).dependence_matroid(),
-        "arrangement": lambda: pg_arrangement(2, 2),
         "facts": {"atoms": 7, "rank": 3, "supersolvable": True, "me": True,
                   "divisional": True, "charpoly": _poly_from_roots(1, 2, 4),
                   "round": True, "all_flats_modular": True, "flats": 16},
     },
     "pg-2-3": {
         "matroid": lambda: pg_arrangement(2, 3).dependence_matroid(),
-        "arrangement": lambda: pg_arrangement(2, 3),
         "facts": {"atoms": 13, "rank": 3, "supersolvable": True, "me": True,
                   "divisional": True, "charpoly": _poly_from_roots(1, 3, 9),
                   "all_flats_modular": True},
@@ -119,59 +116,46 @@ _MEMBERS = {
     },
     "braid-4": {
         "matroid": lambda: braid_arrangement(4).dependence_matroid(),
-        "arrangement": lambda: braid_arrangement(4),
         "facts": {"atoms": 6, "rank": 3, "supersolvable": True, "me": True,
                   "divisional": True, "charpoly": _poly_from_roots(1, 2, 3)},
     },
     "bn-2": {
         "matroid": lambda: type_b_arrangement(2).dependence_matroid(),
-        "arrangement": lambda: type_b_arrangement(2),
         "facts": {"atoms": 4, "rank": 2, "supersolvable": True, "me": True,
                   "divisional": True, "charpoly": _poly_from_roots(1, 3)},
     },
     "bn-3": {
         "matroid": lambda: type_b_arrangement(3).dependence_matroid(),
-        "arrangement": lambda: type_b_arrangement(3),
         "facts": {"atoms": 9, "rank": 3, "supersolvable": True, "me": True,
                   "divisional": True, "charpoly": _poly_from_roots(1, 3, 5)},
     },
     "dn-3": {
         "matroid": lambda: type_d_arrangement(3).dependence_matroid(),
-        "arrangement": lambda: type_d_arrangement(3),
         "facts": {"atoms": 6, "rank": 3, "supersolvable": True, "me": True,
                   "divisional": True, "charpoly": _poly_from_roots(1, 2, 3)},
     },
     "dn-4": {
         "matroid": lambda: type_d_arrangement(4).dependence_matroid(),
-        "arrangement": lambda: type_d_arrangement(4),
         "facts": {"atoms": 12, "rank": 4, "supersolvable": False, "me": False,
                   "divisional": True, "round": True, "modular_coatoms": 0,
                   "charpoly": _poly_from_roots(1, 3, 3, 5)},
     },
     "q2-z3": {
-        "matroid": lambda: frame_matroid(_q_gaingraph(2)()),
-        "gaingraph": _q_gaingraph(2),
-        "model": "frame",
+        "matroid": lambda: _q_frame(2),
         "facts": {"atoms": 5, "rank": 2, "supersolvable": True, "me": True,
                   "divisional": True, "charpoly": _poly_from_roots(1, 4)},
     },
     "q3-z3": {
-        "matroid": lambda: frame_matroid(_q_gaingraph(3)()),
-        "gaingraph": _q_gaingraph(3),
-        "model": "frame",
+        "matroid": lambda: _q_frame(3),
         "facts": {"atoms": 12, "rank": 3, "supersolvable": True, "me": True,
                   "divisional": True, "charpoly": _poly_from_roots(1, 4, 7)},
     },
     "fish-sign": {
         "matroid": lambda: frame_matroid(fish(FiniteGroup.sign())),
-        "gaingraph": lambda: fish(FiniteGroup.sign()),
-        "model": "frame",
         "facts": {"atoms": 4, "rank": 3, "nonmodular_flat": [1, 2]},
     },
     "bowtie-frame": {
         "matroid": lambda: frame_matroid(bowtie(loops=True)),
-        "gaingraph": lambda: bowtie(loops=True),
-        "model": "frame",
         "facts": {"atoms": 13, "rank": 5, "supersolvable": False, "me": True,
                   "divisional": True,
                   "charpoly": _poly_from_roots(1, 3, 3, 3, 3)},
@@ -186,8 +170,6 @@ _MEMBERS = {
     # that graph on all 512 subsets, so they share the chain below.
     "bowtie-lift": {
         "matroid": lambda: lift_matroid(bowtie()),
-        "gaingraph": bowtie,
-        "model": "lift",
         "facts": {"atoms": 9, "rank": 5, "supersolvable": True, "me": True,
                   "divisional": True, "flats": 89,
                   "chain": [[0], [0, 3, 4], [0, 1, 2, 3, 4],
@@ -196,7 +178,6 @@ _MEMBERS = {
     },
     "bowtie-lift-9": {
         "matroid": lambda: bowtie_lift_9().dependence_matroid(),
-        "arrangement": bowtie_lift_9,
         "facts": {"atoms": 9, "rank": 5, "supersolvable": True, "me": True,
                   "divisional": True, "flats": 89,
                   "chain": [[0], [0, 3, 4], [0, 1, 2, 3, 4],
@@ -205,27 +186,23 @@ _MEMBERS = {
     },
     "example-7": {
         "matroid": lambda: example_7().dependence_matroid(),
-        "arrangement": example_7,
         "facts": {"atoms": 7, "rank": 3, "supersolvable": True, "me": True,
                   "divisional": True, "charpoly": _poly_from_roots(1, 3, 3)},
     },
     "example-13": {
         "matroid": lambda: example_13().dependence_matroid(),
-        "arrangement": example_13,
         "facts": {"atoms": 13, "rank": 5, "supersolvable": False, "me": True,
                   "divisional": True, "join_over": [0],
                   "charpoly": _poly_from_roots(1, 3, 3, 3, 3)},
     },
     "ziegler-11": {
         "matroid": lambda: ziegler_11().dependence_matroid(),
-        "arrangement": ziegler_11,
         "facts": {"atoms": 11, "rank": 4, "supersolvable": True, "me": True,
                   "divisional": True, "charpoly": _poly_from_roots(1, 2, 4, 4),
                   "chain": [[3], [3, 4, 5], [0, 3, 4, 5, 6, 7, 8]]},
     },
     "ziegler-19": {
         "matroid": lambda: ziegler_19().dependence_matroid(),
-        "arrangement": ziegler_19,
         "facts": {"atoms": 19, "rank": 6, "supersolvable": False, "me": True,
                   "divisional": True, "join_over": [0, 1, 2],
                   "charpoly": _poly_from_roots(1, 2, 4, 4, 4, 4)},
@@ -244,7 +221,3 @@ def corpus_matroid(name: str) -> Matroid:
 def corpus_facts(name: str) -> dict:
     return dict(_MEMBERS[name]["facts"])
 
-
-def corpus_member(name: str) -> dict:
-    """The full member record, including optional source builders."""
-    return _MEMBERS[name]

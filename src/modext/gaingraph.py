@@ -115,18 +115,6 @@ class FiniteGroup:
         table = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
         return cls(names, table)
 
-    def to_json(self) -> dict:
-        if self.order == 1:
-            return {"kind": "trivial"}
-        if self.names == ("+1", "-1"):
-            return {"kind": "sign"}
-        if all(self.names[k] == str(k) for k in range(self.order)) and all(
-                self.table[a][b] == (a + b) % self.order
-                for a in range(self.order) for b in range(self.order)):
-            return {"kind": "zmod", "p": self.order}
-        return {"kind": "table", "names": list(self.names),
-                "table": [list(r) for r in self.table]}
-
     @classmethod
     def from_json(cls, data) -> "FiniteGroup":
         if not isinstance(data, dict) or "kind" not in data:
@@ -293,34 +281,6 @@ class GainGraph:
     def edges_between(self, u: int, v: int):
         a, b = min(u, v), max(u, v)
         return [e for e in self.edges if (e.u, e.v) == (a, b)]
-
-    def delete_vertex(self, v: int) -> "GainGraph":
-        """Induced gain graph on the other vertices (reindexed)."""
-        keep = [w for w in range(self.n) if w != v]
-        new = {w: i for i, w in enumerate(keep)}
-        edges = [(new[e.u], new[e.v], e.gain) for e in self.edges if v not in (e.u, e.v)]
-        loops = [new[w] for w in self.loops if w != v]
-        return GainGraph(len(keep), self.group, edges, loops)
-
-    def induced_atoms(self, vertices) -> int:
-        """Bitmask of atoms (edges and loops) inside a vertex subset."""
-        vs = set(vertices)
-        mask = 0
-        for i, e in enumerate(self.edges):
-            if e.u in vs and e.v in vs:
-                mask |= 1 << i
-        for j, w in enumerate(self.loops):
-            if w in vs:
-                mask |= 1 << (len(self.edges) + j)
-        return mask
-
-    def to_json(self) -> dict:
-        return {
-            "vertices": self.n,
-            "group": self.group.to_json(),
-            "edges": [[e.u, e.v, self.group.names[e.gain]] for e in self.edges],
-            "loops": list(self.loops),
-        }
 
     @classmethod
     def from_json(cls, data) -> "GainGraph":

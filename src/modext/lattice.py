@@ -171,12 +171,6 @@ class FlatLattice:
             self._below[flat] = cached
         return cached
 
-    def coatoms(self):
-        """Flats covered by the top flat."""
-        if self.rank == 0:
-            return ()
-        return tuple(self.levels[self.rank - 1])
-
     # -- Mobius function and characteristic polynomials
 
     def mobius(self) -> dict:
@@ -263,18 +257,6 @@ class FlatLattice:
             level = nxt
         return mu, sums
 
-    # -- serialization
-
-    def to_json(self) -> dict:
-        mu = self.mobius()
-        return {
-            "rank": self.rank,
-            "levels": [
-                [{"atoms": list(atom_tuple(f)), "mobius": mu[f]} for f in level]
-                for level in self.levels
-            ],
-        }
-
     def __repr__(self):
         return f"FlatLattice(rank={self.rank}, flats={len(self)})"
 
@@ -347,11 +329,4 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
         current, spans = made, made_spans
     covers[full] = ()
     return FlatLattice(m, levels, covers, atom_index)
-
-
-def charpoly(m) -> IntPolynomial:
-    """Characteristic polynomial of a matroid (or an already-built lattice)."""
-    if isinstance(m, FlatLattice):
-        return m.charpoly()
-    return enumerate_flats(m).charpoly()
 

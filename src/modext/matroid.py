@@ -43,16 +43,6 @@ def mask_of(atoms) -> int:
     return m
 
 
-def atom_tuple(mask: int) -> tuple:
-    """Ascending tuple of atom indices in a bitmask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def iter_atoms(mask: int):
     """Yield atom indices of a bitmask in ascending order."""
     while mask:
@@ -61,14 +51,9 @@ def iter_atoms(mask: int):
         mask ^= low
 
 
-def remap_mask(mask: int, images) -> int:
-    """Union of images[i] over the atoms i of a bitmask."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= images[low.bit_length() - 1]
-        mask ^= low
-    return out
+def atom_tuple(mask: int) -> tuple:
+    """Ascending tuple of atom indices in a bitmask."""
+    return tuple(iter_atoms(mask))
 
 
 def check_atom_count(n: int, max_atoms: int) -> None:
@@ -162,9 +147,6 @@ class Matroid:
         if not 0 <= atom < self.n:
             raise InvalidInput(f"atom {atom} outside ground set of size {self.n}")
         return 1 << atom
-
-    def is_flat(self, subset: int) -> bool:
-        return self.closure(subset) == subset
 
     def check_simple(self) -> None:
         """Raise NotSimple when a rank-0 atom or a parallel pair exists."""
@@ -330,8 +312,11 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
     Atom i is edge i.  Loops and repeated edges are rejected because the
     matroid would not be simple.  Ranks come from the GF(2) vertex-edge
     incidence matrix, which represents every cycle matroid (Oxley, Matroid
-    Theory, 5.1): edge uv is the packed vector (1 << u) | (1 << v), and the
-    rank of a subset is that of its vectors over GF(2).
+    Theory, 5.1): edge uv is the packed vector (1 << i) | (1 << j), where
+    i and j number u and v by first appearance in the edge list, so no
+    vector is longer than twice the edge count, whatever the vertex
+    numbers; that only permutes the rows.  The rank of a subset is that of its
+    vectors over GF(2).  Labels keep the input's vertex numbers.
     """
     if n_vertices < 0:
         raise InvalidInput("negative vertex count")
@@ -352,7 +337,9 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
     if labels is None and edge_list:
         labels = tuple(f"{u}-{v}" for u, v in edge_list)
 
-    vectors = [(1 << u) | (1 << v) for u, v in edge_list]
+    row = {}
+    vectors = [1 << row.setdefault(u, len(row)) | 1 << row.setdefault(v, len(row))
+               for u, v in edge_list]
     return Matroid(len(edge_list), _gf2_rank_fn(vectors), classes_fn=_gf2_classes(vectors),
                    labels=labels, backend="graphic", max_atoms=max_atoms)
 

@@ -12,7 +12,7 @@ from itertools import combinations, permutations
 
 from modext.algebra import IntPolynomial
 from modext.errors import NotAFlat
-from modext.matroid import Matroid, atom_tuple, remap_mask
+from modext.matroid import Matroid, atom_tuple, iter_atoms
 
 
 def popcount(mask: int) -> int:
@@ -28,6 +28,19 @@ def atoms_of(mask: int):
         mask >>= 1
         i += 1
     return out
+
+
+def remap_mask(mask: int, images) -> int:
+    """Union of images[i] over the atoms i of a bitmask."""
+    out = 0
+    for a in iter_atoms(mask):
+        out |= images[a]
+    return out
+
+
+def is_flat(m, subset: int) -> bool:
+    """Whether the matroid's closure leaves the subset as it is."""
+    return m.closure(subset) == subset
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Seeded random matroids that several test modules check lattices and
-modularity on."""
+modularity on, and the command line's route to an arrangement's chi."""
 
 import random
 from itertools import combinations
 
-from modext.algebra import Field, FieldMatrix, gf_row_rank
+from modext import cli
+from modext.algebra import Field, FieldMatrix, IntPolynomial, gf_row_rank
 from modext.errors import NotSimple
 from modext.gaingraph import FiniteGroup, GainGraph, frame_matroid, lift_matroid
 from modext.matroid import Matroid, graphic_matroid, iter_atoms, linear_matroid
@@ -14,6 +15,14 @@ def has_backend_kernel(m):
     """Whether m reads its classes off a backend kernel handed over by its
     constructor, not off the rank-query kernel of a bare rank function."""
     return "_rank_classes" not in m._classes_fn.__qualname__
+
+
+def arrangement_charpoly(arr) -> IntPolynomial:
+    """chi(A, t) as `modext charpoly` reports it for an arrangement: the
+    lattice's chi times t^(dim - rank), under the default guardrails."""
+    args = cli.build_parser().parse_args(["charpoly", "--input", "-"])
+    result, _ = cli.run_analysis(args, arr)
+    return IntPolynomial([int(c) for c in result["arrangement_charpoly"]])
 
 
 def random_matroids(seed=8):

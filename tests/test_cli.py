@@ -213,6 +213,18 @@ class TestVerifyCommand:
         proc = run_cli("verify", "--input", "pg-1-2", "--certificate", str(bad))
         assert proc.returncode == 2
 
+    def test_atoms_outside_the_ground_set(self, tmp_path):
+        # pg-2-2 has atoms 0..6: atom 7 and atom 10^12 are invalid input,
+        # rejected before any mask is built; {0, 1} is no flat, so it fails
+        cert_file = tmp_path / "cert.json"
+        for coatom, code in (([7], 2), ([10 ** 12], 2), ([0, 1], 4)):
+            cert = {"kind": "modular-coatom", "coatom": coatom, "child": {"kind": "empty"}}
+            cert_file.write_text(json.dumps(cert))
+            proc = run_cli("verify", "--input", "pg-2-2", "--certificate", str(cert_file))
+            assert proc.returncode == code, proc.stderr
+            if code == 2:
+                assert f"atom {coatom[0]} outside ground set of size 7" in proc.stderr
+
     def test_chain_certificate_verifies(self, tmp_path):
         report = run_json("supersolvable", "--input", "ziegler-11")
         cert_file = tmp_path / "chain.json"
@@ -223,6 +235,15 @@ class TestVerifyCommand:
 
 
 class TestFileInputs:
+    def test_graph_vertex_numbers_are_not_bit_positions(self, tmp_path):
+        # one edge between vertices 0 and 10^11: packed by vertex number, its
+        # incidence vector would be a 12.5 GB int
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps({"type": "graph", "vertices": 10 ** 11 + 1,
+                                 "edges": [[0, 10 ** 11]]}))
+        result = run_json("flats", "--input", str(f))["result"]
+        assert result == {"atoms": 1, "rank": 1, "flats_per_rank": [1, 1], "total": 2}
+
     def test_matroid_json(self, tmp_path):
         data = {"type": "linear", "field": {"kind": "gf", "p": 2},
                 "matrix": [["1", "0", "1"], ["0", "1", "1"]]}

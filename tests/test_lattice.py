@@ -7,7 +7,7 @@ import pytest
 from modext.algebra import IntPolynomial
 from modext.corpus import corpus_matroid
 from modext.errors import NotAFlat, TooLarge
-from modext.lattice import charpoly, enumerate_flats
+from modext.lattice import enumerate_flats
 from modext.matroid import Matroid, atom_tuple
 
 from oracles import (brute_flats, brute_mobius, contract_simplify, popcount, reference_lattice,
@@ -216,14 +216,14 @@ def test_interval_charpoly_is_restriction_charpoly(corpus):
     m, lat = corpus("example-7")
     for f in lat.flats():
         sub = restrict(m, f)
-        assert lat.interval_charpoly(lat.bottom, f) == charpoly(sub)
+        assert lat.interval_charpoly(lat.bottom, f) == enumerate_flats(sub).charpoly()
 
 
 def test_interval_charpoly_is_contraction_charpoly(corpus):
     m, lat = corpus("example-7")
     for f in lat.flats():
         q, _ = contract_simplify(m, f)
-        assert lat.upper_charpoly(f) == charpoly(q)
+        assert lat.upper_charpoly(f) == enumerate_flats(q).charpoly()
 
 
 def test_interval_charpoly_matches_brute_mobius(corpus, all_corpus_names):
@@ -273,14 +273,7 @@ def test_max_flats_guardrail(corpus):
 def test_charpoly_of_empty_and_single():
     from modext.matroid import graphic_matroid
     m0 = graphic_matroid(0, [])
-    assert charpoly(m0) == IntPolynomial.one()
+    assert enumerate_flats(m0).charpoly() == IntPolynomial.one()
     m1 = graphic_matroid(2, [(0, 1)])
-    assert charpoly(m1) == IntPolynomial([-1, 1])  # t - 1
+    assert enumerate_flats(m1).charpoly() == IntPolynomial([-1, 1])  # t - 1
 
-
-def test_lattice_json_shape(corpus):
-    _, lat = corpus("u23")
-    data = lat.to_json()
-    assert data["rank"] == 2
-    assert [e["atoms"] for e in data["levels"][1]] == [[0], [1], [2]]
-    assert data["levels"][2] == [{"atoms": [0, 1, 2], "mobius": 2}]

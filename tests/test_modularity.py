@@ -34,7 +34,7 @@ def test_rank_equation_witness_matches_rank_scan(corpus, all_corpus_names):
         if len(lat) > 250:
             continue
         rank_of = lat.rank_of
-        for ctx in (lat.top, *lat.coatoms()):
+        for ctx in (lat.top, *lat.levels[lat.rank - 1]):
             for z in lat.flats():
                 expected = next((y for y in lat.below(ctx)
                                  if rank_of[z] + rank_of[y] != rank_of[z & y] + m.rank(z | y)),
@@ -163,7 +163,7 @@ def test_criterion_agreement_on_corpus(corpus):
             if f:
                 sc = short_circuit_check(m, f, circs) is None
                 assert eq == sc, (name, atom_tuple(f))
-        for z in lat.coatoms():
+        for z in lat.levels[lat.rank - 1]:
             eq = bool(is_modular_flat(m, z, lattice=lat))
             tri = missed_line(lat, z, lat.top) is None
             assert eq == tri, (name, atom_tuple(z))
@@ -189,7 +189,7 @@ def test_triangle_test_matches_rank_scan_on_random_matroids():
     # may count for or against a coatom of a non-simple matroid
     for i, m in enumerate(random_matroids() + non_simple_gf3_matroids()):
         lat = enumerate_flats(m)
-        for x in lat.coatoms():
+        for x in lat.levels[lat.rank - 1]:
             expected = violating_flat_in_context(lat, x, lat.top) is None
             assert (missed_line(lat, x, lat.top) is None) == expected, (i, x)
 
@@ -212,7 +212,7 @@ def test_missed_line_matches_rank_reference(corpus, all_corpus_names):
 
 def test_triangle_witness_pair(corpus):
     m, lat = corpus("example-13")
-    for z in lat.coatoms():
+    for z in lat.levels[lat.rank - 1]:
         pair = missed_line(lat, z, lat.top)
         if pair is None:
             continue
@@ -238,7 +238,7 @@ def test_coatom_pairing(corpus):
 
 def test_coatom_pairing_triples_dependent(corpus):
     m, lat = corpus("fano")
-    for x in lat.coatoms():
+    for x in lat.levels[lat.rank - 1]:
         pairing = coatom_pairing(m, x)
         outside = atom_tuple(m.full_mask & ~x)
         from itertools import combinations
@@ -254,7 +254,7 @@ def test_coatom_pairing_of_non_simple_matroids():
     paired = 0
     for i, m in enumerate(non_simple_gf3_matroids()):
         lat = enumerate_flats(m)
-        for x in lat.coatoms():
+        for x in lat.levels[lat.rank - 1]:
             if not is_modular_in_context(lat, x, lat.top):
                 continue
             pairing = coatom_pairing(m, x)
@@ -380,5 +380,5 @@ def test_not_supersolvable_members(corpus):
 
 def test_example_13_no_modular_coatoms(corpus):
     m, lat = corpus("example-13")
-    for z in lat.coatoms():
+    for z in lat.levels[lat.rank - 1]:
         assert violating_flat_in_context(lat, z, lat.top) is not None

@@ -70,14 +70,14 @@ class TestHonestCertificates:
         for name in ("example-13", "fano", "ziegler-19"):
             m, lat = corpus(name)
             cert = me_certify(m, lattice=lat)
-            back = certificate_from_json(cert.to_json())
+            back = certificate_from_json(cert.to_json(), m.n)
             assert verify_certificate(m, back, lattice=lat).ok
         with pytest.raises(InvalidInput):
-            certificate_from_json({"kind": "modular-coatom"})
+            certificate_from_json({"kind": "modular-coatom"}, 3)
         with pytest.raises(InvalidInput):
-            certificate_from_json({"kind": "telepathy"})
+            certificate_from_json({"kind": "telepathy"}, 3)
         with pytest.raises(InvalidInput):
-            certificate_from_json("empty")
+            certificate_from_json("empty", 3)
 
 
 class TestTamperedCoatomCertificates:
@@ -484,7 +484,7 @@ def _triangle_results(m, lat, children):
     """Every triangle verdict, pairing and verify report on a lattice: per
     coatom, and per cover step through a chain, plus every certificate."""
     out = []
-    for x in lat.coatoms():
+    for x in lat.levels[lat.rank - 1]:
         out.append(missed_line(lat, x, lat.top))
         try:
             out.append(coatom_pairing(m, x))
