@@ -312,9 +312,6 @@ class Field:
     def one(self):
         return Fraction(1) if self.is_rational else 1
 
-    def add(self, a, b):
-        return a + b if self.is_rational else (a + b) % self.p
-
     def sub(self, a, b):
         return a - b if self.is_rational else (a - b) % self.p
 
@@ -398,9 +395,6 @@ class FieldMatrix:
 
     def column(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
-
-    def rank(self) -> int:
-        return matrix_rank(self)
 
     def __eq__(self, other):
         return (

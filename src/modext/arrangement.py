@@ -69,9 +69,6 @@ class Arrangement:
                 max_atoms=self.max_atoms)
         return self._matroid
 
-    def rank(self) -> int:
-        return self.dependence_matroid().full_rank
-
     def essentialize(self) -> "Arrangement":
         """Quotient out the common intersection subspace.
 

@@ -11,14 +11,17 @@ Everything is driven by the covering relation:
   maker's set plus the atom it was made at (the bottom's set is empty).
   The covers of F partition the atoms outside F (Oxley, Matroid Theory,
   1.4), so F asks `Matroid.covers` once, for its covers not made yet,
-  handing over its span and the atoms in none of its covers made so far.
-  The kernel groups those atoms by cover from one pass over the span (one
-  basis for graphs and matrices, one component walk for gain graphs); a
-  bare rank function closes one cover at a time, a rank query per
-  candidate.  The covers of F made so far are the flats of the next level
-  that hold F, that is, hold its span: the index entry of the span's first
-  atom ANDed with those of the others, stopping early at 0.  F's `covers`
-  tuple is those flats, in ascending position, then the covers F makes.
+  handing over its span and the atoms in none of its covers made so far:
+  those outside one OR of F with them.  The kernel groups those atoms by
+  cover from one pass over the span (one basis for graphs and matrices,
+  one component walk for gain graphs; a bare rank function closes one
+  cover at a time, a rank query per candidate) and returns each group,
+  all of a new cover outside F, so that F | group is the cover.  The
+  covers of F made so far are the flats of the next level that hold F,
+  that is, hold its span: the index entry of the span's first atom ANDed
+  with those of the others, stopping early at 0.  F's `covers` tuple is
+  those flats, in ascending position (read off from the top bit down,
+  then reversed once), then the covers F makes.
   The index is built as the level is made, and the lattice keeps it
   (`atom_index`): the covers F makes take consecutive positions, so each
   atom of F is written once with that whole block of bits, and each new
@@ -61,9 +64,10 @@ lex-least child of c: the first atom e at which another child g differs
 from m(c) lies in m(c), for an e in g - m(c) lies in c, so e >= beta,
 and then g holds c & [0, beta), so g = m(c).  So c is made exactly
 once, by m(c), at atom beta(c): when m(c) is walked no other child of c
-has been, so c is not made yet, and `Matroid.covers` returns it among
-the covers of m(c), whose lowest new atom min(c - m(c)) it is made at.
-A flat makes its covers in ascending beta, the order `covers` returns.
+has been, so c is not made yet, and `Matroid.covers` returns c - m(c)
+among the parts of the covers of m(c), whose lowest atom min(c - m(c))
+c is made at.  A flat makes its covers in ascending beta, the order
+`covers` returns.
 Now take c1 <lex c2 and e = min(c1 ^ c2), which lies in c1.
 - If beta1 < e or beta2 < e, the two initial segments agree through that
   beta, have rank k+1, and span both flats, so c1 = c2: impossible.
@@ -82,6 +86,9 @@ oracle for r(X | Y), which is the same number.
 """
 
 from __future__ import annotations
+
+from functools import reduce
+from operator import or_
 
 from .algebra import IntPolynomial
 from .errors import NotAFlat, NotComparable, TooLarge
@@ -286,7 +293,6 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
         for f, span in zip(current, spans):
             # the covers of f made so far hold every atom of its span
             out = []
-            rest = full & ~f
             if span:
                 low = span & -span
                 known = idx[low.bit_length() - 1]
@@ -296,15 +302,15 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
                     known &= idx[low.bit_length() - 1]
                     atoms ^= low
                 while known:
-                    low = known & -known
-                    c = made[low.bit_length() - 1]
-                    out.append(c)
-                    rest &= ~c
-                    known ^= low
+                    p = known.bit_length() - 1
+                    out.append(made[p])
+                    known ^= 1 << p
+                out.reverse()
+            rest = full & ~reduce(or_, out, f)
             if rest:
                 first = len(made)
-                for c in m.covers(f, span, rest):
-                    new = c & ~f
+                for new in m.covers(span, rest):
+                    c = f | new
                     bit = 1 << len(made)
                     made.append(c)
                     made_spans.append(span | (new & -new))

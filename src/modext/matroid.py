@@ -76,7 +76,9 @@ class Matroid:
     cl(subset), and one key per cover of cl(subset) to those in that
     cover, under the same rank function; without one, `_rank_classes`
     asks the memoized rank.  The subset need not be a flat (enumeration
-    hands over a set spanning one).  `backend` records where the oracle
+    hands over a set spanning one).  `closure` reads class 0, and `covers`
+    returns the other classes as the kernel made them, each the part of
+    one cover among the candidates.  `backend` records where the oracle
     came from ("linear", "graphic", "frame", "lift", or "explicit").
     """
 
@@ -112,31 +114,28 @@ class Matroid:
             memo[subset] = r
         return r
 
-    @property
-    def full_rank(self) -> int:
-        return self.rank(self.full_mask)
-
     def closure(self, subset: int) -> int:
         """Smallest flat containing the subset: the subset plus the
         kernel's class 0 of the atoms outside it."""
         self._check_inside(subset)
         return subset | self._classes_fn(subset, self.full_mask & ~subset).get(0, 0)
 
-    def covers(self, flat: int, span: int, rest: int) -> list:
-        """The flats covering `flat` whose atoms outside it lie in `rest`,
-        in lex order.
+    def covers(self, span: int, rest: int):
+        """The kernel's classes of `rest` other than class 0, as a view: the
+        parts in `rest` of the covers of cl(span), in ascending lowest
+        atom.  The atoms of `rest` in cl(span) are left out.
 
-        `span` is a subset of the flat that spans it, and `rest`, outside
-        the flat, is a union of the parts outside it of some of its covers.
-        The kernel's classes other than 0 are the covers' parts in `rest`.
-        They come in ascending lowest new atom: lex order, as every cover
-        holds the flat.  Called with any `flat` and `rest` outside it (the
-        triangle test hands over one atom as both `flat` and `span`), each
-        set returned is `flat` joined to the part in `rest` of one cover
-        of cl(span), and the atoms of `rest` in cl(span) are left out.
+        When `rest` lies outside F = cl(span) and is a union of the parts
+        outside F of some covers of F, each part is all of one of those
+        covers outside F, so F | part is the cover, and they come in lex
+        order, as each holds F.  Enumeration makes its covers that way; the
+        triangle test hands over one atom as `span` and reads the parts
+        alone.
         """
-        self._check_inside(flat | span | rest)
-        return [flat | c for k, c in self._classes_fn(span, rest).items() if k != 0]
+        self._check_inside(span | rest)
+        classes = self._classes_fn(span, rest)
+        classes.pop(0, None)
+        return classes.values()
 
     def _check_inside(self, subset: int) -> None:
         if subset & ~self.full_mask:

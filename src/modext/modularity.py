@@ -267,10 +267,11 @@ def missed_line(lat: FlatLattice, z: int, ctx: int):
     atoms span no line, and a loop lies on every line without meeting it,
     so neither counts.
 
-    Per atom a of ctx - z, one `Matroid.covers` call groups the later
-    atoms of ctx - z and the atoms of z - bottom by their line through a:
-    the kernel proposes and the rank oracle confirms.  For a kernel line
-    with later atoms B and atoms P of z - bottom, one query
+    Per atom a of ctx - z, one call `Matroid.covers(a, later | inside)`
+    groups the later atoms of ctx - z and the atoms of z - bottom by their
+    line through a, each group being one line's part, without a: the
+    kernel proposes and the rank oracle confirms.  For a kernel line with
+    later atoms B and atoms P of z - bottom, one query
     r({a} + B + {min P}) = 2 settles every pair (a, b) with b in B:
     r({a, b, min P}) <= 2 by monotonicity, so min P lies on the line ab or
     a is parallel to b.  Every b left is asked alone, in ascending order:
@@ -289,7 +290,7 @@ def missed_line(lat: FlatLattice, z: int, ctx: int):
         if not later:
             return None
         left = later
-        for line in m.covers(low, low, later | inside):
+        for line in m.covers(low, later | inside):
             part = line & inside
             ends = line & later
             if part and ends and rank(low | ends | (part & -part)) == 2:
