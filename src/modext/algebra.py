@@ -93,10 +93,6 @@ class IntPolynomial:
     # -- constructors
 
     @classmethod
-    def zero(cls) -> "IntPolynomial":
-        return cls()
-
-    @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
 
@@ -386,10 +382,6 @@ class FieldMatrix:
         raise AttributeError("FieldMatrix is immutable")
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
@@ -404,7 +396,7 @@ class FieldMatrix:
         )
 
     def __repr__(self):
-        return f"FieldMatrix({self.field!r}, {self.nrows}x{self.ncols})"
+        return f"FieldMatrix({self.field!r}, {len(self.rows)}x{self.ncols})"
 
 
 def echelon_reduce(v, basis, p):
@@ -492,11 +484,6 @@ def gf2_basis(vectors, subset):
     return basis, pivots
 
 
-def gf2_rank(vectors) -> int:
-    """Rank over GF(2) of a sequence of vectors packed into ints."""
-    return len(gf2_basis(vectors, (1 << len(vectors)) - 1)[0])
-
-
 def _clear_row_denominators(row) -> list:
     """Scale a row of Fractions to integers by the lcm of their
     denominators (rank-preserving)."""
@@ -506,15 +493,3 @@ def _clear_row_denominators(row) -> list:
         g = gcd(lcm, d)
         lcm = lcm // g * d
     return [x.numerator * (lcm // x.denominator) for x in row]
-
-
-def matrix_rank(m: FieldMatrix) -> int:
-    """Exact rank of a FieldMatrix."""
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    if m.field.is_rational:
-        return integer_row_rank([_clear_row_denominators(r) for r in m.rows])
-    if m.field.p == 2:
-        return gf2_rank([gf2_pack(r) for r in m.rows])
-    return gf_row_rank(m.rows, m.field.p)
-

@@ -8,15 +8,9 @@ matroid of the forms.
 
 from __future__ import annotations
 
-from .algebra import Field, FieldMatrix, matrix_rank
-from .errors import InvalidInput, NotSimple, TooLarge, reading
-from .matroid import DEFAULT_MAX_ATOMS, Matroid, linear_matroid
-
-
-def check_hyperplane_count(count: int, max_atoms: int) -> None:
-    """Raise TooLarge when `count` hyperplanes exceed the guardrail `max_atoms`."""
-    if count > max_atoms:
-        raise TooLarge(f"{count} hyperplanes exceeds the limit of {max_atoms}")
+from .algebra import Field, FieldMatrix, _clear_row_denominators, echelon_basis
+from .errors import InvalidInput, NotSimple, reading
+from .matroid import DEFAULT_MAX_ATOMS, Matroid, check_atom_count, linear_matroid
 
 
 class Arrangement:
@@ -27,7 +21,7 @@ class Arrangement:
                  max_atoms: int = DEFAULT_MAX_ATOMS):
         if dim < 0:
             raise InvalidInput("negative ambient dimension")
-        check_hyperplane_count(len(forms), max_atoms)
+        check_atom_count(len(forms), max_atoms)
         self.field = field
         self.dim = dim
         canon = []
@@ -73,14 +67,16 @@ class Arrangement:
         """Quotient out the common intersection subspace.
 
         New coordinates are the leftmost coordinates whose columns of the
-        forms are independent (the pivot columns of the row space), so each
-        hyperplane keeps its index.
+        forms are independent, so each hyperplane keeps its index: the
+        pivots of an echelon basis of the forms, since the leading entries
+        of a row space's vectors are its leftmost independent columns.
         """
-        pivots = []
-        for k in range(self.dim):
-            rows = [[row[j] for j in pivots + [k]] for row in self.forms]
-            if matrix_rank(FieldMatrix(self.field, rows)) > len(pivots):
-                pivots.append(k)
+        field = self.field
+        if field.is_rational:
+            rows, p = [_clear_row_denominators(row) for row in self.forms], 0
+        else:
+            rows, p = self.forms, field.p
+        pivots = sorted(piv for piv, _ in echelon_basis(rows, (1 << len(rows)) - 1, p))
         if not pivots:
             raise InvalidInput("cannot essentialize an empty arrangement")
         new_forms = [[row[k] for k in pivots] for row in self.forms]
@@ -135,10 +131,7 @@ def pg_arrangement(n: int, p: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrang
     field = Field.gf(p)
     if n < 0:
         raise InvalidInput("projective dimension must be nonnegative")
-    count = (p ** (n + 1) - 1) // (p - 1)
-    if count > max_atoms:
-        raise TooLarge(f"PG({n},{p}) has {count} points, exceeding the "
-                       f"limit of {max_atoms}")
+    check_atom_count((p ** (n + 1) - 1) // (p - 1), max_atoms)
     dim = n + 1
     forms = []
     for lead in range(dim):

@@ -147,8 +147,6 @@ def run_analysis(args, obj) -> tuple:
         return {"arrangement": arr.to_json()}, 0
 
     m = matroid_of(obj, args.model, args.max_atoms)
-    if m.n > args.max_atoms:
-        raise TooLarge(f"{m.n} atoms exceeds the limit of {args.max_atoms}")
 
     if cmd == "verify":
         try:

@@ -9,14 +9,14 @@ All generators are deterministic: fixed coordinate order, fixed atom order.
 from __future__ import annotations
 
 from .algebra import Field
-from .arrangement import Arrangement, check_hyperplane_count, pg_arrangement
+from .arrangement import Arrangement, pg_arrangement
 from .errors import InvalidInput
 from .gaingraph import FiniteGroup, GainGraph, complete_gain_graph, \
     realize_frame_arrangement
 from .matroid import DEFAULT_MAX_ATOMS, check_atom_count
 
 
-def example_7() -> Arrangement:
+def example_7(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """Rank-3 supersolvable arrangement in Q^3, coordinates (z, x1, x2)."""
     forms = [
         [1, 0, 0],    # z
@@ -28,10 +28,10 @@ def example_7() -> Arrangement:
         [0, 1, 1],    # x1 + x2
     ]
     labels = ["z", "x1", "x2", "x1-z", "x2-z", "x1-x2", "x1+x2"]
-    return Arrangement(Field.rational(), 3, forms, labels=labels)
+    return Arrangement(Field.rational(), 3, forms, labels=labels, max_atoms=max_atoms)
 
 
-def example_13() -> Arrangement:
+def example_13(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """Two copies of the rank-3 example glued along {z=0}, in Q^5.
 
     Coordinates (z, x1, x2, y1, y2); rank 5, divisionally free but not
@@ -54,10 +54,10 @@ def example_13() -> Arrangement:
     ]
     labels = ["z", "x1", "x2", "x1-z", "x2-z", "x1-x2", "x1+x2",
               "y1", "y2", "y1-z", "y2-z", "y1-y2", "y1+y2"]
-    return Arrangement(Field.rational(), 5, forms, labels=labels)
+    return Arrangement(Field.rational(), 5, forms, labels=labels, max_atoms=max_atoms)
 
 
-def ziegler_11() -> Arrangement:
+def ziegler_11(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """Rank-4 supersolvable binary arrangement, coordinates (z1, z2, x1, x2)."""
     forms = [
         [1, 0, 0, 0],  # z1
@@ -74,10 +74,10 @@ def ziegler_11() -> Arrangement:
     ]
     labels = ["z1", "z2", "z1+z2", "x1", "x2", "x1+x2", "x1+z1", "x2+z1",
               "x1+x2+z1", "x1+z1+z2", "x2+z1+z2"]
-    return Arrangement(Field.gf(2), 4, forms, labels=labels)
+    return Arrangement(Field.gf(2), 4, forms, labels=labels, max_atoms=max_atoms)
 
 
-def ziegler_19() -> Arrangement:
+def ziegler_19(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """Join of two copies of the rank-4 binary arrangement along PG(1,2).
 
     Coordinates (z1, z2, x1, x2, y1, y2); rank 6, divisionally free but
@@ -93,10 +93,10 @@ def ziegler_19() -> Arrangement:
     forms += [pad(r, True) for r in x_rows[3:]]
     forms += [pad(r, False) for r in x_rows[3:]]
     labels = list(half.labels) + [lbl.replace("x", "y") for lbl in half.labels[3:]]
-    return Arrangement(Field.gf(2), 6, forms, labels=labels)
+    return Arrangement(Field.gf(2), 6, forms, labels=labels, max_atoms=max_atoms)
 
 
-def bowtie_lift_9() -> Arrangement:
+def bowtie_lift_9(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """The 9-hyperplane binary arrangement of the bowtie's extended lift.
 
     Coordinates (z, x1, x2, y1, y2); rank 5.
@@ -114,7 +114,7 @@ def bowtie_lift_9() -> Arrangement:
     ]
     labels = ["z", "x1+z", "x2+z", "x1+x2", "x1+x2+z",
               "y1+z", "y2+z", "y1+y2", "y1+y2+z"]
-    return Arrangement(Field.gf(2), 5, forms, labels=labels)
+    return Arrangement(Field.gf(2), 5, forms, labels=labels, max_atoms=max_atoms)
 
 
 def bowtie(loops: bool = False) -> GainGraph:
@@ -142,21 +142,21 @@ def fish(group: FiniteGroup) -> GainGraph:
 
 def braid_arrangement(n: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """x_i - x_j = 0 in Q^n for i < j."""
-    check_hyperplane_count(n * (n - 1) // 2, max_atoms)
+    check_atom_count(n * (n - 1) // 2, max_atoms)
     return realize_frame_arrangement(
         complete_gain_graph(n, FiniteGroup.trivial()), Field.rational(), max_atoms)
 
 
 def type_b_arrangement(n: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """x_i +- x_j = 0 and x_i = 0 in Q^n."""
-    check_hyperplane_count(n * n, max_atoms)
+    check_atom_count(n * n, max_atoms)
     return realize_frame_arrangement(
         complete_gain_graph(n, FiniteGroup.sign(), loops=True), Field.rational(), max_atoms)
 
 
 def type_d_arrangement(n: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     """x_i +- x_j = 0 in Q^n."""
-    check_hyperplane_count(n * (n - 1), max_atoms)
+    check_atom_count(n * (n - 1), max_atoms)
     return realize_frame_arrangement(
         complete_gain_graph(n, FiniteGroup.sign()), Field.rational(), max_atoms)
 
@@ -180,8 +180,8 @@ _FIXED = {
     "ziegler-11": ziegler_11,
     "ziegler-19": ziegler_19,
     "bowtie-lift-9": bowtie_lift_9,
-    "bowtie": bowtie,
-    "bowtie-loops": lambda: bowtie(loops=True),
+    "bowtie": lambda max_atoms: bowtie(),
+    "bowtie-loops": lambda max_atoms: bowtie(loops=True),
 }
 
 
@@ -191,12 +191,13 @@ def named_input(name: str, max_atoms: int = DEFAULT_MAX_ATOMS):
     Fixed names: example-7, example-13, ziegler-11, ziegler-19,
     bowtie-lift-9, bowtie, bowtie-loops.  Patterns: braid-N, bn-N, dn-N,
     pg-N-P, fish-GROUP, k-N-GROUP, kl-N-GROUP with GROUP in
-    {trivial, sign, zM}.  The pattern arrangements hold at most
-    `max_atoms` hyperplanes, and the pattern gain graphs at most
-    `max_atoms` edges and loops, checked before the group is built.
+    {trivial, sign, zM}.  The arrangements hold at most `max_atoms`
+    hyperplanes, and the pattern gain graphs at most `max_atoms` edges and
+    loops, checked before the group is built.  The fixed gain graphs meet
+    the cap in the matroid or arrangement built from them.
     """
     if name in _FIXED:
-        return _FIXED[name]()
+        return _FIXED[name](max_atoms)
     parts = name.split("-")
     try:
         if parts[0] == "braid" and len(parts) == 2:

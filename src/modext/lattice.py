@@ -14,8 +14,7 @@ Everything is driven by the covering relation:
   handing over its span and the atoms in none of its covers made so far:
   those outside one OR of F with them.  The kernel groups those atoms by
   cover from one pass over the span (one basis for graphs and matrices,
-  one component walk for gain graphs; a bare rank function closes one
-  cover at a time, a rank query per candidate) and returns each group,
+  one component walk for gain graphs) and returns each group,
   all of a new cover outside F, so that F | group is the cover.  The
   covers of F made so far are the flats of the next level that hold F,
   that is, hold its span: the index entry of the span's first atom ANDed

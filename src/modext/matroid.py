@@ -15,8 +15,7 @@ a fraction-free echelon basis over GF(p) and Q (`echelon_basis`, where
 columns and residues stay primitive so that a residue is its own key up
 to sign).  Each candidate is reduced once, to a canonical residue, and
 atoms with equal residues lie in one cover.  The same kernel on the empty
-subset finds a matrix's zero and parallel columns.  A bare rank function
-gets `_rank_classes`, which reads the classes off rank queries.
+subset finds a matrix's zero and parallel columns.
 """
 
 from __future__ import annotations
@@ -59,7 +58,7 @@ def atom_tuple(mask: int) -> tuple:
 def check_atom_count(n: int, max_atoms: int) -> None:
     """Raise TooLarge when n atoms exceed the guardrail `max_atoms`."""
     if n > max_atoms:
-        raise TooLarge(f"{n} atoms exceeds the guardrail of {max_atoms}")
+        raise TooLarge(f"{n} atoms exceeds the limit of {max_atoms}")
 
 
 # ---------------------------------------------------------------------------
@@ -74,15 +73,15 @@ class Matroid:
     handing one over.  `classes_fn(subset, candidates)` maps each key to
     the candidates it holds, in first-atom order: key 0 to those in
     cl(subset), and one key per cover of cl(subset) to those in that
-    cover, under the same rank function; without one, `_rank_classes`
-    asks the memoized rank.  The subset need not be a flat (enumeration
+    cover, under the same rank function.  Every public constructor hands
+    over its backend's kernel.  The subset need not be a flat (enumeration
     hands over a set spanning one).  `closure` reads class 0, and `covers`
     returns the other classes as the kernel made them, each the part of
     one cover among the candidates.  `backend` records where the oracle
     came from ("linear", "graphic", "frame", "lift", or "explicit").
     """
 
-    def __init__(self, n, rank_fn, *, classes_fn=None, labels=None,
+    def __init__(self, n, rank_fn, *, classes_fn, labels=None,
                  backend="explicit", max_atoms=DEFAULT_MAX_ATOMS):
         check_atom_count(n, max_atoms)
         if n < 0:
@@ -99,7 +98,7 @@ class Matroid:
         self.max_atoms = max_atoms
         self.full_mask = (1 << n) - 1
         self._rank_fn = rank_fn
-        self._classes_fn = classes_fn if classes_fn is not None else _rank_classes(self.rank)
+        self._classes_fn = classes_fn
         self._memo = {0: 0}
 
     # -- rank and closure
@@ -160,36 +159,6 @@ class Matroid:
         return f"Matroid(n={self.n}, backend={self.backend!r})"
 
 
-def _rank_classes(rank):
-    """Classes kernel of a bare rank function, from rank queries alone.
-
-    A candidate a lies in cl(subset) iff r(subset + a) = r(subset).  Any
-    other lies in the cover cl(subset + a), which holds each candidate b
-    outside cl(subset) with r(subset + a + b) = r(subset) + 1; the covers
-    are keyed by their lowest candidate bit, taken in ascending order.
-    """
-    def classes(subset, candidates):
-        r = rank(subset)
-        groups = {}
-        rest = 0
-        for a in iter_atoms(candidates):
-            if rank(subset | 1 << a) == r:
-                groups[0] = groups.get(0, 0) | 1 << a
-            else:
-                rest |= 1 << a
-        while rest:
-            low = rest & -rest
-            cover = low
-            for b in iter_atoms(rest ^ low):
-                if rank(subset | low | 1 << b) == r + 1:
-                    cover |= 1 << b
-            groups[low] = cover
-            rest ^= cover
-        return groups
-
-    return classes
-
-
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -221,7 +190,7 @@ def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS
         classes_fn = _echelon_classes(int_cols, 0)
     elif field.p == 2:
         vectors = [gf2_pack(c) for c in cols]
-        rank_fn = _gf2_rank_fn(vectors)
+        rank_fn = _gf2_oracle(vectors)
         classes_fn = _gf2_classes(vectors)
     else:
         def rank_fn(mask, _cols=cols, _p=field.p):
@@ -242,7 +211,7 @@ def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS
                    max_atoms=max_atoms)
 
 
-def _gf2_rank_fn(vectors):
+def _gf2_oracle(vectors):
     """Rank oracle of the GF(2) vectors packed into ints, atom i being vectors[i]."""
     def rank_fn(mask):
         return len(gf2_basis(vectors, mask)[0])
@@ -339,7 +308,7 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
     row = {}
     vectors = [1 << row.setdefault(u, len(row)) | 1 << row.setdefault(v, len(row))
                for u, v in edge_list]
-    return Matroid(len(edge_list), _gf2_rank_fn(vectors), classes_fn=_gf2_classes(vectors),
+    return Matroid(len(edge_list), _gf2_oracle(vectors), classes_fn=_gf2_classes(vectors),
                    labels=labels, backend="graphic", max_atoms=max_atoms)
 
 

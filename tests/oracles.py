@@ -43,6 +43,44 @@ def is_flat(m, subset: int) -> bool:
     return m.closure(subset) == subset
 
 
+def rank_classes(rank):
+    """Classes kernel of a bare rank function, from rank queries alone.
+
+    A candidate a lies in cl(subset) iff r(subset + a) = r(subset).  Any
+    other lies in the cover cl(subset + a), which holds each candidate b
+    outside cl(subset) with r(subset + a + b) = r(subset) + 1; the covers
+    are keyed by their lowest candidate bit, taken in ascending order.
+    """
+    def classes(subset, candidates):
+        r = rank(subset)
+        groups = {}
+        rest = 0
+        for a in iter_atoms(candidates):
+            if rank(subset | 1 << a) == r:
+                groups[0] = groups.get(0, 0) | 1 << a
+            else:
+                rest |= 1 << a
+        while rest:
+            low = rest & -rest
+            cover = low
+            for b in iter_atoms(rest ^ low):
+                if rank(subset | low | 1 << b) == r + 1:
+                    cover |= 1 << b
+            groups[low] = cover
+            rest ^= cover
+        return groups
+
+    return classes
+
+
+def bare_matroid(n, rank_fn, **kw):
+    """A Matroid of a bare rank function, whose kernel is `rank_classes`
+    over its own memoized rank: the rank-only reference for every backend
+    kernel.  Keywords pass on to `Matroid`."""
+    m = Matroid(n, rank_fn, classes_fn=rank_classes(lambda subset: m.rank(subset)), **kw)
+    return m
+
+
 # ---------------------------------------------------------------------------
 # matroid oracles (use only m.n and m.rank)
 # ---------------------------------------------------------------------------
@@ -316,8 +354,8 @@ def restrict(m, flat: int):
         raise NotAFlat(f"restriction requires a flat, got {sorted(atom_tuple(flat))}")
     bits = [1 << a for a in atom_tuple(flat)]
     labels = tuple(m.labels[a] for a in atom_tuple(flat)) if m.labels else None
-    return Matroid(len(bits), lambda sub: m.rank(remap_mask(sub, bits)), labels=labels,
-                   max_atoms=m.max_atoms)
+    return bare_matroid(len(bits), lambda sub: m.rank(remap_mask(sub, bits)), labels=labels,
+                        max_atoms=m.max_atoms)
 
 
 def contract_simplify(m, flat: int):
@@ -331,8 +369,8 @@ def contract_simplify(m, flat: int):
     covers = brute_covers(m, flat)
     atom_map = dict(sorted((a, i) for i, c in enumerate(covers)
                            for a in atom_tuple(c & ~flat)))
-    q = Matroid(len(covers), lambda sub: m.rank(flat | remap_mask(sub, covers)) - base,
-                max_atoms=m.max_atoms)
+    q = bare_matroid(len(covers), lambda sub: m.rank(flat | remap_mask(sub, covers)) - base,
+                     max_atoms=m.max_atoms)
     return q, atom_map
 
 

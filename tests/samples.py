@@ -8,13 +8,15 @@ from modext import cli
 from modext.algebra import Field, FieldMatrix, IntPolynomial, gf_row_rank
 from modext.errors import NotSimple
 from modext.gaingraph import FiniteGroup, GainGraph, frame_matroid, lift_matroid
-from modext.matroid import Matroid, graphic_matroid, iter_atoms, linear_matroid
+from modext.matroid import graphic_matroid, iter_atoms, linear_matroid
+
+from oracles import bare_matroid
 
 
 def has_backend_kernel(m):
     """Whether m reads its classes off a backend kernel handed over by its
-    constructor, not off the rank-query kernel of a bare rank function."""
-    return "_rank_classes" not in m._classes_fn.__qualname__
+    constructor, not off the rank-query kernel of `oracles.bare_matroid`."""
+    return m._classes_fn.__module__.startswith("modext.")
 
 
 def arrangement_charpoly(arr) -> IntPolynomial:
@@ -96,5 +98,5 @@ def non_simple_gf3_matroids(seed=5, count=30):
         def rank_fn(mask, cols=cols):
             return gf_row_rank([cols[a] for a in iter_atoms(mask)], 3)
 
-        out.append(Matroid(len(cols), rank_fn))
+        out.append(bare_matroid(len(cols), rank_fn))
     return out

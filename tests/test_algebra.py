@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from modext.algebra import (Field, FieldMatrix, IntPolynomial, gf2_pack, gf2_rank, gf_row_rank,
-                            integer_roots, integer_row_rank, matrix_rank, poly_exact_div)
+from modext.algebra import (Field, FieldMatrix, IntPolynomial, _clear_row_denominators, gf2_basis,
+                            gf2_pack, gf_row_rank, integer_roots, integer_row_rank, poly_exact_div)
 from modext.arrangement import Arrangement
 from modext.errors import DivisionByZeroPolynomial, InvalidInput, NotComparable
 
@@ -19,7 +19,7 @@ def test_polynomial_basics():
     assert p(0) == 1 and p(1) == 6 and p(-1) == 2
     assert (p + IntPolynomial.one())(1) == 7
     assert (p * IntPolynomial.t())(2) == 2 * p(2)
-    assert -p + p == IntPolynomial.zero()
+    assert -p + p == IntPolynomial()
 
 
 def test_from_roots():
@@ -36,7 +36,7 @@ def test_exact_division():
     assert q == IntPolynomial.from_roots([1, 2])
     assert poly_exact_div(num, IntPolynomial.from_roots([3])) is None
     with pytest.raises(DivisionByZeroPolynomial):
-        poly_exact_div(num, IntPolynomial.zero())
+        poly_exact_div(num, IntPolynomial())
 
 
 def test_integer_roots_against_brute_force():
@@ -59,7 +59,7 @@ def test_integer_roots_against_brute_force():
         assert integer_roots(q) is None
     # not monic: no product of factors t - a
     assert integer_roots(IntPolynomial([-2, 2])) is None
-    assert integer_roots(IntPolynomial.zero()) is None
+    assert integer_roots(IntPolynomial()) is None
 
 
 def test_field_validation():
@@ -110,25 +110,33 @@ def test_row_ranks_match_field_elimination():
         q = Field.rational()
         scaled = [[Fraction(x, i + 1) for x in row] for i, row in enumerate(rows)]
         expected = field_rank(q, rows)
-        assert integer_row_rank(rows) == expected == matrix_rank(FieldMatrix(q, scaled)), rows
+        cleared = [_clear_row_denominators(r) for r in FieldMatrix(q, scaled).rows]
+        assert integer_row_rank(rows) == expected == integer_row_rank(cleared), rows
         for p in (2, 3, 5, 7):
             gf = Field.gf(p)
             expected = field_rank(gf, rows)
             assert (gf_row_rank(rows, p) == expected
-                    == matrix_rank(FieldMatrix(gf, rows))), (p, rows)
+                    == gf_row_rank(FieldMatrix(gf, rows).rows, p)), (p, rows)
         packed = [gf2_pack([x % 2 for x in row]) for row in rows]
-        assert gf2_rank(packed) == field_rank(Field.gf(2), rows), rows
+        assert _gf2_basis_size(packed) == field_rank(Field.gf(2), rows), rows
 
 
-def test_matrix_rank_rational_and_gf():
-    m = FieldMatrix(Field.rational(), [[Fraction(1), Fraction(1, 2)],
-                                       [Fraction(2), Fraction(1)]])
-    assert matrix_rank(m) == 1
+def _gf2_basis_size(packed) -> int:
+    return len(gf2_basis(packed, (1 << len(packed)) - 1)[0])
+
+
+def test_basis_ranks_rational_and_gf2():
+    q = Field.rational()
+    m = FieldMatrix(q, [[Fraction(1), Fraction(1, 2)], [Fraction(2), Fraction(1)]])
+    assert integer_row_rank([_clear_row_denominators(r) for r in m.rows]) == 1
+    assert field_rank(q, m.rows) == 1
     m2 = FieldMatrix(Field.gf(2), [[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    assert matrix_rank(m2) == 2  # rows sum to zero mod 2
+    # rows sum to zero mod 2
+    assert _gf2_basis_size([gf2_pack(r) for r in m2.rows]) == 2 == gf_row_rank(m2.rows, 2)
+    assert field_rank(Field.gf(2), m2.rows) == 2
 
 
-def test_gf2_rank_matches_modular_elimination():
+def test_gf2_basis_rank_matches_modular_elimination():
     rng = random.Random(13)
     gf2 = Field.gf(2)
     for _ in range(40):
@@ -137,7 +145,9 @@ def test_gf2_rank_matches_modular_elimination():
         rows = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
         for mask in range(1, 1 << nrows):
             sub = [rows[i] for i in range(nrows) if mask >> i & 1]
-            assert matrix_rank(FieldMatrix(gf2, sub)) == gf_row_rank(sub, 2), sub
+            expected = field_rank(gf2, sub)
+            assert gf_row_rank(sub, 2) == expected, sub
+            assert _gf2_basis_size([gf2_pack(r) for r in sub]) == expected, sub
 
 
 def test_essentialize_drops_unused_gf3_coordinate():

@@ -1,5 +1,6 @@
 """Hyperplane arrangements: canonical forms, essentialization, agreement."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,9 +9,9 @@ from modext.algebra import Field, IntPolynomial
 from modext.arrangement import Arrangement, pg_arrangement
 from modext.corpus import braid_arrangement, corpus_matroid
 from modext.errors import InvalidInput, NotSimple, TooLarge
-from modext.matroid import Matroid, mask_of
+from modext.matroid import mask_of
 
-from oracles import rank_agreement, whitney_charpoly_coeffs
+from oracles import bare_matroid, field_rank, rank_agreement, whitney_charpoly_coeffs
 from samples import arrangement_charpoly
 
 
@@ -74,6 +75,41 @@ class TestEssentialize:
         ess = arr.essentialize()
         assert len(ess) == 30 and ess.max_atoms == 40
         assert ess.dependence_matroid().max_atoms == 40
+
+    @pytest.mark.parametrize("field", [Field.rational(), Field.gf(2), Field.gf(3), Field.gf(5)],
+                             ids=repr)
+    def test_keeps_the_leftmost_independent_coordinates(self, field):
+        # random forms with one coordinate zeroed and one a combination of
+        # the others; the reference keeps each coordinate whose column
+        # raises the rank of the columns kept before it
+        rng = random.Random(33)
+        built = 0
+        while built < 60:
+            dim = rng.randint(2, 6)
+            zero, dependent = rng.sample(range(dim), 2)
+            coeffs = {k: rng.randint(-2, 2) for k in range(dim) if k not in (zero, dependent)}
+            forms = []
+            for _ in range(rng.randint(1, 7)):
+                row = [Fraction(rng.randint(-3, 3), rng.randint(1, 3) if field.is_rational else 1)
+                       for _ in range(dim)]
+                row[zero] = 0
+                row[dependent] = sum(c * row[k] for k, c in coeffs.items())
+                forms.append([x if field.is_rational else int(x) for x in row])
+            try:
+                arr = Arrangement(field, dim, forms)
+            except (InvalidInput, NotSimple):
+                continue  # a zero or a repeated form
+            built += 1
+            keep = []
+            for k in range(dim):
+                if field_rank(field, [[row[j] for j in keep + [k]]
+                                      for row in arr.forms]) > len(keep):
+                    keep.append(k)
+            assert zero not in keep and len(keep) < dim - 1, forms
+            ess = arr.essentialize()
+            assert ess.dim == len(keep), forms
+            assert ess.forms == tuple(tuple(row[k] for k in keep) for row in arr.forms), forms
+            assert ess.labels == arr.labels
 
     def test_essential_arrangement_is_fixed_point(self):
         arr = pg_arrangement(2, 2)
@@ -178,7 +214,7 @@ class TestRankAgreement:
 
     def test_sampled_mode_is_deterministic(self):
         m1 = corpus_matroid("fish-sign")
-        m2 = Matroid(m1.n, lambda mask: min(m1.rank(mask), 2))
+        m2 = bare_matroid(m1.n, lambda mask: min(m1.rank(mask), 2))
         a = rank_agreement(m1, m2, exhaustive_limit=2, samples=200, seed=7)
         b = rank_agreement(m1, m2, exhaustive_limit=2, samples=200, seed=7)
         assert a == b and not a["agree"]

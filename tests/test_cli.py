@@ -12,6 +12,7 @@ import pytest
 from modext import cli, lattice
 from modext.algebra import IntPolynomial
 from modext.corpus import corpus_names
+from modext.generators import _FIXED
 
 
 def run_cli(*argv, env_extra=None, cwd=None):
@@ -333,7 +334,8 @@ class TestExitCodes:
         # and the hyperplane count n(n-1)/2 before the braid arrangement
         started = time.monotonic()
         proc = run_cli("flats", "--input", "braid-600")
-        assert proc.returncode == 3 and "179700 hyperplanes" in proc.stderr
+        assert proc.returncode == 3
+        assert proc.stderr == "error: 179700 atoms exceeds the limit of 24\n"
         assert time.monotonic() - started < 5
 
     @pytest.mark.parametrize("flag, value", [("--max-flats", "-5"), ("--max-atoms", "-1"),
@@ -374,7 +376,27 @@ class TestExitCodes:
         assert_invalid_input(run_cli("verify", "--input", "pg-2-2", "--certificate", str(f)))
 
 
+# the atom count of every fixed generator name and of one input of each
+# pattern family
+CAPPED_INPUTS = {
+    "example-7": 7, "example-13": 13, "ziegler-11": 11, "ziegler-19": 19,
+    "bowtie-lift-9": 9, "bowtie": 8, "bowtie-loops": 13,
+    "braid-4": 6, "bn-3": 9, "dn-4": 12, "pg-2-3": 13, "fish-z3": 5, "k-4-sign": 12,
+    "kl-3-z3": 12,
+}
+
+
 class TestMaxAtomsReachesConstructors:
+    @pytest.mark.parametrize("name", sorted(CAPPED_INPUTS))
+    def test_every_generator_meets_the_cap(self, name, capsys):
+        assert set(_FIXED) <= set(CAPPED_INPUTS)
+        atoms = CAPPED_INPUTS[name]
+        assert cli.main(["charpoly", "--input", name, "--max-atoms", str(atoms - 1)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and f"{atoms} atoms exceeds the limit of {atoms - 1}" in err
+        assert cli.main(["charpoly", "--input", name, "--max-atoms", str(atoms)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["atoms"] == atoms
+
     def test_projective_plane_over_gf5(self):
         result = run_json("charpoly", "--input", "pg-2-5", "--max-atoms", "40")["result"]
         assert result["atoms"] == 31

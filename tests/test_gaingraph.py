@@ -16,9 +16,9 @@ from modext.gaingraph import (FiniteGroup, GainEdge, GainGraph,
                               multiplicative_embedding,
                               realize_frame_arrangement,
                               realize_lift_arrangement)
-from modext.matroid import Matroid, graphic_matroid, mask_of
+from modext.matroid import graphic_matroid, mask_of
 
-from oracles import brute_closure, brute_covers, oracle_for
+from oracles import bare_matroid, brute_closure, brute_covers, oracle_for
 from samples import arrangement_charpoly, s3_group
 
 TRIV = FiniteGroup.trivial()
@@ -273,7 +273,7 @@ class TestLiftMatroid:
 
 def _assert_kernel_matches(m, rank):
     """Every rank, closure and cover list of `m` is the one read off `rank`."""
-    ref = Matroid(m.n, rank)
+    ref = bare_matroid(m.n, rank)
     for mask in range(1 << m.n):
         assert m.rank(mask) == rank(mask)
         flat = m.closure(mask)

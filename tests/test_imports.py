@@ -1,21 +1,31 @@
 """Every name a package module imports from a sibling module is used there,
 every public name has a caller outside the tests, every definition of the
-package is read by the code the system runs, the README's library tour
-runs, and importing the package stays free of the modules that generate
-code."""
+package is read by the code the system runs and every function and method
+is entered by it, the README's library tour runs, and importing the
+package stays free of the modules that generate code."""
 
 import ast
+import importlib
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import modext
-from modext.algebra import IntPolynomial
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+import modext  # noqa: E402
+from modext import cli  # noqa: E402
+from modext.algebra import IntPolynomial  # noqa: E402
+from perfbench import inputs, job  # noqa: E402
+
+from test_golden import golden_lines  # noqa: E402
 
 PACKAGE = Path(modext.__file__).parent
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PERFBENCH = Path(ROOT) / "perfbench"
 # perfbench/trace.py patches the raw rank-equation scan under this name in
 # every module that binds it, so joins binds it without calling it.
 UNUSED_ON_PURPOSE = {("joins.py", "violating_flat_in_context")}
@@ -34,6 +44,12 @@ KEPT_WITHOUT_CALLER = (
     ("Field.sub", "field arithmetic that the reference row rank, tests/oracles.py "
                   "field_rank, uses"),
     ("IntPolynomial.t", "the polynomial t, one of the IntPolynomial constructors"),
+)
+# Functions and methods that the system's traffic (`_run_the_system`) enters
+# only on a broken certificate or input, and why each stays.
+ERROR_PATHS = (
+    ("_not_modular", "the verifier's report of a flat that fails modularity in its "
+                     "context, which no genuine or tampered certificate of the traffic has"),
 )
 
 
@@ -110,13 +126,20 @@ def _read_by(trees, strings=False) -> tuple:
     return bare, attributes
 
 
+def _is_dunder(key) -> bool:
+    """Whether a name, or the method of a `Class.method` key, is a dunder."""
+    name = key.rsplit(".", 1)[-1]
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions():
     """(definitions, readers) of the package.  `definitions` maps each
     top-level function and class to 0, and each method other than a
     dunder, as `Class.method`, to 1: the index of the `_names_read` set
-    that reads it.  `readers` maps each definition, each module's other
-    top-level statements (the file name) and perfbench/ to what it reads;
-    a class reads what its dunders and class-level statements read."""
+    that reads it.  `readers` maps each definition, each dunder (as
+    `Class.__name__`), each module's other top-level statements (the file
+    name) and perfbench/ to what it reads; a class reads what its bases,
+    decorators and class-level statements read."""
     definitions, readers = {}, {}
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
@@ -128,13 +151,13 @@ def _definitions():
             definitions[node.name] = 0
             parts = [node]
             if isinstance(node, ast.ClassDef):
-                methods = [item for item in node.body if isinstance(item, ast.FunctionDef)
-                           and not (item.name.startswith("__") and item.name.endswith("__"))]
-                for item in methods:
-                    definitions[f"{node.name}.{item.name}"] = 1
+                functions = [item for item in node.body if isinstance(item, ast.FunctionDef)]
+                for item in functions:
                     readers[f"{node.name}.{item.name}"] = _names_read(item)
+                    if not _is_dunder(item.name):
+                        definitions[f"{node.name}.{item.name}"] = 1
                 parts = node.bases + node.decorator_list + [
-                    item for item in node.body if item not in methods]
+                    item for item in node.body if item not in functions]
             readers[node.name] = _read_by(parts)
     readers["perfbench"] = _read_by(
         (ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PERFBENCH.glob("*.py"))),
@@ -159,6 +182,125 @@ def test_every_definition_is_read_by_the_system():
                              for reader, reads in readers.items()
                              if reader != key and reader not in dead)}
     assert unread == kept
+
+
+def _definition_codes() -> tuple:
+    """(codes, classes): the code object of each function and method of
+    the package, dunders too, keyed as `_definitions()` keys its readers,
+    and the names of its classes."""
+    codes, classes = {}, set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name.startswith("__"):
+            continue  # __main__ would run the CLI
+        module = importlib.import_module(f"modext.{path.stem}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if isinstance(obj, type):
+                classes.add(name)
+                for attr, member in vars(obj).items():
+                    # a property's getter, a classmethod's or staticmethod's function
+                    member = getattr(member, "fget", None) or getattr(member, "__func__", member)
+                    if hasattr(member, "__code__"):
+                        codes[f"{name}.{attr}"] = member.__code__
+            elif hasattr(obj, "__code__"):
+                codes[name] = getattr(obj, "__wrapped__", obj).__code__
+    return codes, classes
+
+
+def _run_the_system(tmp_path, capsys):
+    """What the system runs, in process: each module's top-level statements
+    (the package's import, run again in a fresh namespace), the golden CLI
+    reports, `modext` on a JSON file of each input kind, `verify` of a
+    certificate of each kind, `realize` of both models, and the benchmark's
+    census at seed 1, checked simple and certified with tampering."""
+    def run(*argv):
+        assert cli.main(list(argv)) == 0, capsys.readouterr().err
+        return json.loads(capsys.readouterr().out)["result"]
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        if not path.name.startswith("__"):
+            code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+            exec(code, {"__name__": f"modext._{path.stem}", "__package__": "modext"})
+    for _ in golden_lines():
+        pass
+    files = {  # each input kind, with its atom count
+        "arrangement": ({"field": {"kind": "rational"}, "dim": 3,
+                         "forms": [[1, 0, 0], [0, 1, 0], ["1/2", "-1", 0], [0, 1, 1]]}, 4),
+        "linear": ({"type": "linear", "field": {"kind": "gf", "p": 3},
+                    "matrix": [[1, 0, 1, 1], [0, 1, 1, 2]]}, 4),
+        "graph": ({"type": "graph", "vertices": 4,
+                   "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2]]}, 5),
+        "gain": ({"vertices": 3, "group": {"kind": "sign"},
+                  "edges": [[0, 1, "+1"], [0, 1, "-1"], [1, 2, "+1"]]}, 3),
+    }
+    for kind, (data, atoms) in files.items():
+        path = tmp_path / f"{kind}.json"
+        path.write_text(json.dumps(data))
+        assert run("charpoly", "--input", str(path), "--max-atoms", str(atoms))["atoms"] == atoms
+    run("charpoly", "--input", str(tmp_path / "gain.json"), "--model", "lift")
+    kinds = set()
+    for command, name, key in (("supersolvable", "braid-4", "chain"),
+                               ("divflag", "example-13", "flag"),
+                               ("me-cert", "example-13", "certificate"),
+                               ("me-cert", "pg-2-3", "certificate")):
+        cert = run(command, "--input", name)[key]
+        kinds |= set(re.findall(r'"kind": "([a-z-]+)"', json.dumps(cert)))
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        assert run("verify", "--input", name, "--certificate", str(path))["ok"]
+    assert kinds == {"supersolvable-chain", "divisional-flag", "modular-join",
+                     "modular-coatom", "empty"}
+    run("realize", "--input", "k-3-z3", "--field", "gf7")
+    run("realize", "--input", "bowtie", "--field", "gf2", "--model", "lift")
+    api = job.public_api()
+    for _, spec in inputs.generate("census", 1):
+        inputs.build(spec).check_simple()
+        assert not job.certify(inputs.build(spec), api, True).failures
+
+
+def test_every_function_is_entered_by_the_system(tmp_path, capsys):
+    # the name guard above cannot see a method whose name a live definition
+    # also reads; a call trace can: every function and non-dunder method
+    # must be entered by the system's traffic, be kept or an error path, or
+    # be read by name only by such allowed definitions and by dunders that
+    # the traffic never enters (Python's protocols call dunders without
+    # naming them, so neither guard asks for a dunder's caller)
+    codes, classes = _definition_codes()
+    definitions, readers = _definitions()
+    assert set(definitions) == {key for key in codes if not _is_dunder(key)} | classes
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        _run_the_system(tmp_path, capsys)
+    finally:
+        sys.setprofile(None)
+    allowed = {name for name, _ in KEPT_WITHOUT_CALLER + ERROR_PATHS}
+    assert allowed <= set(codes)
+    # a function is the same definition in the fresh namespaces, where
+    # it has a code object of its own
+    entered = {(code.co_filename, code.co_firstlineno) for code in entered}
+    unentered = {key for key, code in codes.items()
+                 if (code.co_filename, code.co_firstlineno) not in entered}
+    assert {name for name, _ in ERROR_PATHS} <= unentered
+    allowed |= {key for key in unentered if _is_dunder(key)}
+    while True:
+        excused = set()
+        for key in unentered - allowed:
+            name = key.rsplit(".", 1)[-1]
+            by = {reader for reader, reads in readers.items()
+                  if reader != key and name in reads[definitions[key]]}
+            if by and by <= allowed:
+                excused.add(key)
+        if not excused:
+            break
+        allowed |= excused
+    assert sorted(unentered - allowed) == []
 
 
 def test_readme_library_tour_runs():

@@ -17,12 +17,12 @@ from modext.joins import (brylawski_identity_check, find_modular_joins,
                           join_divisional_lift_check, me_certify,
                           modular_joins_in_context)
 from modext.lattice import FlatLattice, enumerate_flats
-from modext.matroid import Matroid, atom_tuple, graphic_matroid, mask_of
+from modext.matroid import atom_tuple, graphic_matroid, mask_of
 from modext.modularity import (is_modular_flat, is_round, modular_flats,
                                supersolvable_chain)
 from modext.verify import verify_certificate
 
-from oracles import brute_modular_joins, restrict
+from oracles import bare_matroid, brute_modular_joins, restrict
 from samples import random_matroids
 
 
@@ -179,7 +179,7 @@ def test_join_divisional_lift_on_non_simple_matroids():
     extras = {"loop": (lambda s: s & 31, (0,)),
               "parallel": (lambda s: s & 31 | s >> 5 & 1, (0, 5))}
     for label, (fold, atoms) in extras.items():
-        m = Matroid(6, lambda s, fold=fold: k4e.rank(fold(s)))
+        m = bare_matroid(6, lambda s, fold=fold: k4e.rank(fold(s)))
         lat = enumerate_flats(m)
         assert m.closure(m.atom_bit(0)) == mask_of([0, 5]), label
         d = next(j for j in find_modular_joins(m, lattice=lat) if j.e1 & 1)

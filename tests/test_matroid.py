@@ -6,17 +6,16 @@ from itertools import combinations
 
 import pytest
 
-from modext.algebra import Field, FieldMatrix, gf_row_rank, matrix_rank
+from modext.algebra import Field, FieldMatrix, gf2_basis, gf2_pack, gf_row_rank
 from modext.corpus import corpus_matroid
 from modext.errors import InvalidInput, NotAFlat, NotSimple, TooLarge
 from modext.gaingraph import frame_matroid, lift_matroid
 from modext.generators import named_input
 from modext.lattice import enumerate_flats
-from modext.matroid import (Matroid, atom_tuple, graphic_matroid, linear_matroid, load_matroid,
-                            mask_of)
+from modext.matroid import atom_tuple, graphic_matroid, linear_matroid, load_matroid, mask_of
 
-from oracles import (brute_closure, circuits, contract_simplify, field_rank, is_flat, restrict,
-                     simplicity_violation)
+from oracles import (bare_matroid, brute_closure, circuits, contract_simplify, field_rank, is_flat,
+                     restrict, simplicity_violation)
 from samples import has_backend_kernel, non_simple_gf3_matroids, random_matroids, s3_gain_matroids
 
 
@@ -119,8 +118,8 @@ def test_rescaled_rational_columns_give_the_same_lattice():
 
 def test_guardrail():
     with pytest.raises(TooLarge):
-        Matroid(30, lambda s: bin(s).count("1"))
-    Matroid(30, lambda s: bin(s).count("1"), max_atoms=32)  # opt-in is fine
+        bare_matroid(30, lambda s: bin(s).count("1"))
+    bare_matroid(30, lambda s: bin(s).count("1"), max_atoms=32)  # opt-in is fine
 
 
 def test_graphic_rank_is_spanning_forest_size():
@@ -163,8 +162,9 @@ def test_binary_ranks_match_modular_elimination(name):
     for mask in range(1 << m.n):
         rows = [forms[a] for a in atom_tuple(mask)]
         expected = gf_row_rank(rows, 2)
-        assert m.rank(mask) == expected, rows
-        assert matrix_rank(FieldMatrix(Field.gf(2), rows)) == expected, rows
+        assert m.rank(mask) == expected == field_rank(Field.gf(2), rows), rows
+        packed = [gf2_pack(r) for r in rows]
+        assert len(gf2_basis(packed, (1 << len(packed)) - 1)[0]) == expected, rows
 
 
 def test_random_binary_ranks_match_modular_elimination():
@@ -288,7 +288,7 @@ def test_closure_kernels_match_rank_closure_on_every_subset():
     # the non-simple GF(3) samples bring loops and parallel atoms
     samples = [m for m in _kernel_matroids() + non_simple_gf3_matroids() if m.n <= 10]
     for i, m in enumerate(samples):
-        bare = Matroid(m.n, m.rank)
+        bare = bare_matroid(m.n, m.rank)
         for s in range(1 << m.n):
             expected = _brute_classes(m, s, m.full_mask)
             for k in (m, bare):
@@ -321,21 +321,21 @@ def test_kernel_and_rank_closure_enumerate_the_same_lattice(all_corpus_names):
     for name in all_corpus_names:
         m = corpus_matroid(name)
         lat = enumerate_flats(m)
-        ref = enumerate_flats(Matroid(m.n, m.rank))
+        ref = enumerate_flats(bare_matroid(m.n, m.rank))
         assert lat.levels == ref.levels, name
         assert list(lat.covers.items()) == list(ref.covers.items()), name
         assert lat.atom_index == ref.atom_index, name
 
 
 def test_cover_kernels_match_the_closure_loop(corpus, all_corpus_names):
-    # Matroid(n, rank) reads its covers off rank queries alone; the span is
+    # bare_matroid(n, rank) reads its covers off rank queries alone; the span is
     # the flat itself or a basis of it, and the rest all atoms outside it or
     # the outside parts of every other cover
     ms = [corpus(name) for name in all_corpus_names]
     ms += [(m, enumerate_flats(m)) for m in random_matroids() + s3_gain_matroids()]
     backends = set()
     for i, (m, lat) in enumerate(ms):
-        loop = Matroid(m.n, m.rank)
+        loop = bare_matroid(m.n, m.rank)
         backends.add(m.backend)
         assert has_backend_kernel(m) and not has_backend_kernel(loop), (i, m)
         for f in lat.flats():
@@ -356,7 +356,7 @@ def test_cover_kernels_match_the_closure_loop(corpus, all_corpus_names):
 
 
 def test_closure_rejects_atoms_outside_the_ground_set():
-    for m in _kernel_matroids() + [Matroid(3, lambda s: min(2, s.bit_count()))]:
+    for m in _kernel_matroids() + [bare_matroid(3, lambda s: min(2, s.bit_count()))]:
         with pytest.raises(InvalidInput):
             m.closure(1 << m.n)
         with pytest.raises(InvalidInput):

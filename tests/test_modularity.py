@@ -7,13 +7,13 @@ import pytest
 from modext.errors import NotAFlat, NotComparable
 from modext.joins import modular_joins_in_context
 from modext.lattice import enumerate_flats
-from modext.matroid import Matroid, atom_tuple, mask_of
+from modext.matroid import atom_tuple, mask_of
 from modext.modularity import (is_modular_flat, is_modular_in_context, is_round,
                                missed_line, modular_coatoms_in_context, modular_flats,
                                modular_flats_in_context, round_in_context,
                                supersolvable_chain, violating_flat_in_context)
 
-from oracles import (brute_flats, brute_lines_outside, brute_modular, brute_round,
+from oracles import (bare_matroid, brute_flats, brute_lines_outside, brute_modular, brute_round,
                      brute_supersolvable, circuits, coatom_pairing, reference_lattice,
                      short_circuit_check)
 from samples import non_simple_gf3_matroids, random_matroids
@@ -103,7 +103,7 @@ def test_context_verdicts_match_the_checkers(corpus, all_corpus_names, reference
     samples += randoms
     samples += [(len(randoms) + i, m, reference_lattice(m)[1])
                 for i, m in enumerate(non_simple_gf3_matroids())]
-    samples += [(("bare", i), Matroid(m.n, m.rank), children) for i, m, children in randoms]
+    samples += [(("bare", i), bare_matroid(m.n, m.rank), children) for i, m, children in randoms]
     for label, m, children in samples:
         lat = enumerate_flats(m)
         contexts = list(lat.flats())

@@ -13,7 +13,7 @@ from modext.matroid import Matroid  # noqa: E402
 from perfbench.job import certify  # noqa: E402
 from perfbench.trace import Tracer  # noqa: E402
 
-from oracles import reference_lattice  # noqa: E402
+from oracles import bare_matroid, reference_lattice  # noqa: E402
 
 
 def _traced_certify(m, monkeypatch=None):
@@ -55,7 +55,7 @@ def test_traced_certify_closes_each_flat_once(monkeypatch):
     # rank function, read through the rank-query kernel, a frame and a
     # linear matroid, each through its backend kernel
     q3 = corpus_matroid("q3-z3")
-    for m, flats in ((Matroid(q3.n, q3.rank), 35), (q3, 35),
+    for m, flats in ((bare_matroid(q3.n, q3.rank), 35), (q3, 35),
                      (named_input("braid-4").dependence_matroid(), 15)):
         verdict, tracer = _traced_certify(m, monkeypatch)
         assert verdict.flats == flats

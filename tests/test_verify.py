@@ -16,12 +16,12 @@ from modext.divisional import divisional_flag, stanley_division_check
 from modext.errors import InvalidInput, NotModular
 from modext.joins import me_certify
 from modext.lattice import enumerate_flats
-from modext.matroid import Matroid, graphic_matroid, mask_of
+from modext.matroid import graphic_matroid, mask_of
 from modext.modularity import (is_modular_flat, missed_line, supersolvable_chain,
                                violating_flat_in_context)
 from modext.verify import verify_certificate
 
-from oracles import coatom_pairing, reference_lattice
+from oracles import bare_matroid, coatom_pairing, reference_lattice
 from samples import non_simple_gf3_matroids, random_matroids
 
 
@@ -41,7 +41,7 @@ class TestHonestCertificates:
             assert report.ok and report.failures == ()
 
     def test_empty_certificate_on_empty_matroid(self):
-        m = Matroid(0, lambda mask: 0)
+        m = bare_matroid(0, lambda mask: 0)
         assert verify_certificate(m, EmptyCertificate()).ok
 
     def test_chain_certificates_verify(self, corpus):
