@@ -65,21 +65,6 @@ class IntPolynomial:
 
     # -- arithmetic
 
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other):
-        return self + IntPolynomial([-c for c in other.coeffs])
-
-    def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
-
     def __mul__(self, other):
         if self.is_zero or other.is_zero:
             return IntPolynomial()
@@ -95,10 +80,6 @@ class IntPolynomial:
     @classmethod
     def one(cls) -> "IntPolynomial":
         return cls((1,))
-
-    @classmethod
-    def t(cls) -> "IntPolynomial":
-        return cls((0, 1))
 
     @classmethod
     def from_roots(cls, roots) -> "IntPolynomial":
@@ -124,25 +105,6 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)!r})"
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c)) + "*"
-                term = f"{mag}t" if k == 1 else f"{mag}t^{k}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append((" - " if c < 0 else " + ") + term)
-        return "".join(parts)
 
 
 def poly_exact_div(num: IntPolynomial, den: IntPolynomial):

@@ -9,7 +9,7 @@ matroid of the forms.
 from __future__ import annotations
 
 from .algebra import Field, FieldMatrix, _clear_row_denominators, echelon_basis
-from .errors import InvalidInput, NotSimple, reading
+from .errors import InvalidInput, NotSimple, TooLarge, reading
 from .matroid import DEFAULT_MAX_ATOMS, Matroid, check_atom_count, linear_matroid
 
 
@@ -51,16 +51,11 @@ class Arrangement:
         self.max_atoms = max_atoms
         self._matroid = None
 
-    def __len__(self):
-        return len(self.forms)
-
     def dependence_matroid(self) -> Matroid:
         """The linear matroid of the forms (simple by construction)."""
         if self._matroid is None:
             rows = [[row[k] for row in self.forms] for k in range(self.dim)]
-            self._matroid = linear_matroid(
-                FieldMatrix(self.field, rows), labels=self.labels,
-                max_atoms=self.max_atoms)
+            self._matroid = linear_matroid(FieldMatrix(self.field, rows), self.max_atoms)
         return self._matroid
 
     def essentialize(self) -> "Arrangement":
@@ -126,12 +121,19 @@ def pg_arrangement(n: int, p: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrang
     """All hyperplanes of GF(p)^(n+1): one form per point of PG(n, p).
 
     Forms are the (p^(n+1)-1)/(p-1) vectors whose first nonzero entry is 1,
-    in lexicographic order.
+    in lexicographic order.  The cap is checked before p is tested for
+    primality.  Past 2^16 bits the power is not computed: the count is
+    at least p^n, so at least 2^(n*(b-1)) for b the bit length of p,
+    and so more than the cap once n*(b-1) reaches the cap's bit length.
     """
-    field = Field.gf(p)
     if n < 0:
         raise InvalidInput("projective dimension must be nonnegative")
-    check_atom_count((p ** (n + 1) - 1) // (p - 1), max_atoms)
+    if p > 1:  # else Field.gf rejects p
+        bits = p.bit_length()
+        if (n + 1) * bits > 1 << 16 and n * (bits - 1) >= max_atoms.bit_length():
+            raise TooLarge(f"the atom count exceeds the limit of {max_atoms}")
+        check_atom_count((p ** (n + 1) - 1) // (p - 1), max_atoms)
+    field = Field.gf(p)
     dim = n + 1
     forms = []
     for lead in range(dim):

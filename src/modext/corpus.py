@@ -33,7 +33,7 @@ def _poly_from_roots(*roots) -> list:
 
 def _uniform_2_3() -> Matroid:
     m = FieldMatrix(Field.rational(), [[1, 0, 1], [0, 1, 1]])
-    return linear_matroid(m, labels=("a", "b", "c"))
+    return linear_matroid(m)
 
 
 def _free_3() -> Matroid:

@@ -29,7 +29,7 @@ def atom_quotient(chi: IntPolynomial, chi_upper: IntPolynomial):
     when the division is not exact; an exact quotient is linear monic."""
     q = poly_exact_div(chi, chi_upper)
     if q is not None and (q.degree != 1 or not q.is_monic):
-        raise InternalInconsistency(f"atom quotient {q} is not linear monic")
+        raise InternalInconsistency(f"atom quotient {list(q.coeffs)} is not linear monic")
     return q
 
 

@@ -122,7 +122,8 @@ class DivisionByZeroPolynomial(ModextError):
 class IdentityViolation(ModextError):
     """A polynomial identity that must hold for a modular join failed.
 
-    Carries the four characteristic polynomials involved.
+    Carries the four characteristic polynomials involved; the message
+    prints each as its coefficient list, constant term first.
     """
 
     def __init__(self, chi_m, chi_x, chi_e1, chi_e2):
@@ -132,7 +133,8 @@ class IdentityViolation(ModextError):
         self.chi_e2 = chi_e2
         super().__init__(
             "join identity failed: chi(M)*chi(M|X) != chi(M|E1)*chi(M|E2): "
-            f"{chi_m} * {chi_x} != {chi_e1} * {chi_e2}"
+            f"{list(chi_m.coeffs)} * {list(chi_x.coeffs)} != "
+            f"{list(chi_e1.coeffs)} * {list(chi_e2.coeffs)}"
         )
 
 

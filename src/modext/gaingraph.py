@@ -398,8 +398,8 @@ def frame_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
             groups[key] = groups.get(key, 0) | low
         return groups
 
-    return Matroid(g.num_atoms, rank_fn, classes_fn=classes_fn,
-                   labels=g.atom_labels() or None, backend="frame", max_atoms=max_atoms)
+    return Matroid(g.num_atoms, rank_fn, classes_fn=classes_fn, backend="frame",
+                   max_atoms=max_atoms)
 
 
 def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
@@ -421,7 +421,6 @@ def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
     if g.loops:
         raise HasLoops("the extended lift matroid is defined for loopless gain graphs")
     _check_no_repeated_edges(g)
-    labels = ("inf",) + tuple(g.atom_label(i) for i in range(len(g.edges)))
     table, inv = g.group.table, g.group.inverse
     ends = [(e.u, e.v, e.gain) for e in g.edges]
 
@@ -449,8 +448,8 @@ def lift_matroid(g: GainGraph, max_atoms: int = DEFAULT_MAX_ATOMS) -> Matroid:
             groups[key] = groups.get(key, 0) | low << 1
         return groups
 
-    return Matroid(len(g.edges) + 1, rank_fn, classes_fn=classes_fn, labels=labels,
-                   backend="lift", max_atoms=max_atoms)
+    return Matroid(len(g.edges) + 1, rank_fn, classes_fn=classes_fn, backend="lift",
+                   max_atoms=max_atoms)
 
 
 # ---------------------------------------------------------------------------

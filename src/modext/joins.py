@@ -178,5 +178,6 @@ def join_divisional_lift_check(m: Matroid, d: JoinDecomposition, e: int,
     if chi_me * chi_x != chi_m1e * chi_e2:
         raise LiftViolation(
             f"contraction charpoly of atom {e} does not factor through the join: "
-            f"{chi_me} * {chi_x} != {chi_m1e} * {chi_e2}")
+            f"{list(chi_me.coeffs)} * {list(chi_x.coeffs)} != "
+            f"{list(chi_m1e.coeffs)} * {list(chi_e2.coeffs)}")
     return True

@@ -56,9 +56,15 @@ def atom_tuple(mask: int) -> tuple:
 
 
 def check_atom_count(n: int, max_atoms: int) -> None:
-    """Raise TooLarge when n atoms exceed the guardrail `max_atoms`."""
+    """Raise TooLarge when n atoms exceed the guardrail `max_atoms`.  A
+    count with more digits than Python converts to a string is left out
+    of the message."""
     if n > max_atoms:
-        raise TooLarge(f"{n} atoms exceeds the limit of {max_atoms}")
+        try:
+            count = f"{n} atoms"
+        except ValueError:
+            count = "the atom count"
+        raise TooLarge(f"{count} exceeds the limit of {max_atoms}")
 
 
 # ---------------------------------------------------------------------------
@@ -78,24 +84,18 @@ class Matroid:
     hands over a set spanning one).  `closure` reads class 0, and `covers`
     returns the other classes as the kernel made them, each the part of
     one cover among the candidates.  `backend` records where the oracle
-    came from ("linear", "graphic", "frame", "lift", or "explicit").
+    came from ("linear", "graphic", "frame", "lift", or "explicit").  The
+    atom count is checked against `max_atoms` here, once; the matroid
+    keeps neither the cap nor any names of its atoms.
     """
 
-    def __init__(self, n, rank_fn, *, classes_fn, labels=None,
-                 backend="explicit", max_atoms=DEFAULT_MAX_ATOMS):
+    def __init__(self, n, rank_fn, *, classes_fn, backend="explicit",
+                 max_atoms=DEFAULT_MAX_ATOMS):
         check_atom_count(n, max_atoms)
         if n < 0:
             raise InvalidInput("negative ground-set size")
-        if labels is not None:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise InvalidInput("label count does not match ground-set size")
-            if len(set(labels)) != n:
-                raise InvalidInput("labels must be unique")
         self.n = n
-        self.labels = labels
         self.backend = backend
-        self.max_atoms = max_atoms
         self.full_mask = (1 << n) - 1
         self._rank_fn = rank_fn
         self._classes_fn = classes_fn
@@ -163,7 +163,7 @@ class Matroid:
 # constructors
 
 
-def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS) -> Matroid:
+def linear_matroid(matrix: FieldMatrix, max_atoms=DEFAULT_MAX_ATOMS) -> Matroid:
     """Matroid of the columns of an exact matrix; atom i is column i.
 
     Raises NotSimple (listing the offending columns) on zero or pairwise
@@ -207,8 +207,7 @@ def linear_matroid(matrix: FieldMatrix, labels=None, max_atoms=DEFAULT_MAX_ATOMS
             i, j = atom_tuple(c)[:2]
             raise NotSimple([i, j], f"columns {i} and {j} are proportional")
 
-    return Matroid(ncols, rank_fn, classes_fn=classes_fn, labels=labels, backend="linear",
-                   max_atoms=max_atoms)
+    return Matroid(ncols, rank_fn, classes_fn=classes_fn, backend="linear", max_atoms=max_atoms)
 
 
 def _gf2_oracle(vectors):
@@ -274,7 +273,7 @@ def _echelon_classes(cols, p):
     return classes
 
 
-def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_ATOMS) -> Matroid:
+def graphic_matroid(n_vertices: int, edges, max_atoms=DEFAULT_MAX_ATOMS) -> Matroid:
     """Cycle matroid of a simple graph on vertices 0..n_vertices-1.
 
     Atom i is edge i.  Loops and repeated edges are rejected because the
@@ -284,7 +283,7 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
     i and j number u and v by first appearance in the edge list, so no
     vector is longer than twice the edge count, whatever the vertex
     numbers; that only permutes the rows.  The rank of a subset is that of its
-    vectors over GF(2).  Labels keep the input's vertex numbers.
+    vectors over GF(2).
     """
     if n_vertices < 0:
         raise InvalidInput("negative vertex count")
@@ -301,15 +300,12 @@ def graphic_matroid(n_vertices: int, edges, labels=None, max_atoms=DEFAULT_MAX_A
             raise NotSimple([len(edge_list)], f"repeated edge {key}")
         seen.add(key)
         edge_list.append(key)
-    edge_list = tuple(edge_list)
-    if labels is None and edge_list:
-        labels = tuple(f"{u}-{v}" for u, v in edge_list)
 
     row = {}
     vectors = [1 << row.setdefault(u, len(row)) | 1 << row.setdefault(v, len(row))
                for u, v in edge_list]
     return Matroid(len(edge_list), _gf2_oracle(vectors), classes_fn=_gf2_classes(vectors),
-                   labels=labels, backend="graphic", max_atoms=max_atoms)
+                   backend="graphic", max_atoms=max_atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -320,8 +316,9 @@ def load_matroid(data, max_atoms=DEFAULT_MAX_ATOMS) -> Matroid:
     """Build a matroid from a JSON descriptor.
 
     Supported descriptors:
-      {"type": "linear", "field": {...}, "matrix": [[...], ...], "labels": [...]}
+      {"type": "linear", "field": {...}, "matrix": [[...], ...]}
       {"type": "graph", "vertices": n, "edges": [[u, v], ...]}
+    Other keys are ignored, among them "labels": a matroid names no atoms.
     """
     if not isinstance(data, dict):
         raise InvalidInput("matroid descriptor must be an object")
@@ -329,9 +326,8 @@ def load_matroid(data, max_atoms=DEFAULT_MAX_ATOMS) -> Matroid:
     if kind == "linear":
         with reading("linear descriptor"):
             matrix = FieldMatrix(Field.from_json(data["field"]), data["matrix"])
-            return linear_matroid(matrix, labels=data.get("labels"), max_atoms=max_atoms)
+            return linear_matroid(matrix, max_atoms=max_atoms)
     if kind == "graph":
         with reading("graph descriptor"):
-            return graphic_matroid(int(data["vertices"]), data["edges"],
-                                   labels=data.get("labels"), max_atoms=max_atoms)
+            return graphic_matroid(int(data["vertices"]), data["edges"], max_atoms=max_atoms)
     raise InvalidInput(f"unknown matroid type {kind!r}")

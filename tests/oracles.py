@@ -349,20 +349,18 @@ def brute_modular_joins(m, below) -> list:
 
 def restrict(m, flat: int):
     """M|flat as a bare matroid on atoms 0..|flat|-1, ranks asked of m (so
-    its memo is shared), labels and atom cap inherited."""
+    its memo is shared), capped at m's atom count, which met m's cap."""
     if brute_closure(m, flat) != flat:
         raise NotAFlat(f"restriction requires a flat, got {sorted(atom_tuple(flat))}")
     bits = [1 << a for a in atom_tuple(flat)]
-    labels = tuple(m.labels[a] for a in atom_tuple(flat)) if m.labels else None
-    return bare_matroid(len(bits), lambda sub: m.rank(remap_mask(sub, bits)), labels=labels,
-                        max_atoms=m.max_atoms)
+    return bare_matroid(len(bits), lambda sub: m.rank(remap_mask(sub, bits)), max_atoms=m.n)
 
 
 def contract_simplify(m, flat: int):
     """(si(M/flat), atom_map): a bare matroid whose atoms are the flats
     covering `flat`, in lex order, ranked by r(flat | union of covers) -
     r(flat) on m; atom_map sends each atom of m outside the flat to the
-    index of its cover."""
+    index of its cover; capped as `restrict` caps."""
     if brute_closure(m, flat) != flat:
         raise NotAFlat(f"contraction requires a flat, got {sorted(atom_tuple(flat))}")
     base = m.rank(flat)
@@ -370,7 +368,7 @@ def contract_simplify(m, flat: int):
     atom_map = dict(sorted((a, i) for i, c in enumerate(covers)
                            for a in atom_tuple(c & ~flat)))
     q = bare_matroid(len(covers), lambda sub: m.rank(flat | remap_mask(sub, covers)) - base,
-                     max_atoms=m.max_atoms)
+                     max_atoms=m.n)
     return q, atom_map
 
 

@@ -19,6 +19,7 @@ from modext.gaingraph import (FiniteGroup, complete_gain_graph, frame_matroid,
                               lift_matroid, link_simplicial_vertices,
                               realize_frame_arrangement,
                               realize_lift_arrangement)
+from modext.generators import example_13
 from modext.joins import (brylawski_identity_check, find_modular_joins,
                           me_certify)
 from modext.lattice import enumerate_flats
@@ -61,7 +62,7 @@ def test_criterion_01_thirteen_hyperplane_example():
     cert = me_certify(m, lattice=lat)
     assert isinstance(cert, ModularJoinCertificate)
     assert atom_tuple(cert.x) == (0,) and lat.rank_of[cert.x] == 1
-    assert m.labels[0] == "z"
+    assert example_13().labels[0] == "z"
 
     assert divisional_flag(m, lattice=lat) is not None
     assert supersolvable_chain(m, lattice=lat) is None

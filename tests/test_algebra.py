@@ -13,13 +13,15 @@ from modext.errors import DivisionByZeroPolynomial, InvalidInput, NotComparable
 from oracles import field_rank
 
 
+T = IntPolynomial([0, 1])
+
+
 def test_polynomial_basics():
-    p = IntPolynomial([1, 2, 3])  # 3t^2 + 2t + 1
-    assert p.degree == 2
+    p = IntPolynomial([1, 2, 3, 0, 0])  # 3t^2 + 2t + 1, trailing zeros trimmed
+    assert p.coeffs == (1, 2, 3) and p.degree == 2
     assert p(0) == 1 and p(1) == 6 and p(-1) == 2
-    assert (p + IntPolynomial.one())(1) == 7
-    assert (p * IntPolynomial.t())(2) == 2 * p(2)
-    assert -p + p == IntPolynomial()
+    assert (p * T).coeffs == (0, 1, 2, 3) and (p * T)(2) == 2 * p(2)
+    assert p * IntPolynomial() == IntPolynomial() and IntPolynomial().degree == -1
 
 
 def test_from_roots():
@@ -51,9 +53,9 @@ def test_integer_roots_against_brute_force():
         for q in irreducible:
             assert integer_roots(p * q) is None, (roots, q)
         # a root at 0: the factor t
-        assert integer_roots(p * IntPolynomial.t()) == sorted(roots + [0])
+        assert integer_roots(p * T) == sorted(roots + [0])
     assert integer_roots(IntPolynomial.one()) == []
-    assert integer_roots(IntPolynomial.t()) == [0]
+    assert integer_roots(T) == [0]
     assert integer_roots(IntPolynomial.from_roots([0, 0, -3, 5])) == [-3, 0, 0, 5]
     for q in irreducible:
         assert integer_roots(q) is None

@@ -73,8 +73,9 @@ class TestEssentialize:
     def test_keeps_a_raised_cap(self):
         arr = Arrangement(Field.rational(), 2, [[1, k] for k in range(30)], max_atoms=40)
         ess = arr.essentialize()
-        assert len(ess) == 30 and ess.max_atoms == 40
-        assert ess.dependence_matroid().max_atoms == 40
+        assert len(ess.forms) == 30 and ess.max_atoms == 40
+        # 30 atoms are over the default cap of 24
+        assert ess.dependence_matroid().n == 30
 
     @pytest.mark.parametrize("field", [Field.rational(), Field.gf(2), Field.gf(3), Field.gf(5)],
                              ids=repr)
@@ -151,8 +152,11 @@ class TestProjectiveGeometries:
         assert len(pg_arrangement(3, 3, max_atoms=40).forms) == 40
         with pytest.raises(InvalidInput):
             pg_arrangement(-1, 2)
-        with pytest.raises(InvalidInput):
+        # the cap is decided before p is tested for primality
+        with pytest.raises(TooLarge):
             pg_arrangement(2, 6)
+        with pytest.raises(InvalidInput):
+            pg_arrangement(2, 6, max_atoms=43)
 
 
 class TestDependenceMatroid:

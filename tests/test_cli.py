@@ -15,7 +15,7 @@ from modext.corpus import corpus_names
 from modext.generators import _FIXED
 
 
-def run_cli(*argv, env_extra=None, cwd=None):
+def run_cli(*argv, env_extra=None, cwd=None, timeout=None):
     # the child imports the package these tests import, installed or not
     source = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -24,7 +24,7 @@ def run_cli(*argv, env_extra=None, cwd=None):
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "modext.cli", *argv],
-        capture_output=True, text=True, env=env, cwd=cwd)
+        capture_output=True, text=True, env=env, cwd=cwd, timeout=timeout)
 
 
 def run_json(*argv, **kwargs):
@@ -253,6 +253,24 @@ class TestFileInputs:
         result = run_json("charpoly", "--input", str(f))["result"]
         assert result == {"atoms": 3, "rank": 2, "charpoly": ["2", "-3", "1"]}
 
+    @pytest.mark.parametrize("data", [
+        {"type": "linear", "field": {"kind": "gf", "p": 3},
+         "matrix": [[1, 0, 1, 1], [0, 1, 1, 2]]},
+        {"type": "graph", "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2]]},
+    ], ids=lambda data: data["type"])
+    def test_labels_key_is_ignored(self, data, tmp_path, capsys):
+        # a matroid names no atoms: a "labels" key, of any length and with
+        # repeats or not, changes no byte of the report
+        atoms = len(data["edges"]) if "edges" in data else len(data["matrix"][0])
+        f = tmp_path / "m.json"
+        reports = []
+        for labels in (None, [str(a) for a in range(atoms)], ["a"], ["a"] * atoms):
+            f.write_text(json.dumps(data if labels is None else dict(data, labels=labels)))
+            assert cli.main(["flats", "--input", str(f)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert json.loads(reports[0])["result"]["atoms"] == atoms
+        assert reports == reports[:1] * 4
+
     def test_arrangement_json(self, tmp_path):
         report = run_json("realize", "--input", "bowtie",
                           "--model", "lift", "--field", "gf2")
@@ -337,6 +355,21 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr == "error: 179700 atoms exceeds the limit of 24\n"
         assert time.monotonic() - started < 5
+        # counts past Python's 4,300-digit string conversion, and PG(n, p)
+        # with a power or a primality test that would take minutes, are
+        # decided before the numbers; an unprintable count goes unnamed
+        big = "9" * 2200
+        unprintable = "error: the atom count exceeds the limit of 24\n"
+        for name, stderr in [
+                *((name, unprintable) for name in (f"braid-{big}", f"bn-{big}", f"dn-{big}",
+                                                   f"k-{big}-z3", "pg-10000-3", "pg-10000000-3",
+                                                   "pg-100000000-3")),
+                ("pg-1-2305843009213693951",
+                 "error: 2305843009213693952 atoms exceeds the limit of 24\n")]:
+            started = time.monotonic()
+            proc = run_cli("charpoly", "--input", name, timeout=5)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", stderr), name[:24]
+            assert time.monotonic() - started < 5, name[:24]
 
     @pytest.mark.parametrize("flag, value", [("--max-flats", "-5"), ("--max-atoms", "-1"),
                                              ("--max-atoms", "many")])

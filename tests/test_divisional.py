@@ -7,8 +7,9 @@ import pytest
 
 import modext.divisional
 from modext.algebra import IntPolynomial, integer_roots, poly_exact_div
-from modext.divisional import divisional_flag, is_divisional_atom, stanley_division_check
-from modext.errors import InvalidInput
+from modext.divisional import (atom_quotient, divisional_flag, is_divisional_atom,
+                               stanley_division_check)
+from modext.errors import InternalInconsistency, InvalidInput
 from modext.lattice import FlatLattice, enumerate_flats
 from modext.modularity import modular_flats, supersolvable_chain
 
@@ -20,6 +21,15 @@ if ROOT not in sys.path:
     sys.path.insert(0, ROOT)
 
 from perfbench import inputs  # noqa: E402
+
+
+def test_atom_quotient_must_be_linear_monic():
+    chi = IntPolynomial.from_roots([1, 2, 3])
+    assert atom_quotient(chi, IntPolynomial.from_roots([2, 3])) == IntPolynomial([-1, 1])
+    assert atom_quotient(chi, IntPolynomial.from_roots([4])) is None
+    # a quotient of another degree is printed as its coefficient list
+    with pytest.raises(InternalInconsistency, match=r"atom quotient \[2, -3, 1\] is not"):
+        atom_quotient(chi, IntPolynomial.from_roots([3]))
 
 
 def test_stanley_division_on_modular_flats(corpus):

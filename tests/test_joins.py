@@ -12,8 +12,8 @@ from modext.certificates import (EmptyCertificate, ModularCoatomCertificate,
                                  ModularJoinCertificate)
 from modext.corpus import corpus_matroid
 from modext.divisional import divisional_flag, is_divisional_atom
-from modext.errors import InvalidInput
-from modext.joins import (brylawski_identity_check, find_modular_joins,
+from modext.errors import IdentityViolation, InvalidInput, LiftViolation
+from modext.joins import (JoinDecomposition, brylawski_identity_check, find_modular_joins,
                           join_divisional_lift_check, me_certify,
                           modular_joins_in_context)
 from modext.lattice import FlatLattice, enumerate_flats
@@ -24,6 +24,19 @@ from modext.verify import verify_certificate
 
 from oracles import bare_matroid, brute_modular_joins, restrict
 from samples import random_matroids
+
+
+def test_failed_identities_print_coefficient_lists(corpus):
+    # K4's atom 0 and the rank-2 flat {1, 2, 5} span it and meet in the
+    # empty flat, but are no modular join: both identities fail, and each
+    # message prints every chi as its coefficient list, constant term first
+    m, lat = corpus("k4")
+    with pytest.raises(IdentityViolation) as exc:
+        brylawski_identity_check(m, JoinDecomposition(0b1, 0b100110, 0, True), lat)
+    assert str(exc.value).endswith(": [-6, 11, -6, 1] * [1] != [-1, 1] * [2, -3, 1]")
+    with pytest.raises(LiftViolation) as exc:
+        join_divisional_lift_check(m, JoinDecomposition(0b100110, 0b1, 0, True), 1, lat)
+    assert str(exc.value).endswith(": [2, -3, 1] * [1] != [-1, 1] * [-1, 1]")
 
 
 def test_no_joins_for_round_matroids(corpus):
