@@ -10,7 +10,7 @@ and a reduced XOR basis of vectors packed into ints over GF(2).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from .errors import DivisionByZeroPolynomial, InvalidInput
 
@@ -187,11 +187,31 @@ def integer_roots(p: IntPolynomial):
 # fields
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# below PRIME_LIMIT, the least strong pseudoprime to all of them (Sorenson
+# and Webster, Math. Comp. 86 (2017)); Field.gf refuses larger p.
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(p: int) -> bool:
+    """Primality of p < PRIME_LIMIT, by deterministic Miller-Rabin."""
     if p < 2:
         return False
-    for d in range(2, isqrt(p) + 1):
-        if p % d == 0:
+    for b in PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    s = ((p - 1) & (1 - p)).bit_length() - 1    # p - 1 = d * 2^s, d odd
+    d = (p - 1) >> s
+    for b in PRIME_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
 
@@ -214,6 +234,9 @@ class Field:
             if p is not None:
                 raise InvalidInput("rational field takes no characteristic")
         elif kind == Field.GF:
+            if isinstance(p, int) and p >= PRIME_LIMIT:
+                raise InvalidInput(f"GF(p): characteristic must be below {PRIME_LIMIT}, "
+                                   "where its primality is decided exactly")
             if not isinstance(p, int) or not _is_prime(p):
                 raise InvalidInput(f"GF({p!r}): characteristic must be a prime")
         else:

@@ -38,19 +38,30 @@ Everything is driven by the covering relation:
   lattice (`_verified`), which the prover never reads.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
-  flats Y covered by X with B <= Y and a not in Y.  One routine
-  (`_weisner`) computes mu(B, X) over an interval [B, T] and sums it per
-  level, read upward with a the lowest atom of X outside B: walking the
-  interval level by level from B, each flat Y adds -mu(B, Y) to each
-  cover X <= T that holds an atom outside B below Y's lowest one (exactly
-  the covers whose lowest atom outside B misses Y), and those covers come
-  first in Y's `covers`.  Only flats of [B, T] are walked, and each is
-  reached: mu never vanishes on a geometric lattice (Rota 1964).
-  mu(bottom, X) depends on nothing above X, so `mobius()` and
-  `charpoly()` share one pass over the whole lattice, and an interval
-  [bottom, T] sums the kept values over the flats below T
-  (`lower_charpoly` keeps it per T, as `upper_charpoly` keeps [B, top]
-  per B); any other interval runs its own pass.
+  flats Y covered by X with B <= Y and a not in Y.  Read upward with a
+  the lowest atom of X outside B, each flat Y adds -mu(B, Y) to its
+  leading covers: those holding an atom outside B below Y's lowest one,
+  which are exactly the covers whose lowest atom outside B misses Y.
+  From the bottom, enumeration folds this into its walk and keeps
+  mu(bottom, X) as one list per level, by position (`mu`): the bottom
+  gives its atoms -1, and a flat Y of level k >= 1 gives -mu(bottom, Y)
+  to its known covers at positions below P, the count of flats made when
+  the walk first reached a flat with Y's lowest atom outside the bottom.
+  Proof.  A flat X of rank >= 2 is made by m(X) = cl(X & [0, beta(X)))
+  (see Order), which holds X's lowest atom outside the bottom, for
+  X & [0, beta(X)) has rank >= 1.  So that atom is the lowest of X's
+  span, its maker's span plus beta(X), by induction on the rank.  A flat
+  of a level comes after, in lex order, every flat of it with a lower
+  lowest atom outside the bottom.  So each leading cover X of Y is
+  made before the walk reaches a flat with Y's lowest atom: it is a known
+  cover of Y, at a position below P.  Each flat at a position below P
+  has, like its maker, a lowest atom below Y's, so a known cover there is
+  leading; and no cover Y makes is, for it holds Y's lowest atom.
+  `charpoly()` sums the lists per level, `mobius()` is their view keyed
+  by flat, built on first ask, and an interval [bottom, T] sums that view
+  over the flats below T (`lower_charpoly` keeps it per T).  Any other
+  interval [B, T] runs its own pass (`_weisner`), which pushes over
+  `covers` within it; `upper_charpoly` keeps [B, top] per B.
 
 Order: levels and covers list flats in lexicographic order of their
 ascending atom tuples (`atom_tuple`), and nothing is sorted:
@@ -99,7 +110,8 @@ DEFAULT_MAX_FLATS = 2 ** 20
 class FlatLattice:
     """The lattice of flats of a matroid, fully enumerated.  Keeps `levels`
     and `covers` (lex-sorted tuples, keyed in (rank, lex) order) as
-    enumeration made them.
+    enumeration made them, and `mu[k][i]` = mu(bottom, `levels[k][i]`),
+    which enumeration folded into its walk.
 
     `atom_index[k][a]`, for every level k below the top, has bit i set when
     `levels[k][i]` holds atom a: it is the index enumeration built while it
@@ -108,17 +120,19 @@ class FlatLattice:
     positions its atoms outside the bottom set.
     """
 
-    def __init__(self, matroid: Matroid, levels, covers, atom_index):
+    def __init__(self, matroid: Matroid, levels, covers, atom_index, mu):
         self.matroid = matroid
         self.levels = levels
         self.covers = covers
         self.atom_index = atom_index
+        self.mu = mu
         self.rank_of = {}
         for k, level in enumerate(levels):
             for f in level:
                 self.rank_of[f] = k
         self._below = {}
-        self._full = None
+        self._mobius = None
+        self._charpoly = None
         self._upper = {}
         self._lower = {}
         # filled by modularity: ctx -> the modular flats within it,
@@ -180,18 +194,18 @@ class FlatLattice:
     # -- Mobius function and characteristic polynomials
 
     def mobius(self) -> dict:
-        """Mobius values mu(bottom, X) for every flat X (cached, with the
-        charpoly that the same Weisner pass sums)."""
-        if self._full is None:
-            mu, sums = self._weisner(self.bottom, self.top)
-            self._full = mu, IntPolynomial(sums[::-1])
-        return self._full[0]
+        """Mobius values mu(bottom, X) for every flat X, keyed by flat: a
+        view of `mu`, built on first ask (cached)."""
+        if self._mobius is None:
+            self._mobius = {f: v for level, values in zip(self.levels, self.mu)
+                            for f, v in zip(level, values)}
+        return self._mobius
 
     def charpoly(self) -> IntPolynomial:
         """Characteristic polynomial of the whole lattice (cached)."""
-        if self._full is None:
-            self.mobius()
-        return self._full[1]
+        if self._charpoly is None:
+            self._charpoly = IntPolynomial([sum(values) for values in reversed(self.mu)])
+        return self._charpoly
 
     def interval_charpoly(self, bottom: int, top: int) -> IntPolynomial:
         """Characteristic polynomial of the interval [bottom, top]."""
@@ -201,7 +215,7 @@ class FlatLattice:
             raise NotComparable(
                 f"{sorted(atom_tuple(bottom))} is not below {sorted(atom_tuple(top))}")
         if bottom != self.bottom:
-            return IntPolynomial(self._weisner(bottom, top)[1][::-1])
+            return IntPolynomial(self._weisner(bottom, top)[::-1])
         if top == self.top:
             return self.charpoly()
         # mu(bottom, X) does not depend on the top of the interval
@@ -228,10 +242,10 @@ class FlatLattice:
             self._lower[flat] = cached
         return cached
 
-    def _weisner(self, bottom: int, top: int):
-        """(mu, sums) for an interval [bottom, top]: mu(bottom, X) for each
-        flat X of it, and for each rank k from r(bottom) to r(top) the sum
-        of mu(bottom, X) over its flats of rank k, by Weisner's theorem.
+    def _weisner(self, bottom: int, top: int) -> list:
+        """For an interval [bottom, top] whose bottom is not the lattice's,
+        the sum of mu(bottom, X) over its flats X of rank k, for each k from
+        r(bottom) to r(top), by Weisner's theorem.
 
         Walks the interval upward, level by level: each flat Y pushes
         -mu(bottom, Y) to each of its covers X <= top that holds an atom
@@ -242,9 +256,8 @@ class FlatLattice:
         """
         covers = self.covers
         outside = ~top
-        mu = {bottom: 1}
+        level = {bottom: 1}
         sums = [1]
-        level = mu
         for _ in range(self.rank_of[bottom], self.rank_of[top]):
             nxt = {}
             get = nxt.get
@@ -258,10 +271,9 @@ class FlatLattice:
                         break
                     if not x & outside:
                         nxt[x] = get(x, 0) - v
-            mu.update(nxt)
             sums.append(sum(nxt.values()))
             level = nxt
-        return mu, sums
+        return sums
 
     def __repr__(self):
         return f"FlatLattice(rank={self.rank}, flats={len(self)})"
@@ -273,12 +285,14 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
     Makes each flat of rank k+1 once, from its lex-least child, with one
     `Matroid.covers` call per such child, and makes each level in lex
     order; raises TooLarge when the flat count exceeds `max_flats`.
+    Folds mu(bottom, X) in as it finds each flat's covers.
     """
     bottom = m.closure(0)
     full = m.full_mask
     levels = [[bottom]]
     covers = {}
     atom_index = []
+    mu = [[1]]
     # idx[a]: bit p set when the level's p-th flat holds atom a
     idx = [bottom >> a & 1 for a in range(m.n)]
     total = 1
@@ -288,22 +302,38 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
         atom_index.append(idx)
         made = []             # the next level, in lex order
         made_spans = []
+        nmu = []              # mu(bottom, made[p])
         idx = [0] * m.n
-        for f, span in zip(current, spans):
+        lead_atom = 0
+        for f, span, v in zip(current, spans, mu[-1]):
             # the covers of f made so far hold every atom of its span
             out = []
             if span:
                 low = span & -span
+                if low != lead_atom:
+                    # f is the first flat with this lowest atom: the flats
+                    # made so far are those whose lowest atom lies below it
+                    lead_atom = low
+                    lead_mask = (1 << len(made)) - 1
                 known = idx[low.bit_length() - 1]
                 atoms = span ^ low
                 while atoms and known:
                     low = atoms & -atoms
                     known &= idx[low.bit_length() - 1]
                     atoms ^= low
+                # Weisner: f adds -mu(bottom, f) to its leading covers, the
+                # known ones among those flats
+                lead = known & lead_mask
+                known ^= lead
                 while known:
                     p = known.bit_length() - 1
                     out.append(made[p])
                     known ^= 1 << p
+                while lead:
+                    p = lead.bit_length() - 1
+                    out.append(made[p])
+                    nmu[p] -= v
+                    lead ^= 1 << p
                 out.reverse()
             rest = full & ~reduce(or_, out, f)
             if rest:
@@ -318,6 +348,9 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
                         low = new & -new
                         idx[low.bit_length() - 1] |= bit
                         new ^= low
+                # the atoms get -1 from the bottom, the one flat with an empty
+                # span; no other flat leads a cover it makes
+                nmu += [0 if span else -1] * (len(made) - first)
                 # every cover just made holds f: one write per atom of f sets
                 # their whole block of positions
                 block = (1 << len(made)) - (1 << first)
@@ -331,7 +364,7 @@ def enumerate_flats(m: Matroid, max_flats: int = DEFAULT_MAX_FLATS) -> FlatLatti
         if total > max_flats:
             raise TooLarge(f"flat count exceeds the guardrail of {max_flats}")
         levels.append(made)
+        mu.append(nmu)
         current, spans = made, made_spans
     covers[full] = ()
-    return FlatLattice(m, levels, covers, atom_index)
-
+    return FlatLattice(m, levels, covers, atom_index, mu)

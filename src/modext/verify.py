@@ -16,11 +16,11 @@ top; a join side by the rank-equation scan.  Flat membership and rank,
 a claimed coatom, like a chain step, is a cover when it lies inside its
 flat one rank below it; a join's X is round by the prover's
 `round_in_context`, which scans the level below X for containment; and
-every charpoly comes from the lattice's one Weisner routine.  A flag's
-first interval, [bottom, ctx], reads that routine's pass from the
-bottom, which the prover's charpoly shares (ctx is the top for a flag
-certificate, so it is the charpoly itself); every other step runs its
-own pass over its interval.
+every charpoly comes from the lattice's Mobius values.  A flag's first
+interval, [bottom, ctx], reads the values that enumeration folded into
+its walk, which the prover's charpoly sums too (ctx is the top for a
+flag certificate, so it is the charpoly itself); every other step runs
+its own Weisner pass over its interval.
 
 The verifier keeps its own memo on the lattice (`FlatLattice._verified`),
 which nothing else reads or writes: per cover step, the first pair of
@@ -209,9 +209,9 @@ def _verify_flag(lat: FlatLattice, flag, ctx: int, path: str, failures: list):
                   f"flag step {_flat_str(lo)} -> {_flat_str(hi)} is not a cover")
             return
     # the raw interval charpoly, not the prover's upper_charpoly or
-    # lower_charpoly caches: [bottom, ctx] reads the lattice's Weisner pass
-    # from the bottom, which the prover's charpoly shares, and every other
-    # step runs its own pass, once per lattice
+    # lower_charpoly caches: [bottom, ctx] reads the Mobius values that
+    # enumeration folded into its walk, which the prover's charpoly sums
+    # too, and every other step runs its own pass, once per lattice
     uppers = [_chi(lat, f, ctx) for f in flats]
     for i in range(len(flats) - 1):
         quotient = IntPolynomial((-roots[i], 1))

@@ -2,11 +2,13 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from modext.algebra import (Field, FieldMatrix, IntPolynomial, _clear_row_denominators, gf2_basis,
-                            gf2_pack, gf_row_rank, integer_roots, integer_row_rank, poly_exact_div)
+from modext.algebra import (PRIME_LIMIT, Field, FieldMatrix, IntPolynomial, _clear_row_denominators,
+                            _is_prime, gf2_basis, gf2_pack, gf_row_rank, integer_roots,
+                            integer_row_rank, poly_exact_div)
 from modext.arrangement import Arrangement
 from modext.errors import DivisionByZeroPolynomial, InvalidInput, NotComparable
 
@@ -70,6 +72,26 @@ def test_field_validation():
     for bad in (1, 4, 6, 9, -5):
         with pytest.raises(InvalidInput):
             Field.gf(bad)
+
+
+def test_primality_is_exact_below_the_limit():
+    # against trial division
+    assert [p for p in range(-3, 10 ** 5) if _is_prime(p)] == [
+        p for p in range(2, 10 ** 5) if all(p % d for d in range(2, isqrt(p) + 1))]
+    # the least strong pseudoprimes to the first 1, 4, 9 and 12 prime bases
+    for q in (2047, 3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(q), q
+        with pytest.raises(InvalidInput):
+            Field.gf(q)
+    # primes past any trial division
+    for q in (2 ** 61 - 1, 2 ** 64 - 59, 10 ** 24 + 7):
+        assert Field.gf(q).p == q
+    # PRIME_LIMIT is the least strong pseudoprime to the first 13 prime
+    # bases, so it and everything above, primes too, are refused
+    assert _is_prime(PRIME_LIMIT)
+    for q in (PRIME_LIMIT, 2 ** 89 - 1):
+        with pytest.raises(InvalidInput, match=f"below {PRIME_LIMIT}"):
+            Field.gf(q)
 
 
 @pytest.mark.parametrize("text, value", [

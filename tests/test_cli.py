@@ -371,6 +371,24 @@ class TestExitCodes:
             assert (proc.returncode, proc.stdout, proc.stderr) == (3, "", stderr), name[:24]
             assert time.monotonic() - started < 5, name[:24]
 
+    def test_large_prime_fields(self, tmp_path):
+        # primality is decided in time polynomial in the digits, exactly
+        # below algebra.PRIME_LIMIT; from there on the field is refused
+        big = 2305843009213693951  # 2^61 - 1
+        limit = 3317044064679887385961981
+        data = tmp_path / "input.json"
+        data.write_text(json.dumps({"type": "linear", "field": {"kind": "gf", "p": big},
+                                    "matrix": [[1, 0, 1], [0, 1, 1]]}))
+        for source, code in ((f"pg-0-{big}", 0), (str(data), 0), (f"pg-0-{limit}", 2)):
+            started = time.monotonic()
+            proc = run_cli("charpoly", "--input", source, timeout=5)
+            assert proc.returncode == code, (source, proc.stderr)
+            assert time.monotonic() - started < 5, source
+        assert proc.stderr == (f"error: GF(p): characteristic must be below {limit}, "
+                               "where its primality is decided exactly\n")
+        assert run_json("charpoly", "--input", f"pg-0-{big}")["result"]["charpoly"] == ["-1", "1"]
+        assert run_json("charpoly", "--input", str(data))["result"]["charpoly"] == ["2", "-3", "1"]
+
     @pytest.mark.parametrize("flag, value", [("--max-flats", "-5"), ("--max-atoms", "-1"),
                                              ("--max-atoms", "many")])
     def test_guardrail_must_be_a_non_negative_integer(self, flag, value):

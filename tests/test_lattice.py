@@ -7,7 +7,7 @@ import pytest
 from modext.algebra import IntPolynomial
 from modext.corpus import corpus_matroid
 from modext.errors import NotAFlat, TooLarge
-from modext.lattice import enumerate_flats
+from modext.lattice import FlatLattice, enumerate_flats
 from modext.matroid import Matroid, atom_tuple
 
 from oracles import (bare_matroid, brute_flats, brute_mobius, contract_simplify, popcount,
@@ -192,15 +192,53 @@ def test_non_simple_explicit_lattices_match_brute_force():
             assert all(a & b == 0 for a, b in combinations(outside, 2)), (trial, f)
 
 
+def _assert_mobius_is_brute(name, lat, mu):
+    # enumeration's per-level lists line up with the levels, the dict view
+    # reads them, and chi sums them per rank
+    assert [len(values) for values in lat.mu] == [len(level) for level in lat.levels], name
+    assert lat.mobius() == mu, name
+    sums = [0] * (lat.rank + 1)
+    for f, v in mu.items():
+        sums[lat.rank - lat.rank_of[f]] += v
+    assert lat.charpoly() == IntPolynomial(sums), name
+
+
 def test_mobius_matches_brute(corpus, all_corpus_names, reference):
     # a value for every flat and nothing else, on lattices with and without
     # loops; the corpus members' flats come from the reference lattice
     for name in all_corpus_names:
         _, lat = corpus(name)
         flats = sorted(f for level in reference(name)[0] for f in level)
-        assert lat.mobius() == brute_mobius(lat.matroid, flats), name
+        _assert_mobius_is_brute(name, lat, brute_mobius(lat.matroid, flats))
     for i, m in enumerate(random_matroids() + non_simple_gf3_matroids()):
-        assert enumerate_flats(m).mobius() == brute_mobius(m), i
+        _assert_mobius_is_brute(i, enumerate_flats(m), brute_mobius(m))
+
+
+def test_no_weisner_pass_runs_from_the_bottom(monkeypatch, all_corpus_names):
+    # enumeration folds mu(bottom, X) into its walk, so chi, the Mobius
+    # view and every lower interval read it; only an interval above
+    # another flat runs a Weisner pass
+    calls = []
+    weisner = FlatLattice._weisner
+
+    def recorded(lat, bottom, top):
+        calls.append((bottom, top))
+        return weisner(lat, bottom, top)
+
+    monkeypatch.setattr(FlatLattice, "_weisner", recorded)
+    samples = [corpus_matroid(name) for name in all_corpus_names]
+    samples += random_matroids() + non_simple_gf3_matroids()
+    for i, m in enumerate(samples):
+        lat = enumerate_flats(m)
+        lat.charpoly()
+        lat.mobius()
+        for f in lat.flats():
+            lat.lower_charpoly(f)
+        assert calls == [], i
+        # the wrapper sees the passes that do run
+        lat.upper_charpoly(lat.levels[1][0])
+        assert calls == [(lat.levels[1][0], lat.top)], i
+        calls.clear()
 
 
 def test_charpoly_matches_whitney_sum(corpus):
