@@ -2,8 +2,9 @@
 
 An arrangement stores one linear form per hyperplane, canonicalized so the
 first nonzero coefficient is 1; proportional forms describe the same
-hyperplane and are rejected.  Its combinatorics are delegated to the linear
-matroid of the forms.
+hyperplane and are rejected.  Like a matroid's atoms, hyperplanes go by
+their index in `forms` and carry no names.  Its combinatorics are delegated
+to the linear matroid of the forms.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from .matroid import DEFAULT_MAX_ATOMS, Matroid, check_atom_count, linear_matroi
 
 
 class Arrangement:
-    """A finite set of at most `max_atoms` hyperplanes ker(f_i) in field^dim;
-    the cap passes on to the dependence matroid and to `essentialize`."""
+    """A finite set of at most `max_atoms` hyperplanes ker(f_i) in field^dim,
+    hyperplane i named by i alone; the cap passes on to the dependence
+    matroid and to `essentialize`."""
 
-    def __init__(self, field: Field, dim: int, forms, labels=None,
-                 max_atoms: int = DEFAULT_MAX_ATOMS):
+    def __init__(self, field: Field, dim: int, forms, max_atoms: int = DEFAULT_MAX_ATOMS):
         if dim < 0:
             raise InvalidInput("negative ambient dimension")
         check_atom_count(len(forms), max_atoms)
@@ -41,13 +42,6 @@ class Arrangement:
             seen[row] = i
             canon.append(row)
         self.forms = tuple(canon)
-        if labels is None:
-            labels = tuple(_form_label(field, row) for row in self.forms)
-        else:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != len(self.forms):
-                raise InvalidInput("label count differs from hyperplane count")
-        self.labels = labels
         self.max_atoms = max_atoms
         self._matroid = None
 
@@ -75,8 +69,7 @@ class Arrangement:
         if not pivots:
             raise InvalidInput("cannot essentialize an empty arrangement")
         new_forms = [[row[k] for k in pivots] for row in self.forms]
-        return Arrangement(self.field, len(pivots), new_forms, labels=self.labels,
-                           max_atoms=self.max_atoms)
+        return Arrangement(self.field, len(pivots), new_forms, max_atoms=self.max_atoms)
 
     def to_json(self) -> dict:
         return {
@@ -84,37 +77,21 @@ class Arrangement:
             "dim": self.dim,
             "forms": [[self.field.scalar_to_json(x) for x in row]
                       for row in self.forms],
-            "labels": list(self.labels),
         }
 
     @classmethod
     def from_json(cls, data, max_atoms: int = DEFAULT_MAX_ATOMS) -> "Arrangement":
+        """Read "field", "dim" and "forms"; other keys are ignored, among
+        them "labels": an arrangement names no hyperplanes."""
         if not isinstance(data, dict):
             raise InvalidInput("arrangement descriptor must be an object")
         with reading("arrangement descriptor"):
             return cls(Field.from_json(data["field"]), int(data["dim"]), data["forms"],
-                       labels=data.get("labels"), max_atoms=max_atoms)
+                       max_atoms=max_atoms)
 
     def __repr__(self):
         return (f"Arrangement({self.field!r}, dim={self.dim}, "
                 f"hyperplanes={len(self.forms)})")
-
-
-def _form_label(field: Field, row) -> str:
-    parts = []
-    for k, x in enumerate(row):
-        if field.is_zero(x):
-            continue
-        coeff = field.scalar_to_json(x)
-        if coeff == "1" or coeff == 1:
-            parts.append(f"+x{k}")
-        elif coeff == "-1" or coeff == -1:
-            parts.append(f"-x{k}")
-        else:
-            parts.append(f"+{coeff}*x{k}" if not str(coeff).startswith("-")
-                         else f"{coeff}*x{k}")
-    label = "".join(parts)
-    return label[1:] if label.startswith("+") else label
 
 
 def pg_arrangement(n: int, p: int, max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:

@@ -110,7 +110,7 @@ def load_input(spec: str, max_atoms: int):
         if "forms" in data:
             return Arrangement.from_json(data, max_atoms=max_atoms)
         if "group" in data and "edges" in data:
-            return GainGraph.from_json(data)
+            return GainGraph.from_json(data, max_atoms)
         if "type" in data:
             return load_matroid(data, max_atoms=max_atoms)
         raise InvalidInput(
@@ -140,11 +140,14 @@ def run_analysis(args, obj) -> tuple:
         if not isinstance(obj, GainGraph):
             raise InvalidInput("realize needs a gain graph input")
         field = parse_field(args.field)
+        labels = obj.atom_labels()
         if args.model == "lift":
             arr = realize_lift_arrangement(obj, field, args.max_atoms)
+            labels = ("inf",) + labels
         else:
             arr = realize_frame_arrangement(obj, field, args.max_atoms)
-        return {"arrangement": arr.to_json()}, 0
+        # an arrangement names no hyperplanes; the report names them as the gain graph its atoms
+        return {"arrangement": dict(arr.to_json(), labels=list(labels))}, 0
 
     m = matroid_of(obj, args.model, args.max_atoms)
 

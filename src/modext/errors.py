@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 class Frozen:
     """Base of the toolkit's immutable records: certificates, reports,
-    witnesses.
+    verdicts.
 
     A subclass annotates its fields in order and writes them into
     `self.__dict__` in its own `__init__`; the base reads the field order
@@ -122,15 +122,11 @@ class DivisionByZeroPolynomial(ModextError):
 class IdentityViolation(ModextError):
     """A polynomial identity that must hold for a modular join failed.
 
-    Carries the four characteristic polynomials involved; the message
-    prints each as its coefficient list, constant term first.
+    The message prints the four characteristic polynomials involved, each
+    as its coefficient list, constant term first.
     """
 
     def __init__(self, chi_m, chi_x, chi_e1, chi_e2):
-        self.chi_m = chi_m
-        self.chi_x = chi_x
-        self.chi_e1 = chi_e1
-        self.chi_e2 = chi_e2
         super().__init__(
             "join identity failed: chi(M)*chi(M|X) != chi(M|E1)*chi(M|E2): "
             f"{list(chi_m.coeffs)} * {list(chi_x.coeffs)} != "

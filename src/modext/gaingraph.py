@@ -28,7 +28,7 @@ from .errors import (
     NotSimpleFrame,
     reading,
 )
-from .matroid import DEFAULT_MAX_ATOMS, Matroid
+from .matroid import DEFAULT_MAX_ATOMS, Matroid, check_atom_count
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +116,10 @@ class FiniteGroup:
         return cls(names, table)
 
     @classmethod
-    def from_json(cls, data) -> "FiniteGroup":
+    def from_json(cls, data, max_atoms: int = DEFAULT_MAX_ATOMS) -> "FiniteGroup":
+        """A group of order at most `max_atoms`, as the named k-2-zM (M
+        atoms) imposes; the order is checked before the table, whose
+        validation is cubic in it, is built."""
         if not isinstance(data, dict) or "kind" not in data:
             raise InvalidInput(f"bad group descriptor {data!r}")
         kind = data["kind"]
@@ -126,8 +129,11 @@ class FiniteGroup:
             return cls.sign()
         with reading(f"{kind!r} group"):
             if kind == "zmod":
-                return cls.zmod(int(data.get("p", 0)))
+                order = int(data.get("p", 0))
+                check_atom_count(order, max_atoms)
+                return cls.zmod(order)
             if kind == "table":
+                check_atom_count(len(data["names"]), max_atoms)
                 return cls(data["names"], data["table"])
         raise InvalidInput(f"unknown group kind {kind!r}")
 
@@ -283,11 +289,12 @@ class GainGraph:
         return [e for e in self.edges if (e.u, e.v) == (a, b)]
 
     @classmethod
-    def from_json(cls, data) -> "GainGraph":
+    def from_json(cls, data, max_atoms: int = DEFAULT_MAX_ATOMS) -> "GainGraph":
+        """Read the graph; its group's order is capped at `max_atoms`."""
         if not isinstance(data, dict):
             raise InvalidInput("gain graph descriptor must be an object")
         with reading("gain graph descriptor"):
-            return cls(int(data["vertices"]), FiniteGroup.from_json(data["group"]),
+            return cls(int(data["vertices"]), FiniteGroup.from_json(data["group"], max_atoms),
                        data["edges"], data.get("loops", ()))
 
     def __repr__(self):
@@ -547,8 +554,7 @@ def realize_frame_arrangement(g: GainGraph, field: Field,
         row = [field.zero()] * g.n
         row[w] = field.one()
         forms.append(row)
-    return Arrangement(field, g.n, forms, labels=g.atom_labels() or None,
-                       max_atoms=max_atoms)
+    return Arrangement(field, g.n, forms, max_atoms=max_atoms)
 
 
 def realize_lift_arrangement(g: GainGraph, field: Field,
@@ -570,5 +576,4 @@ def realize_lift_arrangement(g: GainGraph, field: Field,
         row[1 + e.u] = field.one()
         row[1 + e.v] = field.neg(field.one())
         forms.append(row)
-    labels = ("inf",) + tuple(g.atom_label(i) for i in range(len(g.edges)))
-    return Arrangement(field, dim, forms, labels=labels, max_atoms=max_atoms)
+    return Arrangement(field, dim, forms, max_atoms=max_atoms)

@@ -27,8 +27,7 @@ def example_7(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
         [0, 1, -1],   # x1 - x2
         [0, 1, 1],    # x1 + x2
     ]
-    labels = ["z", "x1", "x2", "x1-z", "x2-z", "x1-x2", "x1+x2"]
-    return Arrangement(Field.rational(), 3, forms, labels=labels, max_atoms=max_atoms)
+    return Arrangement(Field.rational(), 3, forms, max_atoms=max_atoms)
 
 
 def example_13(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
@@ -52,9 +51,7 @@ def example_13(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
         [0, 0, 0, 1, -1],   # y1 - y2
         [0, 0, 0, 1, 1],    # y1 + y2
     ]
-    labels = ["z", "x1", "x2", "x1-z", "x2-z", "x1-x2", "x1+x2",
-              "y1", "y2", "y1-z", "y2-z", "y1-y2", "y1+y2"]
-    return Arrangement(Field.rational(), 5, forms, labels=labels, max_atoms=max_atoms)
+    return Arrangement(Field.rational(), 5, forms, max_atoms=max_atoms)
 
 
 def ziegler_11(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
@@ -72,9 +69,7 @@ def ziegler_11(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
         [1, 1, 1, 0],  # x1+z1+z2
         [1, 1, 0, 1],  # x2+z1+z2
     ]
-    labels = ["z1", "z2", "z1+z2", "x1", "x2", "x1+x2", "x1+z1", "x2+z1",
-              "x1+x2+z1", "x1+z1+z2", "x2+z1+z2"]
-    return Arrangement(Field.gf(2), 4, forms, labels=labels, max_atoms=max_atoms)
+    return Arrangement(Field.gf(2), 4, forms, max_atoms=max_atoms)
 
 
 def ziegler_19(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
@@ -92,8 +87,7 @@ def ziegler_19(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
     forms = [pad(r, True) for r in x_rows[:3]]
     forms += [pad(r, True) for r in x_rows[3:]]
     forms += [pad(r, False) for r in x_rows[3:]]
-    labels = list(half.labels) + [lbl.replace("x", "y") for lbl in half.labels[3:]]
-    return Arrangement(Field.gf(2), 6, forms, labels=labels, max_atoms=max_atoms)
+    return Arrangement(Field.gf(2), 6, forms, max_atoms=max_atoms)
 
 
 def bowtie_lift_9(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
@@ -112,9 +106,7 @@ def bowtie_lift_9(max_atoms: int = DEFAULT_MAX_ATOMS) -> Arrangement:
         [0, 0, 0, 1, 1],  # y1+y2
         [1, 0, 0, 1, 1],  # y1+y2+z
     ]
-    labels = ["z", "x1+z", "x2+z", "x1+x2", "x1+x2+z",
-              "y1+z", "y2+z", "y1+y2", "y1+y2+z"]
-    return Arrangement(Field.gf(2), 5, forms, labels=labels, max_atoms=max_atoms)
+    return Arrangement(Field.gf(2), 5, forms, max_atoms=max_atoms)
 
 
 def bowtie(loops: bool = False) -> GainGraph:

@@ -18,11 +18,10 @@ verdicts stay on the lattice as one bitmask per ctx and level:
 checkers re-derive modularity from the rank oracle instead: `verify` runs
 the triangle test (`missed_line`) on each modular coatom and chain step,
 and the rank-equation scan `violating_flat_in_context` on join sides;
-`stanley_division_check` and the witness of a non-modular
-`is_modular_flat` run the scan too.  In the triangle test the matroid's
-kernel only proposes the lines through each atom; one rank query per
-line confirms it, and a pair whose line it does not confirm is asked
-alone.
+`stanley_division_check` runs the scan too.  In the triangle test the
+matroid's kernel only proposes the lines through each atom; one rank
+query per line confirms it, and a pair whose line it does not confirm is
+asked alone.
 """
 
 from __future__ import annotations
@@ -31,22 +30,6 @@ from .certificates import ChainCertificate
 from .errors import Frozen, NotComparable
 from .lattice import FlatLattice, enumerate_flats
 from .matroid import Matroid, atom_tuple, iter_atoms
-
-
-class ModularityWitness(Frozen):
-    """Verdict of `is_modular_flat` on a flat; on failure, `violating_flat`
-    is the first flat, in (rank, lex) order, violating the rank equation
-    against it."""
-
-    modular: bool
-    flat: int
-    violating_flat: int | None
-
-    def __init__(self, modular, flat, violating_flat=None):
-        self.__dict__.update(modular=modular, flat=flat, violating_flat=violating_flat)
-
-    def __bool__(self) -> bool:
-        return self.modular
 
 
 class RoundnessVerdict(Frozen):
@@ -239,13 +222,10 @@ def modular_coatoms_in_context(lat: FlatLattice, ctx: int):
         yield from _flats_at(lat.levels[r_ctx - 1], _modular_positions(lat, ctx, r_ctx - 1))
 
 
-def is_modular_flat(m: Matroid, x: int, lattice: FlatLattice | None = None) -> ModularityWitness:
-    """Modularity against every flat; a non-modular flat's witness is the
-    first flat, in (rank, lex) order, violating the rank equation."""
+def is_modular_flat(m: Matroid, x: int, lattice: FlatLattice | None = None) -> bool:
+    """Modularity against every flat, by the meet test."""
     lat = _lattice_for(m, lattice)
-    if is_modular_in_context(lat, x, lat.top):
-        return ModularityWitness(True, x)
-    return ModularityWitness(False, x, violating_flat_in_context(lat, x, lat.top))
+    return is_modular_in_context(lat, x, lat.top)
 
 
 def modular_flats(m: Matroid, lattice: FlatLattice | None = None) -> tuple:

@@ -62,7 +62,7 @@ def test_criterion_01_thirteen_hyperplane_example():
     cert = me_certify(m, lattice=lat)
     assert isinstance(cert, ModularJoinCertificate)
     assert atom_tuple(cert.x) == (0,) and lat.rank_of[cert.x] == 1
-    assert example_13().labels[0] == "z"
+    assert example_13().forms[0] == (1, 0, 0, 0, 0)  # X is the hyperplane z = 0
 
     assert divisional_flag(m, lattice=lat) is not None
     assert supersolvable_chain(m, lattice=lat) is None

@@ -179,5 +179,4 @@ def test_essentialize_drops_unused_gf3_coordinate():
     arr = Arrangement(Field.gf(3), 4, [[0, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 2], [0, 1, 2, 0]])
     assert arr.essentialize().to_json() == {
         "field": {"kind": "gf", "p": 3}, "dim": 2,
-        "forms": [[1, 0], [0, 1], [1, 1], [1, 2]],
-        "labels": ["x1+x3", "x2+x3", "x1+x2+2*x3", "x1+2*x2"]}
+        "forms": [[1, 0], [0, 1], [1, 1], [1, 2]]}

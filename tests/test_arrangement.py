@@ -35,15 +35,8 @@ class TestConstruction:
             Arrangement(q, 2, [[1, 0, 0]])
         with pytest.raises(InvalidInput):
             Arrangement(q, -1, [])
-        with pytest.raises(InvalidInput):
-            Arrangement(q, 2, [[1, 0]], labels=["a", "b"])
         with pytest.raises(TooLarge):
             Arrangement(q, 30, [[0] * k + [1] + [0] * (29 - k) for k in range(30)])
-
-    def test_default_labels_describe_forms(self):
-        arr = Arrangement(Field.gf(3), 3, [[1, 0, 2], [0, 1, 0]])
-        assert len(arr.labels) == 2
-        assert arr.labels[0] != arr.labels[1]
 
 
 def _rank(arr):
@@ -58,7 +51,6 @@ class TestEssentialize:
         assert _rank(arr) != arr.dim
         ess = arr.essentialize()
         assert ess.dim == 3 and _rank(ess) == 3
-        assert ess.labels == arr.labels
         # the matroid is untouched, only the ambient space shrinks
         report = rank_agreement(arr.dependence_matroid(), ess.dependence_matroid())
         assert report["agree"] and report["mode"] == "exhaustive"
@@ -110,7 +102,6 @@ class TestEssentialize:
             ess = arr.essentialize()
             assert ess.dim == len(keep), forms
             assert ess.forms == tuple(tuple(row[k] for k in keep) for row in arr.forms), forms
-            assert ess.labels == arr.labels
 
     def test_essential_arrangement_is_fixed_point(self):
         arr = pg_arrangement(2, 2)
@@ -226,11 +217,12 @@ class TestRankAgreement:
 
 class TestJson:
     def test_round_trip_rational(self):
-        arr = Arrangement(Field.rational(), 2, [[Fraction(1, 2), 1], [1, 0]],
-                          labels=["a", "b"])
-        back = Arrangement.from_json(arr.to_json())
-        assert back.forms == arr.forms
-        assert back.labels == arr.labels
+        arr = Arrangement(Field.rational(), 2, [[Fraction(1, 2), 1], [1, 0]])
+        data = arr.to_json()
+        assert data == {"field": {"kind": "rational"}, "dim": 2,
+                        "forms": [["1", "2"], ["1", "0"]]}
+        back = Arrangement.from_json(data)
+        assert back.forms == arr.forms and back.dim == 2
         assert back.field.is_rational
 
     def test_round_trip_gf(self):

@@ -153,6 +153,35 @@ class TestAnalysisCommands:
         assert lift["result"]["charpoly"] == ["-16", "48", "-56", "32", "-9", "1"]
 
 
+# the full reports of `realize`, one per model and field kind, with the
+# hyperplanes named by the gain graph: `inf` first for the lift
+REALIZE_REPORTS = [
+    (("k-3-z3", "--field", "gf7"),
+     '{"command":"realize","input":"k-3-z3","result":{"arrangement":{"dim":3,'
+     '"field":{"kind":"gf","p":7},"forms":[[1,6,0],[1,5,0],[1,3,0],[1,0,6],[1,'
+     '0,5],[1,0,3],[0,1,6],[0,1,5],[0,1,3]],"labels":["{0,1}_0","{0,1}_1","{0,'
+     '1}_2","{0,2}_0","{0,2}_1","{0,2}_2","{1,2}_0","{1,2}_1","{1,2}_2"]}},'
+     '"tool_version":"0.1.0"}\n'),
+    (("bowtie-loops", "--field", "q"),
+     '{"command":"realize","input":"bowtie-loops",'
+     '"result":{"arrangement":{"dim":5,"field":{"kind":"rational"},'
+     '"forms":[["1","-1","0","0","0"],["1","0","-1","0","0"],["0","1","-1",'
+     '"0","0"],["0","1","1","0","0"],["1","0","0","-1","0"],["1","0","0","0",'
+     '"-1"],["0","0","0","1","-1"],["0","0","0","1","1"],["1","0","0","0",'
+     '"0"],["0","1","0","0","0"],["0","0","1","0","0"],["0","0","0","1","0"],'
+     '["0","0","0","0","1"]],"labels":["{0,1}_+1","{0,2}_+1","{1,2}_+1","{1,'
+     '2}_-1","{0,3}_+1","{0,4}_+1","{3,4}_+1","{3,4}_-1","loop(0)","loop(1)",'
+     '"loop(2)","loop(3)","loop(4)"]}},"tool_version":"0.1.0"}\n'),
+    (("bowtie", "--field", "gf2", "--model", "lift"),
+     '{"command":"realize","input":"bowtie","result":{"arrangement":{"dim":6,'
+     '"field":{"kind":"gf","p":2},"forms":[[1,0,0,0,0,0],[0,1,1,0,0,0],[0,1,0,'
+     '1,0,0],[0,0,1,1,0,0],[1,0,1,1,0,0],[0,1,0,0,1,0],[0,1,0,0,0,1],[0,0,0,0,'
+     '1,1],[1,0,0,0,1,1]],"labels":["inf","{0,1}_+1","{0,2}_+1","{1,2}_+1",'
+     '"{1,2}_-1","{0,3}_+1","{0,4}_+1","{3,4}_+1","{3,4}_-1"]}},'
+     '"tool_version":"0.1.0"}\n'),
+]
+
+
 class TestRealize:
     def test_lift_realization(self):
         report = run_json("realize", "--input", "bowtie",
@@ -161,6 +190,12 @@ class TestRealize:
         assert arr["field"] == {"kind": "gf", "p": 2}
         assert len(arr["forms"]) == 9 and arr["dim"] == 6
         assert arr["labels"][0] == "inf"
+
+    @pytest.mark.parametrize("argv, report", REALIZE_REPORTS,
+                             ids=[argv[0] for argv, _ in REALIZE_REPORTS])
+    def test_report_bytes(self, argv, report):
+        proc = run_cli("realize", "--input", *argv)
+        assert (proc.returncode, proc.stdout) == (0, report)
 
     def test_frame_realization(self):
         report = run_json("realize", "--input", "bowtie-loops",
@@ -257,11 +292,13 @@ class TestFileInputs:
         {"type": "linear", "field": {"kind": "gf", "p": 3},
          "matrix": [[1, 0, 1, 1], [0, 1, 1, 2]]},
         {"type": "graph", "vertices": 4, "edges": [[0, 1], [1, 2], [2, 3], [0, 3], [0, 2]]},
-    ], ids=lambda data: data["type"])
+        {"field": {"kind": "gf", "p": 3}, "dim": 2, "forms": [[1, 0], [0, 1], [1, 1], [1, 2]]},
+    ], ids=lambda data: data.get("type", "arrangement"))
     def test_labels_key_is_ignored(self, data, tmp_path, capsys):
-        # a matroid names no atoms: a "labels" key, of any length and with
-        # repeats or not, changes no byte of the report
-        atoms = len(data["edges"]) if "edges" in data else len(data["matrix"][0])
+        # neither a matroid nor an arrangement names its atoms: a "labels"
+        # key, of any length and with repeats or not, changes no byte of
+        # the report
+        atoms = len(data.get("edges") or data.get("forms") or data["matrix"][0])
         f = tmp_path / "m.json"
         reports = []
         for labels in (None, [str(a) for a in range(atoms)], ["a"], ["a"] * atoms):
@@ -338,7 +375,7 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "error:" in proc.stderr
 
-    def test_too_large(self):
+    def test_too_large(self, tmp_path):
         proc = run_cli("charpoly", "--input", "pg-2-3", "--max-atoms", "7")
         assert proc.returncode == 3
         proc = run_cli("flats", "--input", "pg-2-3", "--max-flats", "10")
@@ -355,6 +392,18 @@ class TestExitCodes:
         assert proc.returncode == 3
         assert proc.stderr == "error: 179700 atoms exceeds the limit of 24\n"
         assert time.monotonic() - started < 5
+        # a gain group read from JSON has its order checked, as k-2-zM does,
+        # before its table, whose validation is cubic in the order, is built
+        order = 25
+        table = {"kind": "table", "names": [str(a) for a in range(order)],
+                 "table": [[(a + b) % order for b in range(order)] for a in range(order)]}
+        for group in ({"kind": "zmod", "p": 1000}, table):
+            f = tmp_path / "g.json"
+            f.write_text(json.dumps({"vertices": 2, "group": group, "edges": [[0, 1, "1"]]}))
+            started = time.monotonic()
+            proc = run_cli("charpoly", "--input", str(f), timeout=5)
+            assert (proc.returncode, proc.stdout) == (3, ""), group["kind"]
+            assert time.monotonic() - started < 5, group["kind"]
         # counts past Python's 4,300-digit string conversion, and PG(n, p)
         # with a power or a primality test that would take minutes, are
         # decided before the numbers; an unprintable count goes unnamed

@@ -435,7 +435,6 @@ class TestRealizations:
             realize_lift_arrangement(g, Field.gf(3))
         arr = realize_lift_arrangement(g, Field.gf(2))
         assert arr.dim == 6 and len(arr.forms) == 9
-        assert arr.labels[0] == "inf"
         lift = lift_matroid(g)
         dep = arr.dependence_matroid()
         for mask in range(1 << lift.n):

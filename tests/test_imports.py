@@ -1,8 +1,9 @@
 """Every name a package module imports from a sibling module is used there,
-every public name has a caller outside the tests, every definition of the
-package is read by the code the system runs and every function and method
-is entered by it, the README's library tour runs, and importing the
-package stays free of the modules that generate code."""
+every public name has a caller outside the tests, every definition and
+every stored attribute of the package is read by the code the system runs
+and every function and method is entered by it, the README's library tour
+runs, and importing the package stays free of the modules that generate
+code."""
 
 import ast
 import importlib
@@ -196,6 +197,60 @@ def test_every_definition_is_read_by_the_system():
     assert unread == kept
 
 
+def _stored_attributes() -> dict:
+    """Each attribute the package stores, as `Owner.attr` (the top-level
+    class or function around the store, else the module's file name),
+    mapped to the attribute name.  A store is `x.attr = ...` (augmented
+    too), a field a record writes by `self.__dict__.update(attr=...)`, or
+    `object.__setattr__(self, "attr", ...)`."""
+    stored = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else path.name
+            for node in ast.walk(top):
+                names = []
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                    names = [node.attr]
+                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                    target = node.func.value
+                    if (node.func.attr == "update" and isinstance(target, ast.Attribute)
+                            and target.attr == "__dict__"):
+                        names = [keyword.arg for keyword in node.keywords]
+                    elif (node.func.attr == "__setattr__" and isinstance(target, ast.Name)
+                          and target.id == "object"):
+                        names = [node.args[1].value]
+                stored.update((f"{owner}.{name}", name) for name in names)
+    return stored
+
+
+def _attributes_loaded(trees, strings=False) -> set:
+    """The attribute names that syntax trees load; with `strings`, their
+    identifier strings too, as getattr and setattr read them."""
+    loaded = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif (strings and isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and node.value.isidentifier()):
+                loaded.add(node.value)
+    return loaded
+
+
+def test_every_stored_attribute_is_read_by_the_system():
+    # the guards above see names and entries, not state: an attribute the
+    # package stores must be loaded by name in the package or perfbench/;
+    # the generic Frozen dunders read fields through `__dict__`, not by
+    # name, and the tests and tools/ do not count
+    stored = _stored_attributes()
+    assert {"IntPolynomial.coeffs", "GainEdge.gain", "Arrangement.forms"} <= set(stored)
+    loaded = _attributes_loaded(ast.parse(path.read_text(encoding="utf-8"))
+                                for path in sorted(PACKAGE.glob("*.py")))
+    loaded |= _attributes_loaded((ast.parse(path.read_text(encoding="utf-8"))
+                                  for path in sorted(PERFBENCH.glob("*.py"))), strings=True)
+    assert sorted(key for key, name in stored.items() if name not in loaded) == []
+
+
 def _definition_codes() -> tuple:
     """(codes, classes): the code object of each function and method of
     the package, dunders too, keyed as `_definitions()` keys its readers,
@@ -335,6 +390,7 @@ def test_readme_library_tour_runs(monkeypatch):
     assert built == [tour["lat"]]
     # the facts its comments state
     assert tour["lat"].charpoly() == IntPolynomial.from_roots([1, 2, 3])
+    assert tour["is_modular_flat"](tour["m"], 0b100001, lattice=tour["lat"]) is False
     assert tour["verify_certificate"](tour["m"], tour["cert"], lattice=tour["lat"]).ok
 
 

@@ -16,7 +16,7 @@ from modext.certificates import (ChainCertificate, DivisionalFlag,
                                  ModularJoinCertificate)
 from modext.gaingraph import GainEdge
 from modext.joins import JoinDecomposition
-from modext.modularity import ModularityWitness, RoundnessVerdict
+from modext.modularity import RoundnessVerdict
 from modext.verify import VerificationReport
 
 CHAIN = ChainCertificate((0, 1, 3))
@@ -39,8 +39,6 @@ SAMPLES = [
     (GainEdge, {"u": 0, "v": 2, "gain": 1}, "GainEdge(u=0, v=2, gain=1)"),
     (JoinDecomposition, {"e1": 3, "e2": 6, "x": 2, "x_round": True},
      "JoinDecomposition(e1=3, e2=6, x=2, x_round=True)"),
-    (ModularityWitness, {"modular": False, "flat": 3, "violating_flat": 12},
-     "ModularityWitness(modular=False, flat=3, violating_flat=12)"),
     (RoundnessVerdict, {"round": False, "witness": (3, 6)},
      "RoundnessVerdict(round=False, witness=(3, 6))"),
     (VerificationReport, {"ok": False, "failures": (("$", "bad coatom"),)},
@@ -97,14 +95,6 @@ def test_records_survive_pickle_and_copy(cls, fields, text):
 
 
 def test_defaults():
-    w = ModularityWitness(True, 5)
-    assert w.violating_flat is None
-    assert w == ModularityWitness(modular=True, flat=5, violating_flat=None)
-    assert repr(w) == "ModularityWitness(modular=True, flat=5, violating_flat=None)"
-    assert ModularityWitness(False, 5, 6).violating_flat == 6
-    assert bool(w) and not ModularityWitness(False, 5, 6)
-    with pytest.raises(TypeError):
-        ModularityWitness(False, "rank-equation", 5, 6)
     v = RoundnessVerdict(round=True)
     assert v.witness is None and v == RoundnessVerdict(True, None)
     assert repr(v) == "RoundnessVerdict(round=True, witness=None)"
