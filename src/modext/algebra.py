@@ -66,14 +66,7 @@ class IntPolynomial:
     # -- arithmetic
 
     def __mul__(self, other):
-        if self.is_zero or other.is_zero:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(out)
+        return IntPolynomial(convolve(self.coeffs, other.coeffs))
 
     # -- constructors
 
@@ -105,6 +98,19 @@ class IntPolynomial:
 
     def __repr__(self):
         return f"IntPolynomial({list(self.coeffs)!r})"
+
+
+def convolve(a, b) -> list:
+    """The coefficients of the product of two polynomials given by their
+    coefficients, constant term first; trimmed when both are."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return out
 
 
 def poly_exact_div(num: IntPolynomial, den: IntPolynomial):

@@ -69,13 +69,14 @@ class TooLarge(ModextError):
 @contextmanager
 def reading(what: str):
     """Report a missing key or a field of the wrong shape (TypeError,
-    ValueError, IndexError) in the JSON of `what` as InvalidInput; a
+    ValueError, IndexError, or OverflowError for a number such as 1e400
+    that JSON reads as infinity) in the JSON of `what` as InvalidInput; a
     ModextError such as TooLarge is none of these and passes unchanged."""
     try:
         yield
     except KeyError as exc:
         raise InvalidInput(f"{what} missing {exc}") from exc
-    except (TypeError, ValueError, IndexError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise InvalidInput(f"bad {what}: {exc}") from exc
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
+from .algebra import convolve
 from .certificates import (
     EmptyCertificate,
     ModularCoatomCertificate,
@@ -84,16 +85,17 @@ def find_modular_joins(m: Matroid, lattice: FlatLattice | None = None) -> list:
 
 def brylawski_identity_check(m: Matroid, d: JoinDecomposition,
                              lattice: FlatLattice | None = None) -> bool:
-    """Exact check of chi(M) * chi(M|X) == chi(M|E1) * chi(M|E2).
+    """Exact check of chi(M) * chi(M|X) == chi(M|E1) * chi(M|E2), the two
+    products compared as coefficient lists.
 
-    Raises IdentityViolation carrying all four polynomials on failure.
+    Raises IdentityViolation, whose message prints all four, on failure.
     """
     lat = lattice if lattice is not None else enumerate_flats(m)
     chi_m = lat.charpoly()
     chi_x = lat.lower_charpoly(d.x)
     chi_e1 = lat.lower_charpoly(d.e1)
     chi_e2 = lat.lower_charpoly(d.e2)
-    if chi_m * chi_x != chi_e1 * chi_e2:
+    if convolve(chi_m.coeffs, chi_x.coeffs) != convolve(chi_e1.coeffs, chi_e2.coeffs):
         raise IdentityViolation(chi_m, chi_x, chi_e1, chi_e2)
     return True
 

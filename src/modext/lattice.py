@@ -57,11 +57,12 @@ Everything is driven by the covering relation:
   cover of Y, at a position below P.  Each flat at a position below P
   has, like its maker, a lowest atom below Y's, so a known cover there is
   leading; and no cover Y makes is, for it holds Y's lowest atom.
-  `charpoly()` sums the lists per level, `mobius()` is their view keyed
-  by flat, built on first ask, and an interval [bottom, T] sums that view
-  over the flats below T (`lower_charpoly` keeps it per T).  Any other
-  interval [B, T] runs its own pass (`_weisner`), which pushes over
-  `covers` within it; `upper_charpoly` keeps [B, top] per B.
+  `charpoly()` sums the lists per level, and an interval [bottom, T] sums
+  them at the positions below T, those that no atom outside T sets in
+  `atom_index` (`lower_charpoly` keeps it per T); `mobius()` is their view keyed by
+  flat, which no charpoly reads.  Any other interval [B, T] runs its own
+  pass (`_weisner`), which pushes over `covers` within it;
+  `upper_charpoly` keeps [B, top] per B.
 
 Order: levels and covers list flats in lexicographic order of their
 ascending atom tuples (`atom_tuple`), and nothing is sorted:
@@ -195,7 +196,7 @@ class FlatLattice:
 
     def mobius(self) -> dict:
         """Mobius values mu(bottom, X) for every flat X, keyed by flat: a
-        view of `mu`, built on first ask (cached)."""
+        view of `mu`, built on first ask (cached), which no charpoly reads."""
         if self._mobius is None:
             self._mobius = {f: v for level, values in zip(self.levels, self.mu)
                             for f, v in zip(level, values)}
@@ -208,7 +209,12 @@ class FlatLattice:
         return self._charpoly
 
     def interval_charpoly(self, bottom: int, top: int) -> IntPolynomial:
-        """Characteristic polynomial of the interval [bottom, top]."""
+        """Characteristic polynomial of the interval [bottom, top].
+
+        From the lattice's bottom it sums `mu` per level at the positions
+        below top, read off `atom_index`, so it visits no flat outside the
+        interval; from any other flat it runs `_weisner`.
+        """
         self.require(bottom)
         self.require(top)
         if bottom & top != bottom:
@@ -218,11 +224,24 @@ class FlatLattice:
             return IntPolynomial(self._weisner(bottom, top)[::-1])
         if top == self.top:
             return self.charpoly()
-        # mu(bottom, X) does not depend on the top of the interval
-        mu = self.mobius()
-        outside = ~top
-        return IntPolynomial([sum(mu[f] for f in self.levels[k] if not f & outside)
-                              for k in range(self.rank_of[top], -1, -1)])
+        # mu(bottom, X) does not depend on the top of the interval, and the
+        # flats of level k below top are the positions of `mu[k]` that no
+        # atom outside top sets in `atom_index[k]`
+        outside = [a for a in range(self.matroid.n) if not top >> a & 1]
+        k = self.rank_of[top]
+        sums = []
+        for index, values in zip(self.atom_index[k::-1], self.mu[k::-1]):
+            held = 0
+            for a in outside:
+                held |= index[a]
+            free = ((1 << len(values)) - 1) & ~held
+            total = 0
+            while free:
+                low = free & -free
+                total += values[low.bit_length() - 1]
+                free ^= low
+            sums.append(total)
+        return IntPolynomial(sums)
 
     def upper_charpoly(self, flat: int) -> IntPolynomial:
         """Charpoly of [flat, top]; equals the charpoly of the simplified
@@ -235,7 +254,8 @@ class FlatLattice:
 
     def lower_charpoly(self, flat: int) -> IntPolynomial:
         """Charpoly of [bottom, flat]; equals the charpoly of the restriction
-        to the flat.  Cached per flat."""
+        to the flat.  Sums `mu` at the positions below the flat and builds
+        no `mobius()`.  Cached per flat."""
         cached = self._lower.get(flat)
         if cached is None:
             cached = self.interval_charpoly(self.bottom, flat)
@@ -255,21 +275,29 @@ class FlatLattice:
         1964), so every flat of the interval is pushed to at least once.
         """
         covers = self.covers
-        outside = ~top
+        new = ~bottom
+        # every cover lies below the lattice's top
+        outside = 0 if top == self.top else ~top
         level = {bottom: 1}
         sums = [1]
         for _ in range(self.rank_of[bottom], self.rank_of[top]):
             nxt = {}
             get = nxt.get
             for y, v in level.items():
-                low = y & ~bottom
-                lower = ((low & -low) - 1) & ~bottom
+                low = y & new
+                lower = ((low & -low) - 1) & new
                 # covers come in ascending lowest new atom, so those holding
                 # an atom of `lower` come first
-                for x in covers[y]:
-                    if not x & lower:
-                        break
-                    if not x & outside:
+                if outside:
+                    for x in covers[y]:
+                        if not x & lower:
+                            break
+                        if not x & outside:
+                            nxt[x] = get(x, 0) - v
+                else:
+                    for x in covers[y]:
+                        if not x & lower:
+                            break
                         nxt[x] = get(x, 0) - v
             sums.append(sum(nxt.values()))
             level = nxt

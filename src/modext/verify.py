@@ -32,7 +32,6 @@ lattice.  It never reads the prover's `_upper`, `_lower` or `_verdicts`.
 
 from __future__ import annotations
 
-from .algebra import IntPolynomial
 from .certificates import (
     ChainCertificate,
     EmptyCertificate,
@@ -209,13 +208,16 @@ def _verify_flag(lat: FlatLattice, flag, ctx: int, path: str, failures: list):
                   f"flag step {_flat_str(lo)} -> {_flat_str(hi)} is not a cover")
             return
     # the raw interval charpoly, not the prover's upper_charpoly or
-    # lower_charpoly caches: [bottom, ctx] reads the Mobius values that
-    # enumeration folded into its walk, which the prover's charpoly sums
-    # too, and every other step runs its own pass, once per lattice
-    uppers = [_chi(lat, f, ctx) for f in flats]
-    for i in range(len(flats) - 1):
-        quotient = IntPolynomial((-roots[i], 1))
-        if uppers[i + 1] * quotient != uppers[i]:
+    # lower_charpoly caches: [bottom, ctx] sums the Mobius values that
+    # enumeration folded into its walk, at the positions below ctx, and
+    # every other step runs its own pass, once per lattice.  Chi above
+    # flats[i], c, is (t - root) times chi above flats[i + 1], b, when
+    # c_k = b_(k-1) - root * b_k for every k: each step is a cover, so c
+    # has one coefficient more than b
+    uppers = [_chi(lat, f, ctx).coeffs for f in flats]
+    for i, r in enumerate(roots):
+        b, c = uppers[i + 1], uppers[i]
+        if any(ck != shifted - r * bk for ck, shifted, bk in zip(c, (0,) + b, b + (0,))):
             _fail(failures, path,
                   f"flag step {i}: chi above {_flat_str(flats[i])} is not "
                   f"(t - {roots[i]}) times chi above {_flat_str(flats[i + 1])}")

@@ -355,6 +355,17 @@ MALFORMED_INPUTS = {
     "linear-matrix": {"type": "linear", "field": {"kind": "gf", "p": 2}, "matrix": 5},
 }
 
+# a JSON number past the float range reads as infinity, which int() refuses
+# with OverflowError; json.dumps cannot write 1e400, so the text is spelled out
+OVERFLOWING_INPUTS = {
+    "graph-vertices": '{"type": "graph", "vertices": 1e400, "edges": []}',
+    "gaingraph-vertices": '{"vertices": 1e400, "group": {"kind": "sign"}, '
+                          '"edges": [[0, 1, "+1"]]}',
+    "arrangement-dim": '{"field": {"kind": "rational"}, "dim": 1e400, "forms": [[1]]}',
+    "group-zmod": '{"vertices": 2, "group": {"kind": "zmod", "p": 1e400}, '
+                  '"edges": [[0, 1, "0"]]}',
+}
+
 MALFORMED_CERTIFICATES = {
     "coatom-atom": {"kind": "modular-coatom", "coatom": [-1], "child": {"kind": "empty"}},
     "chain-atom": {"kind": "supersolvable-chain", "flats": [[], [-1], [0, 1, 2]]},
@@ -468,6 +479,14 @@ class TestExitCodes:
         f = tmp_path / "input.json"
         f.write_text(json.dumps(MALFORMED_INPUTS[case]))
         assert_invalid_input(run_cli("charpoly", "--input", str(f)))
+
+    @pytest.mark.parametrize("case", sorted(OVERFLOWING_INPUTS))
+    def test_overflowing_number(self, tmp_path, case):
+        f = tmp_path / "input.json"
+        f.write_text(OVERFLOWING_INPUTS[case])
+        proc = run_cli("charpoly", "--input", str(f))
+        assert_invalid_input(proc)
+        assert "cannot convert float infinity to integer" in proc.stderr
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_CERTIFICATES))
     def test_malformed_certificate(self, tmp_path, case):

@@ -46,6 +46,12 @@ KEPT_WITHOUT_CALLER = (
     ("Field.sub", "field arithmetic that the reference row rank, tests/oracles.py "
                   "field_rank, uses"),
 )
+# Functions and methods that perfbench/ reads by name but the system's
+# traffic (`_run_the_system`) never enters, and why each stays.
+KEPT_UNENTERED = (
+    ("FlatLattice.mobius", "documented in README.md, and perfbench/trace.py patches it "
+                           "by name"),
+)
 # Functions and methods that the system's traffic (`_run_the_system`) enters
 # only on a broken certificate or input, and why each stays.
 ERROR_PATHS = (
@@ -347,7 +353,7 @@ def test_every_function_is_entered_by_the_system(tmp_path, capsys):
         _run_the_system(tmp_path, capsys)
     finally:
         sys.setprofile(None)
-    allowed = {name for name, _ in KEPT_WITHOUT_CALLER + ERROR_PATHS}
+    allowed = {name for name, _ in KEPT_WITHOUT_CALLER + KEPT_UNENTERED + ERROR_PATHS}
     assert allowed <= set(codes)
     assert {owner for _, among, _ in UNENTERED_DUNDERS for owner in among or ()} <= classes
     # a function is the same definition in the fresh namespaces, where
@@ -355,7 +361,7 @@ def test_every_function_is_entered_by_the_system(tmp_path, capsys):
     entered = {(code.co_filename, code.co_firstlineno) for code in entered}
     unentered = {key for key, code in codes.items()
                  if (code.co_filename, code.co_firstlineno) not in entered}
-    assert {name for name, _ in ERROR_PATHS} <= unentered
+    assert {name for name, _ in ERROR_PATHS + KEPT_UNENTERED} <= unentered
     allowed |= {key for key in unentered for names, among, _ in UNENTERED_DUNDERS
                 if key.rsplit(".", 1)[-1] in names
                 and (among is None or key.split(".")[0] in among)}

@@ -1,6 +1,8 @@
 """Lattice of flats: enumeration, Moebius values, characteristic polynomials."""
 
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +16,12 @@ from oracles import (bare_matroid, brute_flats, brute_mobius, contract_simplify,
                      reference_lattice, restrict, whitney_charpoly_coeffs)
 from samples import (has_backend_kernel, non_simple_gf3_matroids, random_matroids,
                      s3_gain_matroids)
+
+ROOT = str(Path(__file__).resolve().parents[1])
+if ROOT not in sys.path:
+    sys.path.insert(0, ROOT)
+
+from perfbench import inputs, job  # noqa: E402
 
 SMALL_FLATS = 250  # members with at most this many flats get pairwise checks
 
@@ -239,6 +247,48 @@ def test_no_weisner_pass_runs_from_the_bottom(monkeypatch, all_corpus_names):
         lat.upper_charpoly(lat.levels[1][0])
         assert calls == [(lat.levels[1][0], lat.top)], i
         calls.clear()
+
+
+def _census_matroids(seed=1):
+    return [inputs.build(spec) for _, spec in inputs.generate("census", seed)]
+
+
+def test_lower_charpoly_sums_mobius_over_the_flats_below(all_corpus_names):
+    # the positions that no atom outside T sets in the atom index are
+    # exactly the flats of below(T), the containment scan
+    samples = [corpus_matroid(name) for name in all_corpus_names]
+    samples += random_matroids() + non_simple_gf3_matroids() + _census_matroids()
+    for i, m in enumerate(samples):
+        lat = enumerate_flats(m)
+        mu = lat.mobius()
+        for t in lat.flats():
+            sums = [0] * (lat.rank_of[t] + 1)
+            for f in lat.below(t):
+                sums[lat.rank_of[t] - lat.rank_of[f]] += mu[f]
+            assert lat.lower_charpoly(t) == IntPolynomial(sums), (i, t)
+
+
+def test_certify_never_builds_the_mobius_view(monkeypatch):
+    # lower intervals read mu by position, so no certify job, prover or
+    # verifier, asks for the view keyed by flat
+    lower = []
+    interval = FlatLattice.interval_charpoly
+
+    def recorded(lat, bottom, top):
+        lower.append(bottom == lat.bottom and top != lat.top)
+        return interval(lat, bottom, top)
+
+    def refused(lat):
+        raise AssertionError("mobius() entered")
+
+    monkeypatch.setattr(FlatLattice, "interval_charpoly", recorded)
+    monkeypatch.setattr(FlatLattice, "mobius", refused)
+    samples = [corpus_matroid(name) for name in ("ziegler-19", "bowtie-frame", "example-13")]
+    api = job.public_api()
+    for i, m in enumerate(samples + _census_matroids()):
+        assert job.certify(m, api, True).failures == (), i
+    # lower intervals below the top were asked, so the refusal is not vacuous
+    assert sum(lower) > 100
 
 
 def test_charpoly_matches_whitney_sum(corpus):

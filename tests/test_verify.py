@@ -293,15 +293,24 @@ class TestTamperedFlagCertificates:
         m, lat = corpus(name)
         return m, lat, divisional_flag(m, lattice=lat)
 
-    def test_wrong_quotient_root(self, corpus):
+    def _assert_wrong_root_rejected(self, corpus, step):
         m, lat, flag = self._flag(corpus, "dn-4")
         roots = list(flag.quotient_roots)
-        roots[0] += 1
+        assert len(roots) == 4
+        roots[step] += 1
         bad = FlagCertificate(DivisionalFlag(flag.flats, tuple(roots)))
         report = verify_certificate(m, bad, lattice=lat)
         path, reason = _single_failure(report)
         assert path == "$"
-        assert "flag step 0" in reason and f"(t - {roots[0]})" in reason
+        assert f"flag step {step}" in reason and f"(t - {roots[step]})" in reason
+
+    def test_wrong_quotient_root(self, corpus):
+        self._assert_wrong_root_rejected(corpus, 0)
+
+    @pytest.mark.parametrize("step", [2, 3])
+    def test_wrong_quotient_root_past_the_first_step(self, corpus, step):
+        # a middle and the last of dn-4's four steps
+        self._assert_wrong_root_rejected(corpus, step)
 
     def test_wrong_root_count(self, corpus):
         m, lat, flag = self._flag(corpus, "example-13")
