@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -51,16 +52,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_input=True):
+    def add(name, help_text, reads_input=True, enumerates=True):
+        # each subcommand takes only the flags it reads
         p = sub.add_parser(name, help=help_text)
-        if needs_input:
+        if reads_input:
             p.add_argument("--input", required=True,
                            help="JSON file or named generator")
+            p.add_argument("--model", choices=("frame", "lift"), default="frame",
+                           help="matroid model for gain-graph inputs")
+            p.add_argument("--max-atoms", type=_limit, default=DEFAULT_MAX_ATOMS)
+        if enumerates:
+            p.add_argument("--max-flats", type=_limit, default=DEFAULT_MAX_FLATS)
         p.add_argument("--output", help="write the report here instead of stdout")
-        p.add_argument("--model", choices=("frame", "lift"), default="frame",
-                       help="matroid model for gain-graph inputs")
-        p.add_argument("--max-atoms", type=_limit, default=DEFAULT_MAX_ATOMS)
-        p.add_argument("--max-flats", type=_limit, default=DEFAULT_MAX_FLATS)
         p.add_argument("--timing", action="store_true",
                        help="include wall-clock timing in the report")
         return p
@@ -73,27 +76,34 @@ def build_parser() -> argparse.ArgumentParser:
     add("divflag", "divisional flag, if any")
     add("me-cert", "modularly-extended certificate, if any")
     add("joins", "all modular join decompositions")
-    p = add("realize", "realize a gain graph as an arrangement")
+    p = add("realize", "realize a gain graph as an arrangement", enumerates=False)
     p.add_argument("--field", default="q",
                    help="'q' for the rationals or 'gf<p>' for a prime field")
     p = add("verify", "replay a certificate against the input")
     p.add_argument("--certificate", required=True,
                    help="certificate JSON file to replay")
-    add("corpus", "self-test every built-in example", needs_input=False)
+    add("corpus", "self-test every built-in example", reads_input=False)
     return parser
 
 
+_PRIME_FIELD = re.compile(r"gf[-(]?(\d+)\)*|(\d+)")
+
+
 def parse_field(token: str) -> Field:
+    """'q' (or 'rational', 'rationals') for the rationals, else GF(p) from
+    'p', 'gfp', 'gf-p' or 'gf(p)'; any other token, or a p with more
+    digits than Python converts, is invalid input."""
     t = token.strip().lower()
     if t in ("q", "rational", "rationals"):
         return Field.rational()
-    for prefix in ("gf-", "gf(", "gf"):
-        if t.startswith(prefix):
-            digits = t[len(prefix):].rstrip(")")
-            if digits.isdigit():
-                return Field.gf(int(digits))
-    if t.isdigit():
-        return Field.gf(int(t))
+    match = _PRIME_FIELD.fullmatch(t)
+    if match:
+        try:
+            p = int(match[1] or match[2])
+        except ValueError:  # more digits than Python converts
+            pass
+        else:
+            return Field.gf(p)
     raise InvalidInput(f"cannot parse field {token!r}")
 
 

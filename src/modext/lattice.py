@@ -25,17 +25,17 @@ Everything is driven by the covering relation:
   (`atom_index`): the covers F makes take consecutive positions, so each
   atom of F is written once with that whole block of bits, and each new
   cover writes only its atoms outside F.
-- The atom index answers "which flats of level k hold these atoms?" by
-  one AND per atom over the atoms outside the bottom (the loops lie in
-  every flat).  The prover's modular verdicts (`modularity`) read it:
-  per ctx and pair of levels {r, k} with r + k = r(ctx) + 1, one pass
-  ANDs the atoms of each flat of the lower level below ctx into the
-  upper level's complement index (per atom, the flats not holding it),
-  and the verdicts stay on the lattice as one bitmask per ctx and level
-  (`_verdicts`).  `below(X)` stays a containment scan: the verifier's
-  rank-equation scan walks it, and must not rest on the index that the
-  prover's verdicts read.  The verifier keeps its own results on the
-  lattice (`_verified`), which the prover never reads.
+- Past enumeration one method reads the atom index, `avoiding`: the
+  positions of level k, among some, whose flats hold no atom of a set A,
+  one AND per atom of A against the level's complement index (per atom,
+  the flats not holding it; kept in `_complement`), stopping early at 0.
+  The flats of level k below X avoid the atoms outside X, and those a
+  flat Z misses avoid its atoms outside the bottom.  Lower intervals and
+  the prover's modular verdicts (`modularity`, kept per ctx and level in
+  `_verdicts`) ask it.  `below(X)` stays a containment scan: the
+  verifier's rank-equation scan walks it, and must not rest on the index
+  that the prover's verdicts read.  The verifier keeps its own results
+  on the lattice (`_verified`), which the prover never reads.
 - Mobius values follow Weisner's theorem (Stanley, EC1 Cor. 3.9.3): for
   X > B and an atom a of X outside B, mu(B, X) = -sum mu(B, Y) over the
   flats Y covered by X with B <= Y and a not in Y.  Read upward with a
@@ -58,10 +58,10 @@ Everything is driven by the covering relation:
   has, like its maker, a lowest atom below Y's, so a known cover there is
   leading; and no cover Y makes is, for it holds Y's lowest atom.
   `charpoly()` sums the lists per level, and an interval [bottom, T] sums
-  them at the positions below T, those that no atom outside T sets in
-  `atom_index` (`lower_charpoly` keeps it per T); `mobius()` is their view keyed by
+  them at the positions below T, those avoiding the atoms outside T
+  (`lower_charpoly` keeps it per T); `mobius()` is their view keyed by
   flat, which no charpoly reads.  Any other interval [B, T] runs its own
-  pass (`_weisner`), which pushes over `covers` within it;
+  pass (`_weisner`), which pushes over `covers` upward from B;
   `upper_charpoly` keeps [B, top] per B.
 
 Order: levels and covers list flats in lexicographic order of their
@@ -116,9 +116,7 @@ class FlatLattice:
 
     `atom_index[k][a]`, for every level k below the top, has bit i set when
     `levels[k][i]` holds atom a: it is the index enumeration built while it
-    made level k.  The flats of rank k below a flat X are the positions
-    that no atom outside X sets, and those a flat Z meets are the
-    positions its atoms outside the bottom set.
+    made level k.  Outside enumeration only `avoiding` reads it.
     """
 
     def __init__(self, matroid: Matroid, levels, covers, atom_index, mu):
@@ -136,12 +134,12 @@ class FlatLattice:
         self._charpoly = None
         self._upper = {}
         self._lower = {}
-        # filled by modularity: ctx -> the modular flats within it,
-        # (ctx, k) -> the positions of level k modular within ctx, and
-        # k -> atom_index[k] with each entry complemented
+        # per level, atom_index with each entry complemented, for `avoiding`
+        self._complement = [None] * len(atom_index)
+        # filled by modularity: ctx -> the modular flats within it, and
+        # (ctx, k) -> the positions of level k modular within ctx
         self._modular = {}
         self._verdicts = {}
-        self._complement = {}
         # filled and read by verify only: (lo, hi) -> the first pair of
         # atoms whose line misses lo, or None, and ("chi", lo, hi) -> the
         # charpoly of [lo, hi]
@@ -192,6 +190,21 @@ class FlatLattice:
             self._below[flat] = cached
         return cached
 
+    def avoiding(self, k: int, atoms: int, among: int | None = None) -> int:
+        """The positions of level k < rank, among `among` (by default all),
+        whose flats hold no atom of `atoms`, stopping once none is left."""
+        complement = self._complement[k]
+        if complement is None:
+            full = (1 << len(self.levels[k])) - 1
+            complement = self._complement[k] = [full ^ has for has in self.atom_index[k]]
+        if among is None:
+            among = (1 << len(self.levels[k])) - 1
+        while atoms and among:
+            a = atoms.bit_length() - 1
+            among &= complement[a]
+            atoms ^= 1 << a
+        return among
+
     # -- Mobius function and characteristic polynomials
 
     def mobius(self) -> dict:
@@ -212,8 +225,8 @@ class FlatLattice:
         """Characteristic polynomial of the interval [bottom, top].
 
         From the lattice's bottom it sums `mu` per level at the positions
-        below top, read off `atom_index`, so it visits no flat outside the
-        interval; from any other flat it runs `_weisner`.
+        below top (`avoiding`), so it visits no flat outside the interval;
+        from any other flat it runs `_weisner`.
         """
         self.require(bottom)
         self.require(top)
@@ -225,16 +238,13 @@ class FlatLattice:
         if top == self.top:
             return self.charpoly()
         # mu(bottom, X) does not depend on the top of the interval, and the
-        # flats of level k below top are the positions of `mu[k]` that no
-        # atom outside top sets in `atom_index[k]`
-        outside = [a for a in range(self.matroid.n) if not top >> a & 1]
-        k = self.rank_of[top]
+        # flats of level k below top are the positions of `mu[k]` that
+        # avoid the atoms outside top
+        outside = self.top & ~top
         sums = []
-        for index, values in zip(self.atom_index[k::-1], self.mu[k::-1]):
-            held = 0
-            for a in outside:
-                held |= index[a]
-            free = ((1 << len(values)) - 1) & ~held
+        for k in range(self.rank_of[top], -1, -1):
+            values = self.mu[k]
+            free = self.avoiding(k, outside)
             total = 0
             while free:
                 low = free & -free
@@ -267,16 +277,17 @@ class FlatLattice:
         the sum of mu(bottom, X) over its flats X of rank k, for each k from
         r(bottom) to r(top), by Weisner's theorem.
 
-        Walks the interval upward, level by level: each flat Y pushes
-        -mu(bottom, Y) to each of its covers X <= top that holds an atom
-        outside bottom below Y's lowest such atom, which is when X's lowest
-        atom outside bottom misses Y.  The flats of the next level are the
-        ones pushed to: mu never vanishes on a geometric lattice (Rota
-        1964), so every flat of the interval is pushed to at least once.
+        Walks upward from bottom, level by level: each flat Y pushes
+        -mu(bottom, Y) to each of its covers X that holds an atom outside
+        bottom below Y's lowest such atom, which is when X's lowest atom
+        outside bottom misses Y.  The flats of the next level are the ones
+        pushed to: mu never vanishes on a geometric lattice (Rota 1964),
+        so every flat above bottom is pushed to at least once.  The flats
+        outside top push only to flats outside top, so they are dropped
+        once their level is done, and the push tests nothing per cover.
         """
         covers = self.covers
         new = ~bottom
-        # every cover lies below the lattice's top
         outside = 0 if top == self.top else ~top
         level = {bottom: 1}
         sums = [1]
@@ -288,17 +299,12 @@ class FlatLattice:
                 lower = ((low & -low) - 1) & new
                 # covers come in ascending lowest new atom, so those holding
                 # an atom of `lower` come first
-                if outside:
-                    for x in covers[y]:
-                        if not x & lower:
-                            break
-                        if not x & outside:
-                            nxt[x] = get(x, 0) - v
-                else:
-                    for x in covers[y]:
-                        if not x & lower:
-                            break
-                        nxt[x] = get(x, 0) - v
+                for x in covers[y]:
+                    if not x & lower:
+                        break
+                    nxt[x] = get(x, 0) - v
+            if outside:
+                nxt = {x: v for x, v in nxt.items() if not x & outside}
             sums.append(sum(nxt.values()))
             level = nxt
         return sums

@@ -8,16 +8,17 @@ coatom holds an atom of it) and a scan of the rank equation.
 
 The prover's question "is z modular within ctx?" (modular flats, the
 coatom peel, the modular joins, and the verdict of `is_modular_flat`) is
-answered from the lattice's atom index, with no rank computed: z is
-modular within ctx iff it meets every flat below ctx of rank
-r(ctx) - r(z) + 1, a symmetric relation, so one pass per ctx and pair of
-levels {r, r(ctx) + 1 - r} decides both levels (`_decide_levels`).  The
-verdicts stay on the lattice as one bitmask per ctx and level:
-`is_modular_in_context` reads one bit, and `modular_flats_in_context` and
-`modular_coatoms_in_context` walk the positions the masks keep.  The
-checkers re-derive modularity from the rank oracle instead: `verify` runs
-the triangle test (`missed_line`) on each modular coatom and chain step,
-and the rank-equation scan `violating_flat_in_context` on join sides;
+answered from the lattice's atom index, through its one reader
+`FlatLattice.avoiding`, with no rank computed: z is modular within ctx
+iff it meets every flat below ctx of rank r(ctx) - r(z) + 1, a symmetric
+relation, so one pass per ctx and pair of levels {r, r(ctx) + 1 - r}
+decides both levels (`_decide_levels`).  The verdicts stay on the
+lattice as one bitmask per ctx and level: `is_modular_in_context` reads
+one bit, and `modular_flats_in_context` and `modular_coatoms_in_context`
+walk the positions the masks keep.  The checkers re-derive modularity
+from the rank oracle instead: `verify` runs the triangle test
+(`missed_line`) on each modular coatom and chain step, and the
+rank-equation scan `violating_flat_in_context` on join sides;
 `stanley_division_check` runs the scan too.  In the triangle test the
 matroid's kernel only proposes the lines through each atom; one rank
 query per line confirms it, and a pair whose line it does not confirm is
@@ -96,10 +97,9 @@ def is_modular_in_context(lat: FlatLattice, z: int, ctx: int) -> bool:
     other level below ctx.  `_decide_levels` finds every such disjoint
     pair in one pass and keeps the verdicts on the lattice, per ctx and
     level, as a bitmask over the level's positions (`lat._verdicts`); this
-    reads z's bit by ANDing `lat.atom_index[r]` into the mask over z's
-    atoms outside the bottom (the loops lie in every flat): z is the only
-    flat of rank r holding them all, so its bit is all that can be left.
-    No rank is computed.
+    reads z's bit as the positions of the mask avoiding the atoms outside
+    z: z is the only flat of rank r below z, so its bit is all that can
+    be left.  No rank is computed.
     """
     rank_of = lat.rank_of
     r = rank_of[lat.require(z)]
@@ -109,34 +109,7 @@ def is_modular_in_context(lat: FlatLattice, z: int, ctx: int) -> bool:
             f"{sorted(atom_tuple(z))} is not below {sorted(atom_tuple(ctx))}")
     if r <= 1 or r == r_ctx:
         return True
-    modular = _modular_positions(lat, ctx, r)
-    return bool(_and_over(lat.atom_index[r], modular, z & ~lat.bottom))
-
-
-def _and_over(index, positions: int, atoms: int) -> int:
-    """`positions` ANDed with `index[a]` for each atom a of `atoms`,
-    stopping once none is left."""
-    while atoms and positions:
-        low = atoms & -atoms
-        positions &= index[low.bit_length() - 1]
-        atoms ^= low
-    return positions
-
-
-def _complement(lat: FlatLattice, k: int) -> list:
-    """Per atom, the positions of the flats of level k not holding it: the
-    level's atom index, each entry XORed with the full mask (cached)."""
-    out = lat._complement.get(k)
-    if out is None:
-        full = (1 << len(lat.levels[k])) - 1
-        out = lat._complement[k] = [full ^ has for has in lat.atom_index[k]]
-    return out
-
-
-def _below_positions(lat: FlatLattice, ctx: int, k: int) -> int:
-    """The positions of the flats of level k below ctx: those holding no
-    atom outside ctx."""
-    return _and_over(_complement(lat, k), (1 << len(lat.levels[k])) - 1, lat.top & ~ctx)
+    return bool(lat.avoiding(r, lat.top & ~z, _modular_positions(lat, ctx, r)))
 
 
 def _modular_positions(lat: FlatLattice, ctx: int, k: int) -> int:
@@ -144,7 +117,7 @@ def _modular_positions(lat: FlatLattice, ctx: int, k: int) -> int:
     modular within it.  The bottom and the atoms all are; any other level
     is decided with its partner level r(ctx) + 1 - k in one pass."""
     if k <= 1:
-        return _below_positions(lat, ctx, k)
+        return lat.avoiding(k, lat.top & ~ctx)
     got = lat._verdicts.get((ctx, k))
     if got is None:
         pair = lat.rank_of[ctx] + 1 - k
@@ -157,16 +130,18 @@ def _decide_levels(lat: FlatLattice, ctx: int, lo: int, hi: int) -> None:
     """Decide modularity within ctx for the flats below ctx of the levels
     lo <= hi, where lo + hi = r(ctx) + 1, and keep both verdict masks.
 
-    One pass over the flats Y of level lo below ctx, in order: the flats
-    of level hi below ctx that Y misses are the positions left by ANDing
-    the complement index of level hi over the atoms of Y outside the
-    bottom.  If any is left, Y and each of them are non-modular.  At
-    lo = hi those flats are not walked again: their verdict is made, and
-    a flat that one of them misses finds it when that flat is walked.
+    The flats of each level below ctx are those avoiding the atoms outside
+    ctx.  One pass over the flats Y of level lo below ctx, in order: the
+    flats of level hi below ctx that Y misses are those avoiding Y's atoms
+    outside the bottom.  If any is left, Y and each of them are
+    non-modular.  At lo = hi those flats are not walked again: their
+    verdict is made, and a flat that one of them misses finds it when
+    that flat is walked.
     """
-    comp = _complement(lat, hi)
-    below_hi = _below_positions(lat, ctx, hi)
-    below_lo = below_hi if lo == hi else _below_positions(lat, ctx, lo)
+    avoiding = lat.avoiding
+    outside = lat.top & ~ctx
+    below_hi = avoiding(hi, outside)
+    below_lo = below_hi if lo == hi else avoiding(lo, outside)
     level = lat.levels[lo]
     bottom = lat.bottom
     bad_lo = bad_hi = 0
@@ -174,7 +149,7 @@ def _decide_levels(lat: FlatLattice, ctx: int, lo: int, hi: int) -> None:
     while walk:
         low = walk & -walk
         walk ^= low
-        missed = _and_over(comp, below_hi, level[low.bit_length() - 1] & ~bottom)
+        missed = avoiding(hi, level[low.bit_length() - 1] & ~bottom, below_hi)
         if missed:
             bad_lo |= low
             bad_hi |= missed
@@ -184,15 +159,6 @@ def _decide_levels(lat: FlatLattice, ctx: int, lo: int, hi: int) -> None:
         bad_lo = bad_hi = bad_lo | bad_hi
     lat._verdicts[ctx, lo] = below_lo & ~bad_lo
     lat._verdicts[ctx, hi] = below_hi & ~bad_hi
-
-
-def _flats_at(level, positions: int):
-    """Yield the flats of a level at the given positions, in ascending
-    order, which is lex order."""
-    while positions:
-        low = positions & -positions
-        yield level[low.bit_length() - 1]
-        positions ^= low
 
 
 def modular_flats_in_context(lat: FlatLattice, ctx: int) -> tuple:
@@ -205,7 +171,8 @@ def modular_flats_in_context(lat: FlatLattice, ctx: int) -> tuple:
     if cached is None:
         out = []
         for k in range(lat.rank_of[lat.require(ctx)]):
-            out.extend(_flats_at(lat.levels[k], _modular_positions(lat, ctx, k)))
+            level = lat.levels[k]
+            out += [level[p] for p in iter_atoms(_modular_positions(lat, ctx, k))]
         out.append(ctx)
         cached = lat._modular[ctx] = tuple(out)
     return cached
@@ -219,7 +186,9 @@ def modular_coatoms_in_context(lat: FlatLattice, ctx: int):
     """
     r_ctx = lat.rank_of[lat.require(ctx)]
     if r_ctx:
-        yield from _flats_at(lat.levels[r_ctx - 1], _modular_positions(lat, ctx, r_ctx - 1))
+        level = lat.levels[r_ctx - 1]
+        for p in iter_atoms(_modular_positions(lat, ctx, r_ctx - 1)):
+            yield level[p]
 
 
 def is_modular_flat(m: Matroid, x: int, lattice: FlatLattice | None = None) -> bool:

@@ -85,6 +85,24 @@ def _check_flat(lat, flat, path, failures, what) -> bool:
     return False
 
 
+def _is_cover(lat, lo, hi) -> bool:
+    """Whether the flat lo lies in the flat hi one rank below it."""
+    return not lo & ~hi and lat.rank_of[hi] == lat.rank_of[lo] + 1
+
+
+def _check_run(lat, flats, ctx, path, failures, what, roots=None) -> bool:
+    """Whether `flats` runs from the empty flat to ctx, with one quotient
+    root per step when `roots` is given, every member a flat; reports
+    the first claim that fails."""
+    if not flats or flats[0] != lat.bottom or flats[-1] != ctx:
+        _fail(failures, path, f"{what} must run from the empty flat to {_flat_str(ctx)}")
+        return False
+    if roots is not None and len(roots) != len(flats) - 1:
+        _fail(failures, path, f"{what} needs one quotient root per step")
+        return False
+    return all(_check_flat(lat, f, path, failures, f"{what}[{i}]") for i, f in enumerate(flats))
+
+
 def _not_modular(failures, path, what, flat, ctx, why):
     _fail(failures, path,
           f"{what} {_flat_str(flat)} is not modular within {_flat_str(ctx)}: {why}")
@@ -130,7 +148,7 @@ def _verify(lat: FlatLattice, cert, ctx: int, path: str, failures: list):
         z = cert.coatom
         if not _check_flat(lat, z, path, failures, "coatom"):
             return
-        if z & ~ctx or lat.rank_of[z] != lat.rank_of[ctx] - 1:
+        if not _is_cover(lat, z, ctx):
             _fail(failures, path,
                   f"{_flat_str(z)} is not covered by {_flat_str(ctx)}")
             return
@@ -167,16 +185,11 @@ def _verify(lat: FlatLattice, cert, ctx: int, path: str, failures: list):
         return
     if isinstance(cert, ChainCertificate):
         flats = cert.flats
-        if not flats or flats[0] != lat.bottom or flats[-1] != ctx:
-            _fail(failures, path,
-                  f"chain must run from the empty flat to {_flat_str(ctx)}")
+        if not _check_run(lat, flats, ctx, path, failures, "chain"):
             return
-        for i, f in enumerate(flats):
-            if not _check_flat(lat, f, path, failures, f"chain[{i}]"):
-                return
         for i in range(len(flats) - 1):
             lo, hi = flats[i], flats[i + 1]
-            if lo & ~hi or lat.rank_of[hi] != lat.rank_of[lo] + 1:
+            if not _is_cover(lat, lo, hi):
                 _fail(failures, path,
                       f"chain step {_flat_str(lo)} -> {_flat_str(hi)} "
                       f"is not a cover")
@@ -191,19 +204,11 @@ def _verify(lat: FlatLattice, cert, ctx: int, path: str, failures: list):
 
 def _verify_flag(lat: FlatLattice, flag, ctx: int, path: str, failures: list):
     flats, roots = flag.flats, flag.quotient_roots
-    if not flats or flats[0] != lat.bottom or flats[-1] != ctx:
-        _fail(failures, path,
-              f"flag must run from the empty flat to {_flat_str(ctx)}")
+    if not _check_run(lat, flats, ctx, path, failures, "flag", roots):
         return
-    if len(roots) != len(flats) - 1:
-        _fail(failures, path, "flag needs one quotient root per step")
-        return
-    for i, f in enumerate(flats):
-        if not _check_flat(lat, f, path, failures, f"flag[{i}]"):
-            return
     for i in range(len(flats) - 1):
         lo, hi = flats[i], flats[i + 1]
-        if lo & ~hi or lat.rank_of[hi] != lat.rank_of[lo] + 1:
+        if not _is_cover(lat, lo, hi):
             _fail(failures, path,
                   f"flag step {_flat_str(lo)} -> {_flat_str(hi)} is not a cover")
             return

@@ -456,6 +456,27 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert f"argument {flag}: expected a non-negative integer, got '{value}'" in proc.stderr
 
+    @pytest.mark.parametrize("token", ["gf\u00b2", "\u00b2", "gf" + "7" * 5000],
+                             ids=["gf-superscript", "superscript", "gf-5000-digits"])
+    def test_unparseable_field_is_invalid_input(self, token):
+        # str.isdigit accepts a superscript two that int() rejects, and int()
+        # converts no more than 4,300 digits: neither may crash
+        proc = run_cli("realize", "--input", "bowtie", "--field", token)
+        assert_invalid_input(proc)
+        assert "cannot parse field" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ("corpus", "--max-atoms", "3"),
+        ("corpus", "--model", "lift"),
+        ("realize", "--input", "k-3-z3", "--field", "gf7", "--max-flats", "1"),
+    ], ids=["corpus-max-atoms", "corpus-model", "realize-max-flats"])
+    def test_flag_the_command_does_not_read_is_a_usage_error(self, argv):
+        # each subcommand takes only the flags it reads, so a guardrail or
+        # model that would change nothing is refused, not ignored
+        proc = run_cli(*argv)
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in proc.stderr
+
     def test_json_nested_past_the_recursion_limit(self, tmp_path):
         # json.dumps cannot encode a certificate this deep, so it is spelled out
         depth = 3000

@@ -400,6 +400,17 @@ def test_readme_library_tour_runs(monkeypatch):
     assert tour["verify_certificate"](tour["m"], tour["cert"], lattice=tour["lat"]).ok
 
 
+def test_only_the_lattice_reads_the_atom_index():
+    # `FlatLattice.avoiding` is the one reader of the per-level atom index
+    # outside enumeration, so a change of its layout stays in lattice.py
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if "atom_index" in _names_read(tree, strings=True)[1]:
+            readers.add(path.name)
+    assert readers == {"lattice.py"}
+
+
 def test_import_loads_no_code_generation():
     # dataclasses compiles the methods of every decorated class at each
     # import and pulls in inspect; the records are plain classes instead

@@ -1,5 +1,6 @@
 """Lattice of flats: enumeration, Moebius values, characteristic polynomials."""
 
+import random
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -163,6 +164,34 @@ def test_enumeration_matches_reference_order_included(corpus, all_corpus_names):
         _assert_matches_reference(("s3", i), m, enumerate_flats(m))
     for i, m in enumerate(non_simple_gf3_matroids()):
         _assert_matches_reference(("non-simple", i), m, enumerate_flats(m))
+
+
+def _assert_avoiding_matches_containment(label, lat, levels, rng):
+    # per level, the positions whose flats hold no atom of A, among a start
+    # set, against a subset test on the reference levels: A empty, the
+    # atoms outside each flat of the level above (the flats below it), and
+    # random sets of every size, with no start set and a random one
+    n = lat.matroid.n
+    for k, level in enumerate(levels[:-1]):
+        sets = [0] + [lat.top & ~x for x in levels[k + 1]]
+        sets += [sum(1 << a for a in rng.sample(range(n), rng.randint(0, n)))
+                 for _ in range(12)]
+        for atoms in sets:
+            free = sum(1 << i for i, f in enumerate(level) if not f & atoms)
+            among = rng.getrandbits(len(level))
+            assert lat.avoiding(k, atoms) == free, (label, k, atoms)
+            assert lat.avoiding(k, atoms, among) == free & among, (label, k, atoms, among)
+
+
+def test_avoiding_matches_containment(corpus, all_corpus_names, reference):
+    rng = random.Random(39)
+    for name in all_corpus_names:
+        _assert_avoiding_matches_containment(name, corpus(name)[1], reference(name)[0], rng)
+    for label, samples in (("random", random_matroids()),
+                           ("non-simple", non_simple_gf3_matroids())):
+        for i, m in enumerate(samples):
+            _assert_avoiding_matches_containment(
+                (label, i), enumerate_flats(m), reference_lattice(m)[0], rng)
 
 
 def _assert_contraction_atoms_are_the_covers(name, m, lat):

@@ -531,7 +531,7 @@ def test_prover_mutant_chain_is_rejected(corpus, all_corpus_names, monkeypatch):
     # that have none, and the verifier must reject it
     def everything_modular(lat, ctx, lo, hi):
         for k in (lo, hi):
-            lat._verdicts[ctx, k] = modularity._below_positions(lat, ctx, k)
+            lat._verdicts[ctx, k] = lat.avoiding(k, lat.top & ~ctx)
 
     names = [name for name in all_corpus_names
              if supersolvable_chain(*corpus(name)) is None and len(corpus(name)[1]) <= 250]

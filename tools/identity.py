@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Two SHA-256 digests that a refactor of the lattice or the pipeline must
-leave unchanged.
+"""Three SHA-256 digests that a refactor of the lattice or the pipeline
+must leave unchanged.
 
     python3 tools/identity.py
 
@@ -8,6 +8,11 @@ corpus: one digest over the repr of, per corpus member in corpus order, its
 name, levels, covers items in order, atom_index, sorted mobius() items and
 charpoly() coefficients, then the coefficients of interval_charpoly(b, t)
 for every comparable pair b <= t of every member, in (rank, lex) order.
+
+modular: the corpus digest, extended by the repr of
+modular_flats_in_context(lat, ctx) for every flat ctx of every member, in
+(rank, lex) order: the prover's modular verdicts in every context, not
+only in the top and in the contexts that the searches reach.
 
 verdicts: one digest over the repr of perfbench/job.py's certify verdict,
 tampering on, for every job of the three benchmark workloads at seeds 1-3.
@@ -29,6 +34,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from modext import enumerate_flats  # noqa: E402
 from modext.corpus import corpus_matroid, corpus_names  # noqa: E402
+from modext.modularity import modular_flats_in_context  # noqa: E402
 from perfbench import inputs, job  # noqa: E402
 
 WORKLOADS = ("large-linear", "large-graph", "census")
@@ -36,7 +42,8 @@ SEEDS = (1, 2, 3)
 
 
 def corpus_digest() -> tuple:
-    """(digest, comparable pairs) over the corpus lattices."""
+    """(digest, comparable pairs, extended digest, contexts) over the
+    corpus lattices."""
     h = hashlib.sha256()
     lattices = []
     for name in corpus_names():
@@ -51,7 +58,13 @@ def corpus_digest() -> tuple:
                 if b & t == b:
                     h.update(repr(lat.interval_charpoly(b, t).coeffs).encode())
                     pairs += 1
-    return h.hexdigest(), pairs
+    digest = h.hexdigest()
+    contexts = 0
+    for lat in lattices:
+        for ctx in lat.flats():
+            h.update(repr(modular_flats_in_context(lat, ctx)).encode())
+            contexts += 1
+    return digest, pairs, h.hexdigest(), contexts
 
 
 def verdicts_digest() -> tuple:
@@ -68,8 +81,9 @@ def verdicts_digest() -> tuple:
 
 
 def main():
-    digest, pairs = corpus_digest()
+    digest, pairs, extended, contexts = corpus_digest()
     print(f"corpus   sha256:{digest}  ({len(corpus_names())} members, {pairs} intervals)")
+    print(f"modular  sha256:{extended}  (corpus, then {contexts} contexts)")
     digest, jobs = verdicts_digest()
     print(f"verdicts sha256:{digest}  ({jobs} jobs)")
 
